@@ -1,13 +1,14 @@
 """Physics-informed ODE solvers trained on symmetry-reduced equations.
 
-The package pairs a small jet-propagating autodiff core with five benchmark
-problems, each solvable two ways: directly on the original residual, or on
-the invariantized equation plus the moving-frame reconstruction system.
+The package pairs a fused tanh-MLP Taylor-jet kernel and a small plain-array
+reverse-mode tape with five benchmark problems, each solvable two ways:
+directly on the original residual, or on the invariantized equation plus the
+moving-frame reconstruction system.
 """
 
 from .autodiff import (AdjointGraph, DomainError, Jet3, jet_add, jet_elem,
                        jet_mul)
-from .network import (MlpLayout, ParamSet, init_mlp, load_weights,
+from .network import (MlpJets, MlpLayout, ParamSet, init_mlp, load_weights,
                       mlp_forward, mlp_values, save_weights)
 from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, Jet3Point,
                        ProblemSpec, get_problem, schwarzian, sl2_moving_frame,
@@ -24,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdjointGraph", "DomainError", "Jet3", "jet_add", "jet_elem", "jet_mul",
-    "MlpLayout", "ParamSet", "init_mlp", "load_weights", "mlp_forward",
+    "MlpJets", "MlpLayout", "ParamSet", "init_mlp", "load_weights", "mlp_forward",
     "mlp_values", "save_weights",
     "REGISTRY", "FormulationSpec", "GroupElementSL2", "Jet3Point",
     "ProblemSpec", "get_problem", "schwarzian", "sl2_moving_frame",

@@ -1,20 +1,21 @@
-"""Third-order Taylor jets and a reverse-mode adjoint graph over jet arithmetic.
+"""Third-order Taylor jets and a reverse-mode tape over plain arrays.
 
 A jet carries a value and its first three derivatives with respect to the
-scalar input variable.  Forward arithmetic propagates whole jets, so a single
-network evaluation yields every derivative a residual can ask for.  Reverse
-accumulation runs over the recorded jet operations: the adjoint of a jet node
-is itself a jet (one sensitivity per coefficient), while parameters and
-scalars obtained by coefficient extraction carry plain array adjoints.
+scalar input variable.  Scalar `Jet3` arithmetic covers the elementary
+functions; the coefficient kernels below also serve the batched tanh-MLP
+jet kernel in `network`, which works on (rows, batch, 4) arrays with the
+coefficient axis last.
 
-Jet node values are ndarrays of shape (rows, batch, 4) with the coefficient
-axis last; plain node values are ndarrays of shape (batch,) or ().
+The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
+(batch,) or ().  Residuals read network output coefficients as plain leaves
+and combine them with add, sub, mul, div, exp, pick, sum and scale_shift;
+one backward sweep then leaves an adjoint on every leaf that needs one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +32,6 @@ class DomainError(ValueError):
 # ---------------------------------------------------------------------------
 # raw kernels on coefficient arrays (shape (..., 4))
 # ---------------------------------------------------------------------------
-
-def _kadd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
-
 
 def _kmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Leibniz product of derivative-coefficient jets, truncated at order 3."""
@@ -187,57 +184,48 @@ def jet_elem(fname: str, a: Jet3, power: float | None = None) -> Jet3:
 
 
 # ---------------------------------------------------------------------------
-# adjoint graph
+# plain-array tape
 # ---------------------------------------------------------------------------
-
-_LEAVES = frozenset({"input", "const_jet", "const", "param"})
 
 
 class Node:
-    """One recorded value in an AdjointGraph."""
+    """One recorded plain array in an AdjointGraph; its value is computed on record."""
 
-    __slots__ = ("graph", "index", "op", "args", "aux", "value", "kind",
-                 "needs_grad", "adjoint", "cache")
+    __slots__ = ("graph", "op", "args", "aux", "value", "needs_grad", "adjoint")
 
-    def __init__(self, graph, index, op, args, aux, value, kind, needs_grad):
+    def __init__(self, graph, op, args, aux, value, needs_grad):
         self.graph = graph
-        self.index = index
         self.op = op
         self.args = args
         self.aux = aux
         self.value = value
-        self.kind = kind
         self.needs_grad = needs_grad
         self.adjoint = None
-        self.cache = None
 
     # arithmetic sugar so residual builders read like the equations they encode
-    def _lift(self, other):
-        return self.graph.lift(other, self.kind)
-
     def __add__(self, other):
-        return self.graph.add(self, self._lift(other))
+        return self.graph.add(self, self.graph.lift(other))
 
     def __radd__(self, other):
-        return self.graph.add(self._lift(other), self)
+        return self.graph.add(self.graph.lift(other), self)
 
     def __sub__(self, other):
-        return self.graph.sub(self, self._lift(other))
+        return self.graph.sub(self, self.graph.lift(other))
 
     def __rsub__(self, other):
-        return self.graph.sub(self._lift(other), self)
+        return self.graph.sub(self.graph.lift(other), self)
 
     def __mul__(self, other):
-        return self.graph.mul(self, self._lift(other))
+        return self.graph.mul(self, self.graph.lift(other))
 
     def __rmul__(self, other):
-        return self.graph.mul(self._lift(other), self)
+        return self.graph.mul(self.graph.lift(other), self)
 
     def __truediv__(self, other):
-        return self.graph.div(self, self._lift(other))
+        return self.graph.div(self, self.graph.lift(other))
 
     def __rtruediv__(self, other):
-        return self.graph.div(self._lift(other), self)
+        return self.graph.div(self.graph.lift(other), self)
 
     def __neg__(self):
         return self.graph.scale_shift(self, -1.0, 0.0)
@@ -255,80 +243,6 @@ class Node:
 
     def pick(self, i: int):
         return self.graph.pick(self, i)
-
-
-def _forward_add(node, vals):
-    return vals[0] + vals[1]
-
-
-def _forward_sub(node, vals):
-    return vals[0] - vals[1]
-
-
-def _forward_mul(node, vals):
-    if node.kind == "jet":
-        return _kmul(vals[0], vals[1])
-    return vals[0] * vals[1]
-
-
-def _forward_div(node, vals):
-    return vals[0] / vals[1]
-
-
-def _forward_scale_shift(node, vals):
-    scale, shift = node.aux
-    out = vals[0] * scale
-    if shift != 0.0:
-        if node.kind == "jet":
-            out[..., 0] += shift
-        else:
-            out = out + shift
-    return out
-
-
-def _forward_elem(node, vals):
-    fname, power = node.aux
-    return _kelem(fname, vals[0], power)[0]
-
-
-def _forward_exp(node, vals):
-    return np.exp(vals[0])
-
-
-def _forward_affine(node, vals):
-    x, w, b = vals
-    rows, batch, _ = x.shape
-    out = (w @ x.reshape(rows, batch * N_COEFFS)).reshape(w.shape[0], batch, N_COEFFS)
-    out[..., 0] += b[:, None]
-    return out
-
-
-def _forward_extract(node, vals):
-    row, k = node.aux
-    return vals[0][row, :, k]
-
-
-def _forward_pick(node, vals):
-    return vals[0][node.aux]
-
-
-def _forward_sum(node, vals):
-    return np.add.reduce(vals[0], axis=None)
-
-
-_FORWARD: dict[str, Callable] = {
-    "add": _forward_add,
-    "sub": _forward_sub,
-    "mul": _forward_mul,
-    "div": _forward_div,
-    "scale_shift": _forward_scale_shift,
-    "elem": _forward_elem,
-    "exp": _forward_exp,
-    "affine": _forward_affine,
-    "extract": _forward_extract,
-    "pick": _forward_pick,
-    "sum": _forward_sum,
-}
 
 
 def _acc(arg: Node, contrib: np.ndarray, owned: bool = True) -> None:
@@ -365,14 +279,8 @@ def _vjp_sub(node):
 
 def _vjp_mul(node):
     a, b = node.args
-    if node.kind == "jet":
-        if a.needs_grad:
-            _acc(a, _kmul_t(node.adjoint, b.value))
-        if b.needs_grad:
-            _acc(b, _kmul_t(node.adjoint, a.value))
-    else:
-        _acc(a, node.adjoint * b.value)
-        _acc(b, node.adjoint * a.value)
+    _acc(a, node.adjoint * b.value)
+    _acc(b, node.adjoint * a.value)
 
 
 def _vjp_div(node):
@@ -385,42 +293,8 @@ def _vjp_scale_shift(node):
     _acc(node.args[0], node.adjoint * node.aux[0])
 
 
-def _vjp_elem(node):
-    a = node.args[0]
-    if not a.needs_grad:
-        return
-    _, f1, f2, f3, f4 = node.cache
-    inner = _kcompose(f1, f2, f3, f4, a.value)
-    _acc(a, _kmul_t(node.adjoint, inner))
-
-
 def _vjp_exp(node):
     _acc(node.args[0], node.adjoint * node.value)
-
-
-def _vjp_affine(node):
-    x, w, b = node.args
-    g = np.ascontiguousarray(node.adjoint)
-    out_dim, batch, _ = g.shape
-    gm = g.reshape(out_dim, batch * N_COEFFS)
-    if x.needs_grad:
-        xbar = (w.value.T @ gm).reshape(x.value.shape)
-        _acc(x, xbar)
-    if w.needs_grad:
-        xm = np.ascontiguousarray(x.value).reshape(x.value.shape[0], batch * N_COEFFS)
-        _acc(w, gm @ xm.T)
-    if b.needs_grad:
-        _acc(b, g[..., 0].sum(axis=1))
-
-
-def _vjp_extract(node):
-    a = node.args[0]
-    if not a.needs_grad:
-        return
-    row, k = node.aux
-    z = np.zeros(a.value.shape)
-    z[row, :, k] = node.adjoint
-    _acc(a, z)
 
 
 def _vjp_pick(node):
@@ -445,17 +319,14 @@ _VJPS: dict[str, Callable[[Node], None]] = {
     "mul": _vjp_mul,
     "div": _vjp_div,
     "scale_shift": _vjp_scale_shift,
-    "elem": _vjp_elem,
     "exp": _vjp_exp,
-    "affine": _vjp_affine,
-    "extract": _vjp_extract,
     "pick": _vjp_pick,
     "sum": _vjp_sum,
 }
 
 
 class AdjointGraph:
-    """Append-only record of jet and scalar operations for reverse accumulation.
+    """Append-only record of plain array operations for reverse accumulation.
 
     Construction order is topological by definition, so the reverse pass is a
     single backward sweep that visits each node exactly once.
@@ -464,165 +335,71 @@ class AdjointGraph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    # ---- recording ----
-
-    def _record(self, op, args, aux, value, kind, needs_grad=None) -> Node:
+    def _record(self, op, args, aux, value, needs_grad=None) -> Node:
         for a in args:
             if a.graph is not self:
                 raise ValueError("nodes belong to different graphs")
         if needs_grad is None:
             needs_grad = any(a.needs_grad for a in args)
-        node = Node(self, len(self.nodes), op, tuple(args), aux,
-                    np.asarray(value, dtype=float), kind, needs_grad)
+        node = Node(self, op, tuple(args), aux, np.asarray(value, dtype=float),
+                    needs_grad)
         self.nodes.append(node)
         return node
 
     # ---- leaves ----
 
-    def input(self, t_values) -> Node:
-        """Jets of the input variable at the given points: (t, 1, 0, 0)."""
-        t = np.asarray(t_values, dtype=float).ravel()
-        value = np.zeros((1, t.size, N_COEFFS))
-        value[0, :, 0] = t
-        value[0, :, 1] = 1.0
-        return self._record("input", (), None, value, "jet", needs_grad=False)
-
-    def const_jet(self, coeffs) -> Node:
-        value = np.asarray(coeffs, dtype=float)
-        if value.ndim == 1:
-            value = value.reshape(1, 1, N_COEFFS)
-        elif value.ndim == 2:
-            value = value.reshape(1, *value.shape)
-        if value.ndim != 3 or value.shape[-1] != N_COEFFS:
-            raise ValueError("constant jets must have 4 trailing coefficients")
-        return self._record("const_jet", (), None, value, "jet", needs_grad=False)
-
     def const(self, values) -> Node:
-        return self._record("const", (), None, values, "plain", needs_grad=False)
+        return self._record("const", (), None, values, needs_grad=False)
 
     def param(self, values) -> Node:
-        """Plain leaf tracked for gradients; caller must not mutate `values`."""
-        return self._record("param", (), None, values, "plain", needs_grad=True)
+        """Leaf tracked for gradients; caller must not mutate `values`."""
+        return self._record("param", (), None, values, needs_grad=True)
 
-    # ---- coercion ----
-
-    def lift(self, other, kind: str) -> Node:
-        if isinstance(other, Node):
-            if other.graph is not self:
-                raise ValueError("nodes belong to different graphs")
-            return other
-        if isinstance(other, (int, float)):
-            if kind == "jet":
-                return self.const_jet([float(other), 0.0, 0.0, 0.0])
-            return self.const(np.asarray(float(other)))
-        if kind == "plain":
-            return self.const(np.asarray(other, dtype=float))
-        raise TypeError(f"cannot lift {type(other).__name__} to a jet node")
+    def lift(self, other) -> Node:
+        """A node as is; a number or array as a constant leaf."""
+        return other if isinstance(other, Node) else self.const(other)
 
     # ---- operations ----
 
-    def _binary(self, op, a, b):
-        if a.kind != b.kind:
-            raise ValueError(f"{op} requires nodes of the same kind, "
-                             f"got {a.kind} and {b.kind}")
-        node = self._record(op, (a, b), None, 0.0, a.kind)
-        node.value = _FORWARD[op](node, [a.value, b.value])
-        return node
-
     def add(self, a: Node, b: Node) -> Node:
-        return self._binary("add", a, b)
+        return self._record("add", (a, b), None, a.value + b.value)
 
     def sub(self, a: Node, b: Node) -> Node:
-        return self._binary("sub", a, b)
+        return self._record("sub", (a, b), None, a.value - b.value)
 
     def mul(self, a: Node, b: Node) -> Node:
-        return self._binary("mul", a, b)
+        return self._record("mul", (a, b), None, a.value * b.value)
 
     def div(self, a: Node, b: Node) -> Node:
-        if a.kind == "jet":
-            return self.mul(a, self.elem("reciprocal", b))
-        return self._binary("div", a, b)
+        return self._record("div", (a, b), None, a.value / b.value)
 
     def scale_shift(self, a: Node, scale: float, shift: float) -> Node:
-        node = self._record("scale_shift", (a,), (float(scale), float(shift)), 0.0, a.kind)
-        node.value = _FORWARD["scale_shift"](node, [a.value])
-        return node
-
-    def elem(self, fname: str, a: Node, power: float | None = None) -> Node:
-        if a.kind != "jet":
-            raise ValueError("elem operates on jet nodes")
-        if fname not in ELEMENTARY:
-            raise ValueError(f"unknown elementary function {fname!r}")
-        value, tables = _kelem(fname, a.value, power)
-        node = self._record("elem", (a,), (fname, power), value, "jet")
-        node.cache = tables
-        return node
+        scale, shift = float(scale), float(shift)
+        value = a.value * scale
+        if shift != 0.0:
+            value = value + shift
+        return self._record("scale_shift", (a,), (scale, shift), value)
 
     def exp(self, a: Node) -> Node:
-        if a.kind == "jet":
-            return self.elem("exp", a)
-        return self._record("exp", (a,), None, np.exp(a.value), "plain")
-
-    def affine(self, x: Node, w: Node, b: Node) -> Node:
-        """w @ x + b applied coefficient-wise; w, b are constants of the input."""
-        if x.kind != "jet" or w.kind != "plain" or b.kind != "plain":
-            raise ValueError("affine expects a jet input and plain parameters")
-        node = self._record("affine", (x, w, b), None, 0.0, "jet")
-        node.value = _FORWARD["affine"](node, [x.value, w.value, b.value])
-        return node
-
-    def extract(self, a: Node, row: int, k: int) -> Node:
-        """Coefficient k of the jets in the given row: a plain (batch,) node."""
-        if a.kind != "jet":
-            raise ValueError("extract operates on jet nodes")
-        if not 0 <= k <= JET_ORDER:
-            raise ValueError(f"coefficient index {k} out of range")
-        return self._record("extract", (a,), (row, k), a.value[row, :, k], "plain")
+        return self._record("exp", (a,), None, np.exp(a.value))
 
     def pick(self, a: Node, i: int) -> Node:
-        if a.kind != "plain":
-            raise ValueError("pick operates on plain nodes")
-        return self._record("pick", (a,), i, a.value[i], "plain")
+        return self._record("pick", (a,), i, a.value[i])
 
     def sum(self, a: Node) -> Node:
-        if a.kind != "plain":
-            raise ValueError("sum operates on plain nodes")
-        return self._record("sum", (a,), None, np.add.reduce(a.value, axis=None), "plain")
+        return self._record("sum", (a,), None, np.add.reduce(a.value, axis=None))
 
     # ---- reverse accumulation ----
 
     def backward(self, loss: Node) -> None:
         if loss.graph is not self:
             raise ValueError("loss node belongs to a different graph")
-        if loss.kind != "plain" or loss.value.shape != ():
-            raise ValueError("backward expects a scalar plain loss node")
+        if loss.value.shape != ():
+            raise ValueError("backward expects a scalar loss node")
         for node in self.nodes:
             node.adjoint = None
         loss.adjoint = np.ones(())
         for node in reversed(self.nodes):
-            if node.adjoint is None or node.op in _LEAVES:
-                continue
-            _VJPS[node.op](node)
+            if node.adjoint is not None and node.op in _VJPS:
+                _VJPS[node.op](node)
 
-    # ---- replay ----
-
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every node value from the recorded operations."""
-        values: list[np.ndarray] = []
-        for node in self.nodes:
-            if node.op in _LEAVES:
-                values.append(node.value)
-            else:
-                values.append(_FORWARD[node.op](node, [values[a.index] for a in node.args]))
-        return values
-
-
-def grad(loss: Node, params: Sequence[Node]) -> tuple[float, np.ndarray]:
-    """Loss value and d loss / d params as one flat vector (reverse mode)."""
-    loss.graph.backward(loss)
-    parts = []
-    for p in params:
-        adj = p.adjoint if p.adjoint is not None else np.zeros_like(p.value)
-        parts.append(np.asarray(adj, dtype=float).ravel())
-    flat = np.concatenate(parts) if parts else np.zeros(0)
-    return float(loss.value), flat

@@ -28,7 +28,9 @@ class RunReport:
     mse_summary applies the problem's summary mask (for schwarz, a window
     around the asymptote is excluded; elsewhere the two agree).  status is
     "ok", "diverged" (training aborted on a non-finite loss) or "failed-eval"
-    (the reconstructed curve left the reference solution's domain).
+    (the reconstructed curve left the reference solution's domain, or is
+    undefined somewhere on the grid so that its mse is nan).  An infinite
+    mse with status "ok" is data: an error that overflows near an asymptote.
     """
 
     problem: str
@@ -129,6 +131,12 @@ def build_report(problem: ProblemSpec, config: TrainConfig, params: ParamSet,
         grid, sq = evaluate_params(problem, config.formulation, params)
         mse = float(np.mean(sq))
         mse_summary = float(np.mean(sq[summary_mask(problem.name, grid)]))
+        if math.isnan(mse) or math.isnan(mse_summary):
+            if status == "ok":
+                status = "failed-eval"
+            message = message or ("evaluation failed: the reconstruction is "
+                                  f"undefined at {int(np.isnan(sq).sum())} of "
+                                  f"{sq.size} grid points")
     except DomainError as err:
         grid = np.linspace(spec.interval[0], spec.interval[1], EVAL_GRID_POINTS)
         sq = np.full(EVAL_GRID_POINTS, np.inf)

@@ -1,4 +1,10 @@
-"""Fully connected tanh networks evaluated on jets, with flat parameter IO."""
+"""Fully connected tanh networks: a fused order-3 jet kernel and flat parameter IO.
+
+`MlpJets` is the only place the network meets the tape.  It propagates the
+jets of all outputs through the layers as (rows, batch, 4) arrays, hands the
+residuals plain leaves for the coefficients they read, and differentiates
+the whole network by one hand-written reverse pass over the layers.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdjointGraph, Jet3, N_COEFFS, Node
+from .autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, Node, _kcompose,
+                       _kelem, _kmul_t)
 
 
 @dataclass(frozen=True)
@@ -89,49 +96,93 @@ def init_mlp(layout: MlpLayout, seed: int) -> ParamSet:
     return ParamSet(layout, weights, biases)
 
 
-class OutputJet:
-    """One network output row with cached coefficient extraction."""
+class MlpJets:
+    """Order-3 jets of every network output at a batch of points.
 
-    def __init__(self, graph: AdjointGraph, node: Node, row: int):
+    The forward pass runs once, on construction: each layer applies its
+    affine map to all four coefficients at once and composes tanh with the
+    order-3 chain rule.  Output coefficient (row, k) enters the tape as a
+    plain leaf the first time a residual asks for it.  After
+    `graph.backward(loss)`, `param_grad` pulls the leaf adjoints back through
+    the layers by the hand-derived transpose of that forward pass.
+    """
+
+    def __init__(self, graph: AdjointGraph, params: ParamSet, x_values):
+        t = np.asarray(x_values, dtype=float).ravel()
+        h = np.zeros((1, t.size, N_COEFFS))
+        h[0, :, 0] = t
+        h[0, :, 1] = 1.0
         self.graph = graph
-        self.node = node
+        self.params = params
+        self._inputs, self._pre, self._tables, self.value = _jet_layers(params, h)
+        self.outputs = [OutputJet(self, row) for row in range(params.layout.output_dim)]
+        self._leaves: dict[tuple[int, int], Node] = {}
+
+    def leaf(self, row: int, k: int) -> Node:
+        """Plain tape leaf holding coefficient k of output row at every point."""
+        if not 0 <= k <= JET_ORDER:
+            raise ValueError(f"coefficient index {k} out of range")
+        key = (row, k)
+        if key not in self._leaves:
+            self._leaves[key] = self.graph.param(self.value[row, :, k])
+        return self._leaves[key]
+
+    def param_grad(self) -> np.ndarray:
+        """d loss / d parameters as one flat vector, read after graph.backward."""
+        g = np.zeros(self.value.shape)
+        for (row, k), node in self._leaves.items():
+            if node.adjoint is not None:
+                g[row, :, k] += node.adjoint
+        parts = []
+        for i in reversed(range(len(self.params.weights))):
+            x = self._inputs[i]
+            rows, batch, _ = x.shape
+            gm = g.reshape(g.shape[0], batch * N_COEFFS)
+            xm = x.reshape(rows, batch * N_COEFFS)
+            parts.append(g[..., 0].sum(axis=1))
+            parts.append((gm @ xm.T).ravel())
+            if i > 0:
+                xbar = (self.params.weights[i].T @ gm).reshape(x.shape)
+                _, f1, f2, f3, f4 = self._tables[i - 1]
+                g = _kmul_t(xbar, _kcompose(f1, f2, f3, f4, self._pre[i - 1]))
+        return np.concatenate(parts[::-1])
+
+
+class OutputJet:
+    """One network output row; d(k) is its k-th derivative per point."""
+
+    def __init__(self, jets: MlpJets, row: int):
+        self.jets = jets
         self.row = row
-        self._coeffs: dict[int, Node] = {}
 
     def d(self, k: int) -> Node:
-        """Plain node holding the k-th derivative of this output per point."""
-        if k not in self._coeffs:
-            self._coeffs[k] = self.graph.extract(self.node, self.row, k)
-        return self._coeffs[k]
+        return self.jets.leaf(self.row, k)
 
 
-def forward_on_graph(graph: AdjointGraph, params: ParamSet,
-                     x_values) -> tuple[list[OutputJet], list[Node]]:
-    """Record a batched jet forward pass; returns output views and param nodes."""
-    h = graph.input(x_values)
-    pnodes: list[Node] = []
+def _jet_layers(params: ParamSet, h: np.ndarray):
+    """Forward pass on (rows, batch, 4) jets.
+
+    Returns each layer's input jets, each hidden layer's pre-activation jets
+    and tanh derivative tables, and the output jets.
+    """
+    inputs, pre, tables = [], [], []
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        wn = graph.param(w)
-        bn = graph.param(b)
-        pnodes.extend((wn, bn))
-        h = graph.affine(h, wn, bn)
+        inputs.append(h)
+        rows, batch, _ = h.shape
+        h = (w @ h.reshape(rows, batch * N_COEFFS)).reshape(w.shape[0], batch, N_COEFFS)
+        h[..., 0] += b[:, None]
         if i < last:
-            h = graph.elem("tanh", h)
-    outs = [OutputJet(graph, h, j) for j in range(params.layout.output_dim)]
-    return outs, pnodes
+            pre.append(h)
+            h, table = _kelem("tanh", h)
+            tables.append(table)
+    return inputs, pre, tables, h
 
 
 def mlp_forward(params: ParamSet, x: Jet3) -> list[Jet3]:
     """Evaluate the network on a single jet; pure, no gradient bookkeeping."""
-    graph = AdjointGraph()
-    h = graph.const_jet(x.as_array().reshape(1, 1, N_COEFFS))
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = graph.affine(h, graph.const(w), graph.const(b))
-        if i < last:
-            h = graph.elem("tanh", h)
-    return [Jet3.from_array(h.value[j, 0]) for j in range(params.layout.output_dim)]
+    *_, out = _jet_layers(params, x.as_array().reshape(1, 1, N_COEFFS))
+    return [Jet3.from_array(out[j, 0]) for j in range(params.layout.output_dim)]
 
 
 def mlp_values(params: ParamSet, x_values) -> np.ndarray:

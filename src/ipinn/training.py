@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdjointGraph, DomainError, Node, grad
-from .network import MlpLayout, ParamSet, forward_on_graph, init_mlp
+from .autodiff import AdjointGraph, DomainError, Node
+from .network import MlpJets, MlpLayout, ParamSet, init_mlp
 from .problems import FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
@@ -145,13 +145,14 @@ def _evaluate(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
               alpha_ic: float, mean_reduction: bool, with_grad: bool):
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
-        outs, pnodes = forward_on_graph(graph, params, points)
-        total, eq, ic, residuals = _loss_nodes(graph, points, outs, spec,
+        net = MlpJets(graph, params, points)
+        total, eq, ic, residuals = _loss_nodes(graph, points, net.outputs, spec,
                                                alpha_ic, mean_reduction)
+        gvec = None
         if with_grad:
-            total_value, gvec = grad(total, pnodes)
-        else:
-            total_value, gvec = float(total.value), None
+            graph.backward(total)
+            gvec = net.param_grad()
+    total_value = float(total.value)
     _require_finite(total_value, residuals, float(ic.value), points)
     if gvec is not None and not np.all(np.isfinite(gvec)):
         raise DomainError("non-finite loss gradient")

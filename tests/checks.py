@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 import oracles
-from ipinn.autodiff import AdjointGraph, Jet3, N_COEFFS, grad, jet_add, jet_elem, jet_mul
+from ipinn.autodiff import AdjointGraph, Jet3, N_COEFFS, jet_add, jet_elem, jet_mul
 from ipinn.harness import SCHWARZ_MASK_HALF_WIDTH
-from ipinn.network import MlpLayout, ParamSet, forward_on_graph, init_mlp
+from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
@@ -28,7 +28,7 @@ from ipinn.problems import (
 from ipinn.reference import rk4_solve
 
 # ---------------------------------------------------------------------------
-# expression trees evaluated through the package's two derivative routes
+# expression trees evaluated with the package's scalar jets
 # ---------------------------------------------------------------------------
 
 
@@ -65,40 +65,6 @@ def eval_tree_jet(tree, t0: float) -> Jet3:
         return jet_elem("reciprocal", jet_add(Jet3.constant(2.5), jet_elem("sin", a)))
     if op == "square":
         return jet_mul(a, a)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def eval_tree_graph(graph: AdjointGraph, tree, t):
-    """Evaluate the same tree as a recorded jet node over a batch of points."""
-    op = tree[0]
-    if op == "t":
-        return t
-    if op == "const":
-        return graph.lift(tree[1], "jet")
-    if op in ("add", "sub", "mul", "divshift"):
-        a = eval_tree_graph(graph, tree[1], t)
-        b = eval_tree_graph(graph, tree[2], t)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a / (2.5 + graph.elem("cos", b))
-    if op == "powshift":
-        inner = eval_tree_graph(graph, tree[2], t)
-        return graph.elem("power", 2.5 + graph.elem("sin", inner), power=tree[1])
-    a = eval_tree_graph(graph, tree[1], t)
-    if op in ("sin", "cos", "tanh"):
-        return graph.elem(op, a)
-    if op == "expsin":
-        return graph.elem("exp", graph.elem("sin", a))
-    if op == "lnshift":
-        return graph.elem("ln", 2.5 + graph.elem("sin", a))
-    if op == "recipshift":
-        return graph.elem("reciprocal", 2.5 + graph.elem("sin", a))
-    if op == "square":
-        return a * a
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -145,8 +111,8 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
     """Worst relative error of reverse-mode parameter gradients.
 
     Each random network feeds a loss mixing every output row and derivative
-    order; the gradient is checked along random unit directions against a
-    fourth-order finite difference of the recorded forward pass.
+    order; the jet kernel's gradient is checked along random unit directions
+    against a fourth-order finite difference of the forward pass.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -160,23 +126,22 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
 
         def build(flat):
             graph = AdjointGraph()
-            pset = ParamSet.from_flat(layout, flat)
-            outs, pnodes = forward_on_graph(graph, pset, x)
+            net = MlpJets(graph, ParamSet.from_flat(layout, flat), x)
             total = None
-            for row, out in enumerate(outs):
+            for row, out in enumerate(net.outputs):
                 for k in range(N_COEFFS):
                     term = graph.sum(out.d(k) * out.d(k))
                     term = graph.scale_shift(term, float(mix[row, k]), 0.0)
                     total = term if total is None else total + term
-            return total, pnodes
+            return graph, net, total
 
         flat = params.to_flat()
-        loss, pnodes = build(flat)
-        _, gvec = grad(loss, pnodes)
+        graph, net, loss = build(flat)
+        graph.backward(loss)
+        gvec = net.param_grad()
 
         def value(v):
-            node, _ = build(v)
-            return float(node.value)
+            return float(build(v)[2].value)
 
         for _ in range(directions):
             v = rng.standard_normal(flat.size)

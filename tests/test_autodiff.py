@@ -1,4 +1,4 @@
-"""Jet arithmetic and reverse-mode graph tests."""
+"""Scalar jet arithmetic and plain-tape reverse-mode tests."""
 
 from __future__ import annotations
 
@@ -16,12 +16,11 @@ from ipinn.autodiff import (
     DomainError,
     Jet3,
     N_COEFFS,
-    grad,
     jet_add,
     jet_elem,
     jet_mul,
 )
-from ipinn.network import MlpLayout, ParamSet, forward_on_graph, init_mlp
+from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 
 # ---------------------------------------------------------------------------
 # frozen scalar-jet values
@@ -82,20 +81,6 @@ def test_from_array_roundtrip_and_shape_guard():
 
 def test_jets_match_finite_differences():
     assert checks.jet_fd_worst(n_cases=1000, seed=0) < 1e-5
-
-
-def test_graph_jets_match_scalar_jets():
-    """Batched tape evaluation and per-point scalar jets agree exactly."""
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        tree = oracles.random_expression(rng, depth=3)
-        points = rng.uniform(-1.5, 1.5, size=7)
-        graph = AdjointGraph()
-        node = checks.eval_tree_graph(graph, tree, graph.input(points))
-        batched = np.broadcast_to(node.value[0], (points.size, N_COEFFS))
-        for i, t0 in enumerate(points):
-            scalar = checks.eval_tree_jet(tree, float(t0)).as_array()
-            assert np.abs(batched[i] - scalar).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +145,31 @@ def test_sin_cos_identity(a):
 
 
 def _everything_graph(layout: MlpLayout, flat: np.ndarray, x: np.ndarray):
-    """A loss touching every operation and elementary function."""
+    """A loss on all four output orders touching every tape operation."""
     graph = AdjointGraph()
-    outs, pnodes = forward_on_graph(graph, ParamSet.from_flat(layout, flat), x)
-    y = outs[0].node
-    mixed = y * y + graph.elem("sin", y) - 2.0 * y + 3.0
-    mixed = mixed / (2.5 + graph.elem("cos", y))
-    mixed = mixed + graph.elem("power", 2.5 + graph.elem("sin", y), power=1.7)
-    mixed = mixed + graph.elem("tanh", y) + graph.elem("exp", graph.elem("sin", y))
-    mixed = mixed + graph.elem("ln", 2.5 + graph.elem("cos", y))
-    mixed = mixed + graph.elem("reciprocal", 2.5 + graph.elem("sin", y))
+    net = MlpJets(graph, ParamSet.from_flat(layout, flat), x)
     total = None
-    for row in range(layout.output_dim):
-        for k in range(N_COEFFS):
-            c = graph.extract(mixed, row, k)
-            term = graph.sum(c * c)
-            total = term if total is None else total + term
-    p0 = graph.pick(graph.extract(y, 0, 1), 0)
+    for out in net.outputs:
+        u0, u1, u2, u3 = (out.d(k) for k in range(N_COEFFS))
+        r = u3 / (2.5 + u1 * u1) - 1.5 * u2 ** 2 + (-u0).exp()
+        r = r + (1.0 - u0) * 0.5 + 1.0 / (u0 * u0 + 2.0) + u1 ** 3
+        r = r - graph.const(np.cos(x)) * u1
+        term = graph.sum(r * r)
+        total = term if total is None else total + term
+    p0 = net.outputs[0].d(1).pick(0)
     total = total + p0 * p0 + graph.exp(graph.scale_shift(p0, 0.25, -0.5))
-    q = graph.extract(y, 0, 0)
-    total = total + graph.sum(q / (q * q + 1.0))
-    total = total + graph.sum(-q + (1.0 - q) * 0.5 + 1.0 / (q * q + 2.0))
-    return graph, total, pnodes
+    return graph, net, total
+
+
+def test_everything_graph_uses_every_tape_operation():
+    layout = MlpLayout(hidden_layers=2, hidden_width=5, output_dim=2)
+    graph, _, _ = _everything_graph(layout, init_mlp(layout, seed=3).to_flat(),
+                                    np.linspace(-1.0, 1.0, 5))
+    ops = {node.op for node in graph.nodes}
+    assert ops == {"const", "param", "add", "sub", "mul", "div", "scale_shift",
+                   "exp", "pick", "sum"}
+    shifts = [node.aux[1] for node in graph.nodes if node.op == "scale_shift"]
+    assert -0.5 in shifts
 
 
 def test_gradient_of_everything_graph_matches_fd():
@@ -189,13 +177,13 @@ def test_gradient_of_everything_graph_matches_fd():
     flat = init_mlp(layout, seed=3).to_flat()
     x = np.linspace(-1.0, 1.0, 5)
 
-    _, loss, pnodes = _everything_graph(layout, flat, x)
-    value, gvec = grad(loss, pnodes)
-    assert math.isfinite(value)
+    graph, net, loss = _everything_graph(layout, flat, x)
+    graph.backward(loss)
+    gvec = net.param_grad()
+    assert math.isfinite(float(loss.value))
 
     def f(v):
-        _, node, _ = _everything_graph(layout, v, x)
-        return float(node.value)
+        return float(_everything_graph(layout, v, x)[2].value)
 
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -217,12 +205,14 @@ def test_affine_gradient_is_exact_for_polynomial_loss():
     params = ParamSet(layout, [np.array([[w0]])], [np.array([b0])])
 
     graph = AdjointGraph()
-    outs, pnodes = forward_on_graph(graph, params, t)
-    loss = graph.sum(outs[0].d(0) * outs[0].d(0))
-    value, gvec = grad(loss, pnodes)
+    net = MlpJets(graph, params, t)
+    u = net.outputs[0]
+    loss = graph.sum(u.d(0) * u.d(0))
+    graph.backward(loss)
+    gvec = net.param_grad()
 
     r = w0 * t + b0
-    assert abs(value - (r * r).sum()) < 1e-14
+    assert abs(float(loss.value) - (r * r).sum()) < 1e-14
     want = np.array([2.0 * (r * t).sum(), 2.0 * r.sum()])
     assert np.abs(gvec - want).max() < 1e-13
 
@@ -232,25 +222,24 @@ def test_gradient_skips_unused_parameters():
     used = graph.param(np.array(2.0))
     unused = graph.param(np.array(5.0))
     loss = used * used
-    value, gvec = grad(loss, [used, unused])
-    assert value == 4.0
-    assert np.array_equal(gvec, [4.0, 0.0])
+    graph.backward(loss)
+    assert float(loss.value) == 4.0
+    assert float(used.adjoint) == 4.0
+    assert unused.adjoint is None
 
-
-def test_replay_reproduces_recorded_values():
-    layout = MlpLayout(hidden_layers=2, hidden_width=5, output_dim=2)
-    flat = init_mlp(layout, seed=5).to_flat()
-    graph, loss, _ = _everything_graph(layout, flat, np.linspace(-1.0, 1.0, 5))
-    for node, replayed in zip(graph.nodes, graph.replay()):
-        assert np.array_equal(node.value, replayed)
+    layout = MlpLayout(hidden_layers=1, hidden_width=3)
+    net = MlpJets(graph, init_mlp(layout, seed=0), np.array([0.0, 1.0]))
+    net.outputs[0].d(2)
+    graph.backward(loss)
+    assert np.array_equal(net.param_grad(), np.zeros(layout.flat_size()))
 
 
 def test_forward_pass_is_deterministic():
     layout = MlpLayout(hidden_layers=2, hidden_width=5, output_dim=2)
     flat = init_mlp(layout, seed=9).to_flat()
     x = np.linspace(-1.0, 1.0, 5)
-    _, l1, _ = _everything_graph(layout, flat, x)
-    _, l2, _ = _everything_graph(layout, flat, x)
+    _, _, l1 = _everything_graph(layout, flat, x)
+    _, _, l2 = _everything_graph(layout, flat, x)
     assert float(l1.value) == float(l2.value)
 
 
@@ -278,63 +267,43 @@ def test_power_domain_errors():
         jet_elem("power", Jet3.variable(0.0), power=-2.0)
 
 
-def test_jet_division_by_zero_value_raises():
-    graph = AdjointGraph()
-    t = graph.input(np.array([0.0, 1.0]))
-    with pytest.raises(DomainError):
-        t / t  # denominator jet has value 0 at the first point
-
-
 def test_unknown_elementary_function_rejected():
-    graph = AdjointGraph()
-    t = graph.input(np.array([1.0]))
-    with pytest.raises(ValueError):
-        graph.elem("sinh", t)
     with pytest.raises(ValueError):
         jet_elem("sinh", Jet3.variable(1.0))
 
 
-def test_kind_mixing_rejected():
-    graph = AdjointGraph()
-    t = graph.input(np.array([1.0, 2.0]))
-    c = graph.const(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        graph.add(t, c)
-    with pytest.raises(ValueError):
-        graph.elem("sin", c)
-    with pytest.raises(ValueError):
-        graph.sum(t)
-
-
 def test_nodes_cannot_cross_graphs():
     g1, g2 = AdjointGraph(), AdjointGraph()
-    a = g1.input(np.array([1.0]))
-    b = g2.input(np.array([1.0]))
+    a = g1.const(np.array([1.0]))
+    b = g2.const(np.array([1.0]))
     with pytest.raises(ValueError):
         g1.add(a, b)
+    with pytest.raises(ValueError):
+        g2.backward(g1.sum(a))
 
 
 def test_backward_requires_scalar_plain_loss():
     graph = AdjointGraph()
-    t = graph.input(np.array([1.0, 2.0]))
+    vec = graph.param(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        graph.backward(t)
-    vec = graph.extract(t, 0, 0)
-    with pytest.raises(ValueError):
-        graph.backward(vec)
+        graph.backward(vec * vec)
 
 
 def test_extract_coefficient_range_checked():
-    graph = AdjointGraph()
-    t = graph.input(np.array([1.0]))
+    """An output's d(k) exists for k = 0..3 only."""
+    params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=4), seed=0)
+    net = MlpJets(AdjointGraph(), params, np.array([1.0]))
     with pytest.raises(ValueError):
-        graph.extract(t, 0, N_COEFFS)
+        net.outputs[0].d(N_COEFFS)
+    with pytest.raises(ValueError):
+        net.outputs[0].d(-1)
 
 
 def test_integer_powers_via_operator():
     graph = AdjointGraph()
-    t = graph.input(np.array([1.7]))
-    cubed = (t ** 3).value[0, 0]
-    assert np.abs(cubed - [1.7 ** 3, 3 * 1.7 ** 2, 6 * 1.7, 6.0]).max() < 1e-12
+    t = graph.const(np.array([1.7, -0.5]))
+    assert np.array_equal((t ** 3).value, t.value * t.value * t.value)
     with pytest.raises(ValueError):
         t ** 0.5
+    with pytest.raises(ValueError):
+        t ** 5

@@ -16,6 +16,7 @@ from ipinn.harness import (
     EVAL_GRID_POINTS,
     PLOT_ERROR_CAP,
     RunReport,
+    build_report,
     cell_dir_name,
     collect_reports,
     emit_error_series,
@@ -26,6 +27,8 @@ from ipinn.harness import (
     write_summary_csv,
     format_summary,
 )
+from ipinn.network import MlpLayout, init_mlp
+from ipinn.problems import get_problem
 from ipinn.training import TrainConfig
 
 TINY = TrainConfig(epochs=2, n_collocation=10, seed=0)
@@ -103,6 +106,29 @@ def test_canonical_ignores_wall_time():
 # ---------------------------------------------------------------------------
 # masks and series
 # ---------------------------------------------------------------------------
+
+
+def _schwarz_invariant_report(last_bias) -> RunReport:
+    """Report for a Schwarz invariant net whose outputs are its last bias."""
+    params = init_mlp(MlpLayout(output_dim=4), 0)
+    params.weights[-1][:] = 0.0
+    params.biases[-1][:] = last_bias
+    config = TrainConfig(epochs=0, formulation="invariant")
+    return build_report(get_problem("schwarz"), config, params,
+                        np.zeros((0, 3)), wall_time=0.0)
+
+
+def test_nan_mse_is_a_failed_evaluation():
+    report = _schwarz_invariant_report(0.0)  # b/d = 0/0 at every grid point
+    assert math.isnan(report.mse) and math.isnan(report.mse_summary)
+    assert report.status == "failed-eval"
+    assert f"undefined at {EVAL_GRID_POINTS} of {EVAL_GRID_POINTS}" in report.message
+
+
+def test_infinite_mse_near_an_asymptote_stays_data():
+    report = _schwarz_invariant_report([1.0, 1.0, 0.0, 1e-200])  # b/d = 1e200
+    assert report.mse == math.inf
+    assert report.status == "ok" and report.message == ""
 
 
 def test_summary_mask_excludes_asymptote_window_for_schwarz():

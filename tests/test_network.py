@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import oracles
-from ipinn.autodiff import AdjointGraph, Jet3
+from ipinn.autodiff import N_COEFFS, AdjointGraph, Jet3, jet_add, jet_elem, jet_mul
 from ipinn.network import (
+    MlpJets,
     MlpLayout,
     ParamSet,
-    forward_on_graph,
     init_mlp,
     load_weights,
     mlp_forward,
@@ -74,31 +74,68 @@ def test_network_jets_match_finite_differences():
 
 
 def test_forward_routes_agree():
-    """Graph recording, single-jet evaluation, and plain numpy all match."""
+    """Batched kernel, single-jet evaluation, and plain numpy all match."""
     layout = MlpLayout(hidden_layers=2, hidden_width=8, output_dim=3)
     params = init_mlp(layout, seed=3)
     x = np.linspace(-2.0, 2.0, 9)
 
-    graph = AdjointGraph()
-    outs, _ = forward_on_graph(graph, params, x)
+    net = MlpJets(AdjointGraph(), params, x)
     values = mlp_values(params, x)
     assert values.shape == (3, 9)
-    for row, out in enumerate(outs):
-        batched = out.node.value[row]
+    assert net.value.shape == (3, 9, N_COEFFS)
+    for row in range(layout.output_dim):
+        batched = net.value[row]
         assert np.abs(batched[:, 0] - values[row]).max() < 1e-14
         for i, t0 in enumerate(x):
             single = mlp_forward(params, Jet3.variable(float(t0)))[row]
             assert np.abs(batched[i] - single.as_array()).max() < 1e-12
 
 
+def _scalar_jet_mlp(params: ParamSet, t0: float) -> list[Jet3]:
+    """The same network built neuron by neuron from scalar jet arithmetic."""
+    h = [Jet3.variable(t0)]
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        layer = []
+        for j in range(w.shape[0]):
+            z = Jet3.constant(b[j])
+            for k, hk in enumerate(h):
+                z = jet_add(z, jet_mul(Jet3.constant(w[j, k]), hk))
+            layer.append(jet_elem("tanh", z) if i < last else z)
+        h = layer
+    return h
+
+
+@pytest.mark.parametrize("hidden_layers,hidden_width,output_dim",
+                         [(0, 1, 1), (1, 4, 2), (3, 6, 1), (2, 9, 4)])
+def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
+                                              output_dim):
+    """All four coefficients of the batched kernel against scalar Jet3 sums."""
+    layout = MlpLayout(hidden_layers=hidden_layers, hidden_width=hidden_width,
+                       output_dim=output_dim)
+    params = init_mlp(layout, seed=hidden_layers + 10 * hidden_width)
+    params.biases = [np.linspace(-0.3, 0.4, b.size) for b in params.biases]
+    x = np.linspace(-2.5, 2.5, 7)
+    net = MlpJets(AdjointGraph(), params, x)
+    for i, t0 in enumerate(x):
+        scalar = _scalar_jet_mlp(params, float(t0))
+        for row in range(output_dim):
+            want = scalar[row].as_array()
+            got = net.value[row, i]
+            scale = np.maximum(1.0, np.abs(want))
+            assert (np.abs(got - want) / scale).max() < 1e-12
+
+
 def test_output_jet_caches_extraction_nodes():
     params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=4), seed=0)
     graph = AdjointGraph()
-    outs, _ = forward_on_graph(graph, params, np.array([0.0, 1.0]))
-    assert outs[0].d(1) is outs[0].d(1)
+    net = MlpJets(graph, params, np.array([0.0, 1.0]))
+    out = net.outputs[0]
+    assert out.d(1) is out.d(1)
     n_nodes = len(graph.nodes)
-    outs[0].d(1)
+    out.d(1)
     assert len(graph.nodes) == n_nodes
+    assert np.array_equal(out.d(1).value, net.value[0, :, 1])
 
 
 def test_weight_io_roundtrip(tmp_path):
