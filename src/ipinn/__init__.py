@@ -1,10 +1,17 @@
 """Physics-informed ODE solvers trained on symmetry-reduced equations.
 
-The package pairs a fused tanh-MLP Taylor-jet kernel and a small plain-array
-reverse-mode tape with five benchmark problems, each solvable two ways:
-directly on the original residual, or on the invariantized equation plus the
+The package pairs a fused tanh-MLP Taylor-jet kernel, which carries only the
+derivative orders a formulation reads, and a small plain-array reverse-mode
+tape with five benchmark problems, each solvable two ways: directly on the
+original residual, or on the invariantized equation plus the first-order
 moving-frame reconstruction system.
 """
+
+import os
+
+# One BLAS thread per process unless the caller chose otherwise; numpy reads
+# this when it loads, so it must be set before anything below imports numpy.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .autodiff import (AdjointGraph, DomainError, Jet3, jet_add, jet_elem,
                        jet_mul)

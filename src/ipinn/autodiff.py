@@ -1,10 +1,11 @@
-"""Third-order Taylor jets and a reverse-mode tape over plain arrays.
+"""Truncated Taylor jets and a reverse-mode tape over plain arrays.
 
-A jet carries a value and its first three derivatives with respect to the
-scalar input variable.  Scalar `Jet3` arithmetic covers the elementary
-functions; the coefficient kernels below also serve the batched tanh-MLP
-jet kernel in `network`, which works on (rows, batch, 4) arrays with the
-coefficient axis last.
+A jet carries a value and its first derivatives with respect to the scalar
+input variable.  Scalar `Jet3` arithmetic covers the elementary functions at
+order 3; the coefficient kernels below also serve the batched tanh-MLP jet
+kernel in `network`, which works on (rows, batch, K) arrays with the
+coefficient axis last and carries only the K = order + 1 coefficients that a
+formulation reads.
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
@@ -14,6 +15,7 @@ one backward sweep then leaves an adjoint on every leaf that needs one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +32,7 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw kernels on coefficient arrays (shape (..., 4))
+# raw kernels on coefficient arrays (shape (..., K), K <= 4)
 # ---------------------------------------------------------------------------
 
 def _kmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -49,15 +51,19 @@ def _kmul_t(ybar: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Transpose of jet multiplication by b, applied to an adjoint jet.
 
     If y = mul(a, b) then abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k];
-    this is the exact coefficient-space transpose of the Leibniz product.
+    this is the exact coefficient-space transpose of the Leibniz product,
+    truncated at the K = ybar.shape[-1] coefficients carried.
     """
+    n = ybar.shape[-1]
     out = np.empty(np.broadcast_shapes(ybar.shape, b.shape))
-    y0, y1, y2, y3 = ybar[..., 0], ybar[..., 1], ybar[..., 2], ybar[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out[..., 0] = y0 * b0 + y1 * b1 + y2 * b2 + y3 * b3
-    out[..., 1] = y1 * b0 + 2.0 * y2 * b1 + 3.0 * y3 * b2
-    out[..., 2] = y2 * b0 + 3.0 * y3 * b1
-    out[..., 3] = y3 * b0
+    y = [ybar[..., k] for k in range(n)]
+    bk = [b[..., k] for k in range(n)]
+    for j in range(n):
+        acc = y[j] * bk[0]
+        for k in range(j + 1, n):
+            c = math.comb(k, j)
+            acc += y[k] * bk[k - j] if c == 1 else float(c) * y[k] * bk[k - j]
+        out[..., j] = acc
     return out
 
 
@@ -68,13 +74,7 @@ def _derivative_table(fname: str, x: np.ndarray, power: float | None = None):
     composition perturbs the base point of the order-3 chain.
     """
     if fname == "tanh":
-        # value via exp in the overflow-safe half-domain form; the derivative
-        # chain is generated from the value itself through 1 - tanh^2
-        s = np.exp(-2.0 * np.abs(x))
-        t = np.sign(x) * (1.0 - s) / (1.0 + s)
-        p = 1.0 - t * t
-        tt = t * t
-        return t, p, -2.0 * t * p, p * (6.0 * tt - 2.0), p * (16.0 * t - 24.0 * tt * t)
+        return _tanh_table(x, N_COEFFS + 1)
     if fname == "exp":
         e = np.exp(x)
         return e, e, e, e, e
@@ -118,21 +118,50 @@ def _derivative_table(fname: str, x: np.ndarray, power: float | None = None):
     raise ValueError(f"unknown elementary function {fname!r}")
 
 
-def _kcompose(f0, f1, f2, f3, a: np.ndarray) -> np.ndarray:
-    """Order-3 chain rule: compose derivative tables with the inner jet a."""
+def _tanh_table(x: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
+    """The first `count` (2..5) derivatives f, f', ... of tanh at x.
+
+    The value is computed by exp in the overflow-safe half-domain form; the
+    derivative chain is generated from the value itself through 1 - tanh^2.
+    """
+    s = np.exp(-2.0 * np.abs(x))
+    t = np.sign(x) * (1.0 - s) / (1.0 + s)
+    p = 1.0 - t * t
+    table = [t, p]
+    if count > 2:
+        table.append(-2.0 * t * p)
+    if count > 3:
+        tt = t * t
+        table.append(p * (6.0 * tt - 2.0))
+    if count > 4:
+        table.append(p * (16.0 * t - 24.0 * tt * t))
+    return tuple(table)
+
+
+def _kcompose(f, a: np.ndarray) -> np.ndarray:
+    """Chain rule: compose the derivative tables f[0], f[1], ... with the inner jet a.
+
+    Computes the K = a.shape[-1] (1..4) coefficients that a carries and reads
+    the tables f[0] .. f[K-1] only.
+    """
+    n = a.shape[-1]
     out = np.empty(a.shape)
-    a1, a2, a3 = a[..., 1], a[..., 2], a[..., 3]
-    out[..., 0] = f0
-    out[..., 1] = f1 * a1
-    a1sq = a1 * a1
-    out[..., 2] = f2 * a1sq + f1 * a2
-    out[..., 3] = f3 * a1sq * a1 + 3.0 * f2 * a1 * a2 + f1 * a3
+    out[..., 0] = f[0]
+    if n > 1:
+        a1 = a[..., 1]
+        out[..., 1] = f[1] * a1
+    if n > 2:
+        a2 = a[..., 2]
+        a1sq = a1 * a1
+        out[..., 2] = f[2] * a1sq + f[1] * a2
+    if n > 3:
+        out[..., 3] = f[3] * a1sq * a1 + 3.0 * f[2] * a1 * a2 + f[1] * a[..., 3]
     return out
 
 
 def _kelem(fname: str, a: np.ndarray, power: float | None = None):
     tables = _derivative_table(fname, a[..., 0], power)
-    return _kcompose(tables[0], tables[1], tables[2], tables[3], a), tables
+    return _kcompose(tables, a), tables
 
 
 # ---------------------------------------------------------------------------

@@ -179,14 +179,34 @@ def run_cell(problem_name: str, formulation: str, config: TrainConfig,
     if out_dir is not None:
         cell = Path(out_dir) / cell_dir_name(problem_name, formulation, cfg.seed)
         cell.mkdir(parents=True, exist_ok=True)
-        with open(cell / "report.json", "w") as fh:
-            json.dump(report.to_json(), fh, indent=2)
-            fh.write("\n")
+        write_report(report, cell / "report.json")
         save_weights(cell / "weights.bin", params, seed=cfg.seed)
         emit_error_series(report, cell / "error_series.csv")
         emit_error_series(report, cell / "error_series_plot.csv",
                           cap=PLOT_ERROR_CAP)
     return report
+
+
+def _strict_json(value):
+    """value with every non-finite float spelled as a JSON string."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(v) for v in value]
+    return value
+
+
+def write_report(report: RunReport, path) -> None:
+    """Write report as standard JSON.
+
+    Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
+    which `float`, and so `load_report`, read back as the same values.
+    """
+    with open(path, "w") as fh:
+        json.dump(_strict_json(report.to_json()), fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def load_report(path) -> RunReport:

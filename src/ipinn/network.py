@@ -1,9 +1,12 @@
-"""Fully connected tanh networks: a fused order-3 jet kernel and flat parameter IO.
+"""Fully connected tanh networks: a fused order-K jet kernel and flat parameter IO.
 
 `MlpJets` is the only place the network meets the tape.  It propagates the
-jets of all outputs through the layers as (rows, batch, 4) arrays, hands the
-residuals plain leaves for the coefficients they read, and differentiates
-the whole network by one hand-written reverse pass over the layers.
+jets of all outputs through the layers as (rows, batch, K) arrays, K = order
++ 1 for the highest derivative the caller reads, hands the residuals plain
+leaves for the coefficients they read, and differentiates the whole network
+by one hand-written reverse pass over the layers.  The same layer loop, at
+order 0, evaluates the network (`mlp_values`), and at order 3 on a single
+point gives its scalar jets (`mlp_forward`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, Node, _kcompose,
-                       _kelem, _kmul_t)
+                       _kmul_t, _tanh_table)
 
 
 @dataclass(frozen=True)
@@ -97,31 +100,36 @@ def init_mlp(layout: MlpLayout, seed: int) -> ParamSet:
 
 
 class MlpJets:
-    """Order-3 jets of every network output at a batch of points.
+    """Truncated Taylor jets of every network output at a batch of points.
 
-    The forward pass runs once, on construction: each layer applies its
-    affine map to all four coefficients at once and composes tanh with the
-    order-3 chain rule.  Output coefficient (row, k) enters the tape as a
-    plain leaf the first time a residual asks for it.  After
-    `graph.backward(loss)`, `param_grad` pulls the leaf adjoints back through
-    the layers by the hand-derived transpose of that forward pass.
+    `order` is the highest derivative the caller reads; the jets carry its
+    K = order + 1 coefficients (order 0..3) and nothing above.  The forward
+    pass runs once, on construction: each layer applies its affine map to all
+    K coefficients at once and composes tanh with the chain rule truncated at
+    `order`.  Output coefficient (row, k) enters the tape as a plain leaf the
+    first time a residual asks for it.  After `graph.backward(loss)`,
+    `param_grad` pulls the leaf adjoints back through the layers by the
+    hand-derived transpose of that forward pass.  Values, loss and gradient
+    equal, bit for bit at the training shape, those of an order-3 pass whose
+    loss reads the same coefficients, so truncation moves no trajectory.
     """
 
-    def __init__(self, graph: AdjointGraph, params: ParamSet, x_values):
-        t = np.asarray(x_values, dtype=float).ravel()
-        h = np.zeros((1, t.size, N_COEFFS))
-        h[0, :, 0] = t
-        h[0, :, 1] = 1.0
+    def __init__(self, graph: AdjointGraph, params: ParamSet, x_values, order: int):
+        if not 0 <= order <= JET_ORDER:
+            raise ValueError(f"jet order {order} out of range 0..{JET_ORDER}")
         self.graph = graph
         self.params = params
-        self._inputs, self._pre, self._tables, self.value = _jet_layers(params, h)
+        self.order = order
+        self._inputs, self._pre, self._tables, self.value = _jet_layers(
+            params, _input_jet(x_values, order))
         self.outputs = [OutputJet(self, row) for row in range(params.layout.output_dim)]
         self._leaves: dict[tuple[int, int], Node] = {}
 
     def leaf(self, row: int, k: int) -> Node:
         """Plain tape leaf holding coefficient k of output row at every point."""
-        if not 0 <= k <= JET_ORDER:
-            raise ValueError(f"coefficient index {k} out of range")
+        if not 0 <= k <= self.order:
+            raise ValueError(f"coefficient index {k} out of range for a jet "
+                             f"of order {self.order}")
         key = (row, k)
         if key not in self._leaves:
             self._leaves[key] = self.graph.param(self.value[row, :, k])
@@ -136,15 +144,13 @@ class MlpJets:
         parts = []
         for i in reversed(range(len(self.params.weights))):
             x = self._inputs[i]
-            rows, batch, _ = x.shape
-            gm = g.reshape(g.shape[0], batch * N_COEFFS)
-            xm = x.reshape(rows, batch * N_COEFFS)
+            rows, batch, n = x.shape
+            gm = g.reshape(g.shape[0], batch * n)
             parts.append(g[..., 0].sum(axis=1))
-            parts.append((gm @ xm.T).ravel())
+            parts.append((_full_width(g) @ _full_width(x).T).ravel())
             if i > 0:
                 xbar = (self.params.weights[i].T @ gm).reshape(x.shape)
-                _, f1, f2, f3, f4 = self._tables[i - 1]
-                g = _kmul_t(xbar, _kcompose(f1, f2, f3, f4, self._pre[i - 1]))
+                g = _kmul_t(xbar, _kcompose(self._tables[i - 1][1:], self._pre[i - 1]))
         return np.concatenate(parts[::-1])
 
 
@@ -159,22 +165,52 @@ class OutputJet:
         return self.jets.leaf(self.row, k)
 
 
+def _full_width(a: np.ndarray) -> np.ndarray:
+    """(rows, batch * 4) matrix of (rows, batch, K) jets, zero beyond coefficient K-1.
+
+    The weight gradient sums over batch and coefficients in one product.  At
+    the full order-3 width that product adds the same nonzero terms in the
+    same order whatever K is, so the gradient, and with it every training
+    trajectory, does not depend on the order the jets were truncated at.
+    """
+    rows, batch, n = a.shape
+    if n < N_COEFFS:
+        full = np.zeros((rows, batch, N_COEFFS))
+        for k in range(n):  # one long strided copy per coefficient: ~4x faster
+            full[..., k] = a[..., k]
+        a = full
+    return a.reshape(rows, batch * N_COEFFS)
+
+
+def _input_jet(x_values, order: int) -> np.ndarray:
+    """The (1, batch, order + 1) jet of the input variable itself."""
+    t = np.asarray(x_values, dtype=float).ravel()
+    h = np.zeros((1, t.size, order + 1))
+    h[0, :, 0] = t
+    if order > 0:
+        h[0, :, 1] = 1.0
+    return h
+
+
 def _jet_layers(params: ParamSet, h: np.ndarray):
-    """Forward pass on (rows, batch, 4) jets.
+    """Forward pass on (rows, batch, K) jets.
 
     Returns each layer's input jets, each hidden layer's pre-activation jets
-    and tanh derivative tables, and the output jets.
+    and its tanh derivative tables f0..fK (the reverse pass reads f1..fK),
+    and the output jets.
     """
     inputs, pre, tables = [], [], []
     last = len(params.weights) - 1
+    n = h.shape[-1]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         inputs.append(h)
         rows, batch, _ = h.shape
-        h = (w @ h.reshape(rows, batch * N_COEFFS)).reshape(w.shape[0], batch, N_COEFFS)
+        h = (w @ h.reshape(rows, batch * n)).reshape(w.shape[0], batch, n)
         h[..., 0] += b[:, None]
         if i < last:
             pre.append(h)
-            h, table = _kelem("tanh", h)
+            table = _tanh_table(h[..., 0], n + 1)
+            h = _kcompose(table, h)
             tables.append(table)
     return inputs, pre, tables, h
 
@@ -186,14 +222,9 @@ def mlp_forward(params: ParamSet, x: Jet3) -> list[Jet3]:
 
 
 def mlp_values(params: ParamSet, x_values) -> np.ndarray:
-    """Network output values only, as an (output_dim, n) array; plain numpy."""
-    h = np.asarray(x_values, dtype=float).reshape(1, -1)
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = w @ h + b[:, None]
-        if i < last:
-            h = np.tanh(h)
-    return h
+    """Network output values only, as an (output_dim, n) array: the jet kernel at order 0."""
+    *_, out = _jet_layers(params, _input_jet(x_values, 0))
+    return out[..., 0]
 
 
 def save_weights(path, params: ParamSet, seed: int | None = None) -> None:

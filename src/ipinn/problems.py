@@ -116,7 +116,12 @@ ResidualFn = Callable[[AdjointGraph, np.ndarray, list], list[Node]]
 
 @dataclass(frozen=True)
 class FormulationSpec:
-    """Everything the trainer and harness need for one formulation."""
+    """Everything the trainer and harness need for one formulation.
+
+    order is the highest derivative of any network output that the residual
+    and the initial conditions read; the trainer propagates jets of exactly
+    that order.
+    """
 
     kind: str
     output_dim: int
@@ -124,6 +129,7 @@ class FormulationSpec:
     x_name: str
     residual: ResidualFn
     ics: tuple[tuple[int, int, float], ...]
+    order: int
     reconstruct: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     ode_rhs: Callable | None = None
     exact_outputs: Callable | None = None
@@ -197,12 +203,14 @@ def schwarz_spec() -> ProblemSpec:
             kind="vanilla", output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, 0.0), (0, 1, 1.0), (0, 2, 0.0)),
+            order=3,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             kind="invariant", output_dim=4, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=((0, 0, 1.0), (1, 0, 0.0), (2, 0, 0.0), (3, 0, 1.0)),
+            order=1,
             reconstruct=reconstruct,
             ode_rhs=invariant_rhs,
             exact_outputs=invariant_exact,
@@ -244,12 +252,14 @@ def logistic_spec() -> ProblemSpec:
             kind="vanilla", output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, 0.5),),
+            order=1,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             kind="invariant", output_dim=1, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=((0, 0, 1.0),),
+            order=1,
             reconstruct=reconstruct,
             ode_rhs=invariant_rhs,
             exact_outputs=invariant_exact,
@@ -297,12 +307,14 @@ def oscillator_spec() -> ProblemSpec:
             kind="vanilla", output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, 1.0), (0, 1, 1.0)),
+            order=2,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             kind="invariant", output_dim=2, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=((0, 0, 1.0), (1, 0, 1.0)),
+            order=1,
             reconstruct=reconstruct,
             ode_rhs=invariant_rhs,
         ),
@@ -352,12 +364,14 @@ def exponential_spec() -> ProblemSpec:
             kind="vanilla", output_dim=1, interval=(0.0, 2.0), x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, -5.0 * c1), (0, 1, -5.0)),
+            order=2,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             kind="invariant", output_dim=2, interval=(0.0, h_final), x_name="H",
             residual=invariant_residual,
             ics=((0, 0, -5.0), (1, 0, -5.0)),
+            order=1,
             reconstruct=reconstruct,
             ode_rhs=invariant_rhs,
             exact_outputs=invariant_exact,
@@ -414,12 +428,14 @@ def system_spec() -> ProblemSpec:
             kind="vanilla", output_dim=2, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, 1.0), (1, 0, 1.0)),
+            order=1,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             kind="invariant", output_dim=2, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=((0, 0, 1.0), (1, 0, 1.0)),
+            order=1,
             reconstruct=reconstruct,
             ode_rhs=invariant_rhs,
             exact_outputs=invariant_exact,

@@ -145,7 +145,7 @@ def _evaluate(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
               alpha_ic: float, mean_reduction: bool, with_grad: bool):
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
-        net = MlpJets(graph, params, points)
+        net = MlpJets(graph, params, points, spec.order)
         total, eq, ic, residuals = _loss_nodes(graph, points, net.outputs, spec,
                                                alpha_ic, mean_reduction)
         gvec = None

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 import oracles
-from ipinn.autodiff import AdjointGraph, Jet3, N_COEFFS, jet_add, jet_elem, jet_mul
+from ipinn.autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, jet_add, jet_elem,
+                            jet_mul)
 from ipinn.harness import SCHWARZ_MASK_HALF_WIDTH
 from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import (
@@ -112,7 +113,9 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
 
     Each random network feeds a loss mixing every output row and derivative
     order; the jet kernel's gradient is checked along random unit directions
-    against a fourth-order finite difference of the forward pass.
+    against a fourth-order finite difference of the forward pass.  Every
+    network and direction is checked at each jet order 0..3, since training
+    runs the kernel at the order its formulation reads.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -123,32 +126,35 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
         params = init_mlp(layout, seed=int(rng.integers(10_000)))
         x = np.sort(rng.uniform(-1.0, 1.0, size=4))
         mix = rng.standard_normal((layout.output_dim, N_COEFFS))
-
-        def build(flat):
-            graph = AdjointGraph()
-            net = MlpJets(graph, ParamSet.from_flat(layout, flat), x)
-            total = None
-            for row, out in enumerate(net.outputs):
-                for k in range(N_COEFFS):
-                    term = graph.sum(out.d(k) * out.d(k))
-                    term = graph.scale_shift(term, float(mix[row, k]), 0.0)
-                    total = term if total is None else total + term
-            return graph, net, total
-
         flat = params.to_flat()
-        graph, net, loss = build(flat)
-        graph.backward(loss)
-        gvec = net.param_grad()
-
-        def value(v):
-            return float(build(v)[2].value)
-
+        units = []
         for _ in range(directions):
             v = rng.standard_normal(flat.size)
-            v /= np.linalg.norm(v)
-            want = oracles.directional_derivative(value, flat, v)
-            rel = abs(float(gvec @ v) - want) / max(1.0, abs(want))
-            worst = max(worst, rel)
+            units.append(v / np.linalg.norm(v))
+
+        for order in range(JET_ORDER + 1):
+            def build(flat, order=order):
+                graph = AdjointGraph()
+                net = MlpJets(graph, ParamSet.from_flat(layout, flat), x, order)
+                total = None
+                for row, out in enumerate(net.outputs):
+                    for k in range(order + 1):
+                        term = graph.sum(out.d(k) * out.d(k))
+                        term = graph.scale_shift(term, float(mix[row, k]), 0.0)
+                        total = term if total is None else total + term
+                return graph, net, total
+
+            graph, net, loss = build(flat)
+            graph.backward(loss)
+            gvec = net.param_grad()
+
+            def value(v, build=build):
+                return float(build(v)[2].value)
+
+            for v in units:
+                want = oracles.directional_derivative(value, flat, v)
+                rel = abs(float(gvec @ v) - want) / max(1.0, abs(want))
+                worst = max(worst, rel)
     return worst
 
 

@@ -14,6 +14,7 @@ import oracles
 from ipinn.autodiff import (
     AdjointGraph,
     DomainError,
+    JET_ORDER,
     Jet3,
     N_COEFFS,
     jet_add,
@@ -147,7 +148,7 @@ def test_sin_cos_identity(a):
 def _everything_graph(layout: MlpLayout, flat: np.ndarray, x: np.ndarray):
     """A loss on all four output orders touching every tape operation."""
     graph = AdjointGraph()
-    net = MlpJets(graph, ParamSet.from_flat(layout, flat), x)
+    net = MlpJets(graph, ParamSet.from_flat(layout, flat), x, JET_ORDER)
     total = None
     for out in net.outputs:
         u0, u1, u2, u3 = (out.d(k) for k in range(N_COEFFS))
@@ -205,7 +206,7 @@ def test_affine_gradient_is_exact_for_polynomial_loss():
     params = ParamSet(layout, [np.array([[w0]])], [np.array([b0])])
 
     graph = AdjointGraph()
-    net = MlpJets(graph, params, t)
+    net = MlpJets(graph, params, t, 0)
     u = net.outputs[0]
     loss = graph.sum(u.d(0) * u.d(0))
     graph.backward(loss)
@@ -228,7 +229,7 @@ def test_gradient_skips_unused_parameters():
     assert unused.adjoint is None
 
     layout = MlpLayout(hidden_layers=1, hidden_width=3)
-    net = MlpJets(graph, init_mlp(layout, seed=0), np.array([0.0, 1.0]))
+    net = MlpJets(graph, init_mlp(layout, seed=0), np.array([0.0, 1.0]), 2)
     net.outputs[0].d(2)
     graph.backward(loss)
     assert np.array_equal(net.param_grad(), np.zeros(layout.flat_size()))
@@ -290,13 +291,18 @@ def test_backward_requires_scalar_plain_loss():
 
 
 def test_extract_coefficient_range_checked():
-    """An output's d(k) exists for k = 0..3 only."""
+    """An output's d(k) exists for k = 0..order only, and order for 0..3 only."""
     params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=4), seed=0)
-    net = MlpJets(AdjointGraph(), params, np.array([1.0]))
-    with pytest.raises(ValueError):
-        net.outputs[0].d(N_COEFFS)
-    with pytest.raises(ValueError):
-        net.outputs[0].d(-1)
+    for order in range(JET_ORDER + 1):
+        net = MlpJets(AdjointGraph(), params, np.array([1.0]), order)
+        net.outputs[0].d(order)
+        with pytest.raises(ValueError):
+            net.outputs[0].d(order + 1)
+        with pytest.raises(ValueError):
+            net.outputs[0].d(-1)
+    for order in (-1, N_COEFFS):
+        with pytest.raises(ValueError):
+            MlpJets(AdjointGraph(), params, np.array([1.0]), order)
 
 
 def test_integer_powers_via_operator():

@@ -6,11 +6,16 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipinn
 from ipinn.cli import main, parse_seeds
 from ipinn.harness import (
     EVAL_GRID_POINTS,
@@ -24,6 +29,7 @@ from ipinn.harness import (
     run_cell,
     summarize,
     summary_mask,
+    write_report,
     write_summary_csv,
     format_summary,
 )
@@ -129,6 +135,31 @@ def test_infinite_mse_near_an_asymptote_stays_data():
     report = _schwarz_invariant_report([1.0, 1.0, 0.0, 1e-200])  # b/d = 1e200
     assert report.mse == math.inf
     assert report.status == "ok" and report.message == ""
+
+
+def test_report_json_is_strict_and_keeps_non_finite_values(tmp_path):
+    report = _schwarz_invariant_report(0.0)  # nan mse and squared errors
+    report = replace(report, loss_history=np.array([[-math.inf, math.nan, math.inf]]))
+    path = tmp_path / "report.json"
+    write_report(report, path)
+
+    def bare_token(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+
+    data = json.loads(path.read_text(), parse_constant=bare_token)
+    assert data["mse"] == "NaN" and data["mse_summary"] == "NaN"
+    assert data["loss_history"] == [["-Infinity", "NaN", "Infinity"]]
+    assert data["squared_error"].count("NaN") == EVAL_GRID_POINTS
+    loaded = load_report(path)
+    assert math.isnan(loaded.mse) and math.isnan(loaded.mse_summary)
+    assert np.array_equal(loaded.squared_error, report.squared_error, equal_nan=True)
+    assert np.array_equal(loaded.loss_history, report.loss_history, equal_nan=True)
+    assert loaded.status == "failed-eval" and loaded.message == report.message
+
+    inf_path = tmp_path / "inf.json"
+    write_report(_schwarz_invariant_report([1.0, 1.0, 0.0, 1e-200]), inf_path)
+    assert json.loads(inf_path.read_text(), parse_constant=bare_token)["mse"] == "Infinity"
+    assert load_report(inf_path).mse == math.inf
 
 
 def test_summary_mask_excludes_asymptote_window_for_schwarz():
@@ -290,3 +321,45 @@ def test_cli_benchmark_alpha_defaults_per_problem(tmp_path):
     report = load_report(tmp_path / "runs2" / "system_invariant_seed0"
                          / "report.json")
     assert report.config["alpha_ic"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# processes
+# ---------------------------------------------------------------------------
+
+
+def _python(args, env_overrides=None, drop=()):
+    """Run python with ipinn importable and the given environment changes."""
+    env = {k: v for k, v in os.environ.items() if k not in drop}
+    src = str(Path(ipinn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
+                                               if env.get("PYTHONPATH") else []))
+    env.update(env_overrides or {})
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+_SHOW_BLAS_THREADS = ("import os, ipinn, numpy; "
+                      "print(os.environ['OPENBLAS_NUM_THREADS'])")
+
+
+def test_import_pins_blas_to_one_thread():
+    out = _python(["-c", _SHOW_BLAS_THREADS], drop=("OPENBLAS_NUM_THREADS",))
+    assert out.strip() == "1"
+
+
+def test_import_keeps_a_preset_blas_thread_count():
+    out = _python(["-c", _SHOW_BLAS_THREADS], {"OPENBLAS_NUM_THREADS": "2"})
+    assert out.strip() == "2"
+
+
+def test_parallel_run_matches_serial_run(tmp_path):
+    """ipinn run --jobs 2 and --jobs 1 write the same canonical reports."""
+    args = ["-m", "ipinn", "run", "--problem", "logistic", "--formulation", "both",
+            "--seeds", "0..1", "--epochs", "5", "--collocation", "20"]
+    for jobs in ("1", "2"):
+        _python(args + ["--jobs", jobs, "--out", str(tmp_path / jobs)])
+    serial = collect_reports(tmp_path / "1")
+    parallel = collect_reports(tmp_path / "2")
+    assert len(serial) == 4
+    assert [r.canonical() for r in parallel] == [r.canonical() for r in serial]

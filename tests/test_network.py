@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ipinn.autodiff import N_COEFFS, AdjointGraph, Jet3, jet_add, jet_elem, jet_mul
+from ipinn.autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, jet_add, jet_elem,
+                            jet_mul)
 from ipinn.network import (
     MlpJets,
     MlpLayout,
@@ -79,7 +80,7 @@ def test_forward_routes_agree():
     params = init_mlp(layout, seed=3)
     x = np.linspace(-2.0, 2.0, 9)
 
-    net = MlpJets(AdjointGraph(), params, x)
+    net = MlpJets(AdjointGraph(), params, x, JET_ORDER)
     values = mlp_values(params, x)
     assert values.shape == (3, 9)
     assert net.value.shape == (3, 9, N_COEFFS)
@@ -116,7 +117,7 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
     params = init_mlp(layout, seed=hidden_layers + 10 * hidden_width)
     params.biases = [np.linspace(-0.3, 0.4, b.size) for b in params.biases]
     x = np.linspace(-2.5, 2.5, 7)
-    net = MlpJets(AdjointGraph(), params, x)
+    net = MlpJets(AdjointGraph(), params, x, JET_ORDER)
     for i, t0 in enumerate(x):
         scalar = _scalar_jet_mlp(params, float(t0))
         for row in range(output_dim):
@@ -126,10 +127,41 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
             assert (np.abs(got - want) / scale).max() < 1e-12
 
 
+def _jets_and_grad(params: ParamSet, x: np.ndarray, order: int, reads: int):
+    """Kernel coefficients and the gradient of a loss on d(0)..d(reads)."""
+    graph = AdjointGraph()
+    net = MlpJets(graph, params, x, order)
+    total = None
+    for out in net.outputs:
+        for k in range(reads + 1):
+            term = graph.sum(out.d(k) * out.d(k))
+            total = term if total is None else total + term
+    graph.backward(total)
+    return net.value, net.param_grad()
+
+
+@pytest.mark.parametrize("output_dim", [1, 2, 4])
+def test_truncated_kernel_matches_order3_kernel(output_dim):
+    """Each order gives bitwise the leading coefficients and the gradient of order 3.
+
+    Taken at the training shape (the default layout at 200 collocation
+    points), so a formulation trains on the same numbers at its own order.
+    """
+    params = init_mlp(MlpLayout(output_dim=output_dim), seed=output_dim)
+    x = np.sort(np.random.default_rng(output_dim).uniform(-1.0, 4.0, 200))
+    for order in range(JET_ORDER + 1):
+        full, full_grad = _jets_and_grad(params, x, JET_ORDER, order)
+        value, grad = _jets_and_grad(params, x, order, order)
+        assert value.shape == (output_dim, x.size, order + 1)
+        assert np.array_equal(value, full[..., :order + 1])
+        assert np.array_equal(grad, full_grad)
+    assert np.array_equal(mlp_values(params, x), full[..., 0])
+
+
 def test_output_jet_caches_extraction_nodes():
     params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=4), seed=0)
     graph = AdjointGraph()
-    net = MlpJets(graph, params, np.array([0.0, 1.0]))
+    net = MlpJets(graph, params, np.array([0.0, 1.0]), 1)
     out = net.outputs[0]
     assert out.d(1) is out.d(1)
     n_nodes = len(graph.nodes)

@@ -10,7 +10,8 @@ import scipy.special
 
 import checks
 import oracles
-from ipinn.autodiff import AdjointGraph, DomainError, Jet3
+from ipinn.autodiff import JET_ORDER, AdjointGraph, DomainError, Jet3
+from ipinn.network import MlpJets, MlpLayout, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
@@ -20,6 +21,7 @@ from ipinn.problems import (
     sl2_moving_frame,
     sl2_prolong,
 )
+from ipinn.training import _loss_nodes
 
 # ---------------------------------------------------------------------------
 # group elements
@@ -324,6 +326,24 @@ def test_intervals_and_initial_conditions():
     assert system.alpha_ic == 10.0
     for name in ("schwarz", "logistic", "oscillator", "exponential"):
         assert get_problem(name).alpha_ic == 1.0
+
+
+@pytest.mark.parametrize("kind", ["invariant", "vanilla"])
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_declared_order_is_the_highest_derivative_read(name, kind):
+    """Record the coefficients the loss asks an order-3 kernel for."""
+    spec = get_problem(name).formulation(kind)
+    points = np.linspace(spec.interval[0], spec.interval[1], 20)
+    params = init_mlp(MlpLayout(output_dim=spec.output_dim), 0)
+    net = MlpJets(AdjointGraph(), params, points, JET_ORDER)
+    requested = []
+    leaf = net.leaf
+    net.leaf = lambda row, k: requested.append(k) or leaf(row, k)
+    with np.errstate(all="ignore"):
+        _loss_nodes(net.graph, points, net.outputs, spec, 1.0, False)
+    assert spec.order == max(requested)
+    if kind == "invariant":
+        assert spec.order == 1
 
 
 def test_vanilla_reconstruct_is_identity():
