@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
@@ -102,17 +103,41 @@ def _cmd_run(args) -> int:
     ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run_cell, name, form, cfg, out)
-                       for name, form, cfg in cells]
-            for future in as_completed(futures):
-                print(_cell_line(future.result()), flush=True)
-    else:
-        for name, form, cfg in cells:
-            print(_cell_line(run_cell(name, form, cfg, out)), flush=True)
-    print(f"wrote {len(cells)} cells under {out}")
+    failed = 0
+    for (name, form, cfg), outcome in _run_cells(cells, out, args.jobs):
+        if isinstance(outcome, Exception):
+            failed += 1
+            traceback.print_exception(outcome, file=sys.stderr)
+            print(f"{name:<12} {form:<9} seed={cfg.seed} status={'error':<11} "
+                  f"{type(outcome).__name__}: {outcome}", flush=True)
+        else:
+            print(_cell_line(outcome), flush=True)
+    print(f"wrote {len(cells) - failed} cells under {out}")
+    if failed:
+        print(f"error: {failed} of {len(cells)} cells failed", file=sys.stderr)
+        return 2
     return 0
+
+
+def _run_cells(cells, out: Path, jobs: int):
+    """Yield (cell, its report or the exception it raised), as cells finish.
+
+    A failing cell, or a crashed worker, is reported against its own cell
+    and the other cells still run.
+    """
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            futures = {pool.submit(run_cell, *cell, out): cell for cell in cells}
+            for future in as_completed(futures):
+                err = future.exception()
+                yield futures[future], future.result() if err is None else err
+    else:
+        for cell in cells:
+            try:
+                outcome = run_cell(*cell, out)
+            except Exception as err:
+                outcome = err
+            yield cell, outcome
 
 
 def _cmd_summarize(args) -> int:

@@ -12,7 +12,7 @@ point gives its scalar jets (`mlp_forward`).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -246,8 +246,31 @@ def save_weights(path, params: ParamSet, seed: int | None = None) -> None:
 
 
 def load_weights(path) -> tuple[ParamSet, int | None]:
+    """Parameters and seed from a file written by `save_weights`.
+
+    A file whose header or length does not fit raises ValueError naming the
+    file and the fault.
+    """
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    layout = MlpLayout(**header["layout"])
-    return ParamSet.from_flat(layout, flat), header["seed"]
+        line = fh.readline()
+        body = fh.read()
+    if not line:
+        raise ValueError(f"{path}: empty weights file")
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise ValueError(f"{path}: no JSON header line") from None
+    if not isinstance(header, dict) or "layout" not in header or "seed" not in header:
+        raise ValueError(f"{path}: the header needs the keys 'layout' and 'seed'")
+    sizes = header["layout"]
+    keys = {f.name for f in fields(MlpLayout)}
+    if not isinstance(sizes, dict) or set(sizes) != keys:
+        raise ValueError(f"{path}: the layout needs exactly the keys {sorted(keys)}")
+    if not all(type(v) is int and v >= 0 for v in sizes.values()):
+        raise ValueError(f"{path}: layout sizes must be non-negative integers")
+    layout = MlpLayout(**sizes)
+    size = layout.flat_size()
+    if len(body) != 8 * size:
+        raise ValueError(f"{path}: body holds {len(body)} bytes; the layout needs "
+                         f"{size} float64 values ({8 * size} bytes)")
+    return ParamSet.from_flat(layout, np.frombuffer(body, dtype="<f8")), header["seed"]

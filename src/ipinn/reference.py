@@ -1,9 +1,16 @@
-"""Reference machinery: fixed-step RK4, the error function, exact solutions."""
+"""Reference machinery: fixed-step RK4, the error function, exact solutions.
+
+The driven-oscillator reference is the generic `rk4_solve` applied to
+`_oscillator_rhs`, computed on Python floats by `_oscillator_rk4`: the same
+float operations in the same order, so the trajectory is the same bit for bit
+(the tests check it against `rk4_solve`), at about a fifteenth of the cost.
+"""
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -15,6 +22,7 @@ from .autodiff import DomainError
 OSCILLATOR_FORCING_EXPONENT = 0.99
 OSCILLATOR_INTERVAL = (0.0, 10.0)
 OSCILLATOR_REFERENCE_STEPS = 100_000
+_OSCILLATOR_BLOCK = 4096
 EXPONENTIAL_SHIFT = math.exp(-5.0)
 SYSTEM_GAUSS_SCALE = 1.0 / (math.sqrt(2.0 / math.pi) * math.exp(-0.5))
 SYSTEM_DRIFT = 1.0 - SYSTEM_GAUSS_SCALE * math.erf(1.0 / math.sqrt(2.0))
@@ -70,11 +78,58 @@ def _oscillator_rhs(t: float, y: np.ndarray) -> np.ndarray:
     return np.array([y[1], -y[0] + math.sin(t ** OSCILLATOR_FORCING_EXPONENT)])
 
 
+def _oscillator_rk4(n_steps: int) -> Trajectory:
+    """`rk4_solve(_oscillator_rhs, [1.0, 1.0], OSCILLATOR_INTERVAL, n_steps)`.
+
+    Each step does the generic integrator's float operations in its order,
+    on Python floats instead of 2-element arrays, so the result is the same
+    bit for bit.  The forcing uses float `**` and `math.sin` (libm), as
+    `_oscillator_rhs` does: numpy's vectorized power and sine round
+    differently at some points.  Times are read and states written in blocks
+    of `_OSCILLATOR_BLOCK` steps, so no Python object per step outlives its
+    block.
+    """
+    lo, hi = OSCILLATOR_INTERVAL
+    a = OSCILLATOR_FORCING_EXPONENT
+    sin = math.sin
+    times = np.linspace(lo, hi, n_steps + 1)
+    states = np.empty((n_steps + 1, 2))
+    h = (hi - lo) / n_steps
+    hh = 0.5 * h
+    h6 = h / 6.0
+    y0 = y1 = 1.0
+    states[0] = (y0, y1)
+    step_times = times[:-1]
+    for start in range(0, n_steps, _OSCILLATOR_BLOCK):
+        block = array("d")
+        for t in step_times[start:start + _OSCILLATOR_BLOCK].tolist():
+            k1a = y1
+            k1b = -y0 + sin(t ** a)
+            s = sin((t + hh) ** a)
+            k2a = y1 + hh * k1b
+            k2b = -(y0 + hh * k1a) + s
+            k3a = y1 + hh * k2b
+            k3b = -(y0 + hh * k2a) + s
+            k4a = y1 + h * k3b
+            k4b = -(y0 + h * k3a) + sin((t + h) ** a)
+            y0 = y0 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+            y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+            block.append(y0)
+            block.append(y1)
+        rows = np.frombuffer(block).reshape(-1, 2)
+        states[start + 1:start + 1 + len(rows)] = rows
+    return Trajectory(times, states)
+
+
 @functools.lru_cache(maxsize=1)
 def oscillator_reference() -> Trajectory:
-    """Dense RK4 trajectory used as the reference for the driven oscillator."""
-    return rk4_solve(_oscillator_rhs, np.array([1.0, 1.0]),
-                     OSCILLATOR_INTERVAL, OSCILLATOR_REFERENCE_STEPS)
+    """Dense RK4 trajectory used as the reference for the driven oscillator.
+
+    The classical RK4 of `rk4_solve` with `OSCILLATOR_REFERENCE_STEPS` steps,
+    computed on floats by `_oscillator_rk4`; equal to the generic
+    integrator's trajectory bit for bit.
+    """
+    return _oscillator_rk4(OSCILLATOR_REFERENCE_STEPS)
 
 
 def _exact_schwarz(t: np.ndarray) -> np.ndarray:

@@ -328,7 +328,7 @@ def test_cli_benchmark_alpha_defaults_per_problem(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _python(args, env_overrides=None, drop=()):
+def _python(args, env_overrides=None, drop=(), check=True):
     """Run python with ipinn importable and the given environment changes."""
     env = {k: v for k, v in os.environ.items() if k not in drop}
     src = str(Path(ipinn.__file__).resolve().parents[1])
@@ -336,7 +336,7 @@ def _python(args, env_overrides=None, drop=()):
                                                if env.get("PYTHONPATH") else []))
     env.update(env_overrides or {})
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          text=True, check=True).stdout
+                          text=True, check=check)
 
 
 _SHOW_BLAS_THREADS = ("import os, ipinn, numpy; "
@@ -344,12 +344,12 @@ _SHOW_BLAS_THREADS = ("import os, ipinn, numpy; "
 
 
 def test_import_pins_blas_to_one_thread():
-    out = _python(["-c", _SHOW_BLAS_THREADS], drop=("OPENBLAS_NUM_THREADS",))
+    out = _python(["-c", _SHOW_BLAS_THREADS], drop=("OPENBLAS_NUM_THREADS",)).stdout
     assert out.strip() == "1"
 
 
 def test_import_keeps_a_preset_blas_thread_count():
-    out = _python(["-c", _SHOW_BLAS_THREADS], {"OPENBLAS_NUM_THREADS": "2"})
+    out = _python(["-c", _SHOW_BLAS_THREADS], {"OPENBLAS_NUM_THREADS": "2"}).stdout
     assert out.strip() == "2"
 
 
@@ -363,3 +363,22 @@ def test_parallel_run_matches_serial_run(tmp_path):
     parallel = collect_reports(tmp_path / "2")
     assert len(serial) == 4
     assert [r.canonical() for r in parallel] == [r.canonical() for r in serial]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failing_cell_is_named_and_the_others_run(tmp_path, jobs):
+    """A cell that raises is reported against its cell; the sweep goes on."""
+    (tmp_path / "logistic_invariant_seed1" / "report.json").mkdir(parents=True)
+    done = _python(["-m", "ipinn", "run", "--problem", "logistic",
+                    "--formulation", "invariant", "--seeds", "0..2",
+                    "--epochs", "2", "--collocation", "20", "--jobs", jobs,
+                    "--out", str(tmp_path)], check=False)
+    assert done.returncode == 2
+    assert "1 of 3 cells failed" in done.stderr
+    failed = [line for line in done.stdout.splitlines() if "status=error" in line]
+    assert len(failed) == 1
+    assert failed[0].split()[:3] == ["logistic", "invariant", "seed=1"]
+    assert "IsADirectoryError" in failed[0]
+    for seed in (0, 2):
+        report = load_report(tmp_path / f"logistic_invariant_seed{seed}" / "report.json")
+        assert report.seed == seed

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,46 @@ def test_weight_io_preserves_unknown_seed(tmp_path):
     save_weights(path, params)
     _, seed = load_weights(path)
     assert seed is None
+
+
+def _weight_file_parts(tmp_path):
+    params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=3), seed=0)
+    path = tmp_path / "weights.bin"
+    save_weights(path, params, seed=0)
+    header, body = path.read_bytes().split(b"\n", 1)
+    return path, json.loads(header), body
+
+
+def _with_layout(header, **changes):
+    layout = {k: v for k, v in header["layout"].items() if k not in changes}
+    layout.update({k: v for k, v in changes.items() if v is not None})
+    return {**header, "layout": layout}
+
+
+def _encode(header):
+    return json.dumps(header).encode("utf-8") + b"\n"
+
+
+@pytest.mark.parametrize("corrupt, fault", [
+    (lambda h, b: _encode(h) + b[:-3], "body holds"),
+    (lambda h, b: _encode(h) + b[:-8], "body holds"),
+    (lambda h, b: _encode(h) + b + b[:8], "body holds"),
+    (lambda h, b: b, "no JSON header line"),
+    (lambda h, b: _encode({"seed": 0}) + b, "'layout' and 'seed'"),
+    (lambda h, b: _encode(_with_layout(h, output_dim=None)) + b, "layout needs"),
+    (lambda h, b: _encode(_with_layout(h, depth=3)) + b, "layout needs"),
+    (lambda h, b: _encode(_with_layout(h, hidden_width="3")) + b, "non-negative"),
+    (lambda h, b: b"", "empty weights file"),
+], ids=["truncated-body", "one-value-short", "one-value-extra", "no-header-line",
+        "no-layout", "missing-layout-key", "unknown-layout-key", "non-integer-size",
+        "empty-file"])
+def test_load_weights_names_file_and_fault(tmp_path, corrupt, fault):
+    path, header, body = _weight_file_parts(tmp_path)
+    path.write_bytes(corrupt(header, body))
+    with pytest.raises(ValueError) as info:
+        load_weights(path)
+    assert str(path) in str(info.value)
+    assert fault in str(info.value)
 
 
 def test_paramset_validates_shapes():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,16 @@ import checks
 import oracles
 from ipinn.autodiff import DomainError
 from ipinn.reference import (
+    _OSCILLATOR_BLOCK,
     EXPONENTIAL_SHIFT,
     OSCILLATOR_FORCING_EXPONENT,
+    OSCILLATOR_INTERVAL,
+    OSCILLATOR_REFERENCE_STEPS,
+    _oscillator_rhs,
+    _oscillator_rk4,
     erf,
     exact_eval,
+    oscillator_reference,
     rk4_solve,
 )
 
@@ -49,6 +56,45 @@ def test_rk4_input_validation():
         rk4_solve(lambda t, y: y, [1.0], (0.0, 1.0), 0)
     with pytest.raises(ValueError):
         rk4_solve(lambda t, y: y, [1.0], (1.0, 1.0), 10)
+
+
+# ---------------------------------------------------------------------------
+# oscillator reference: the float RK4 against the generic integrator
+# ---------------------------------------------------------------------------
+
+
+def _generic_oscillator(n_steps: int):
+    return rk4_solve(_oscillator_rhs, [1.0, 1.0], OSCILLATOR_INTERVAL, n_steps)
+
+
+@pytest.mark.parametrize("n_steps", [
+    1, 2, _OSCILLATOR_BLOCK - 1, _OSCILLATOR_BLOCK, _OSCILLATOR_BLOCK + 1,
+    3 * _OSCILLATOR_BLOCK + 5])
+def test_float_oscillator_rk4_is_bitwise_generic_rk4(n_steps):
+    got = _oscillator_rk4(n_steps)
+    want = _generic_oscillator(n_steps)
+    assert got.states.shape == (n_steps + 1, 2)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+
+
+def test_oscillator_reference_is_bitwise_generic_rk4():
+    got = oscillator_reference()
+    want = _generic_oscillator(OSCILLATOR_REFERENCE_STEPS)
+    assert np.array_equal(got.times, want.times)
+    assert np.array_equal(got.states, want.states)
+
+
+def test_float_oscillator_rk4_memory_peak():
+    # the output arrays take 2.4 MB; one Python object per step would add
+    # about 11 MB more
+    tracemalloc.start()
+    try:
+        _oscillator_rk4(OSCILLATOR_REFERENCE_STEPS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 # ---------------------------------------------------------------------------
