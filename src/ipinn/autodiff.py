@@ -5,7 +5,10 @@ input variable.  Scalar `Jet3` arithmetic covers the elementary functions at
 order 3; the coefficient kernels below also serve the batched tanh-MLP jet
 kernel in `network`, which works on (rows, batch, K) arrays with the
 coefficient axis last and carries only the K = order + 1 coefficients that a
-formulation reads.
+formulation reads.  The tanh, chain-rule and transpose kernels write into
+caller-supplied buffers when given them, so training reuses one set of
+arrays per cell; with or without buffers they do the same operations in the
+same order.
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
@@ -47,23 +50,31 @@ def _kmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kmul_t(ybar: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kmul_t(ybar: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Transpose of jet multiplication by b, applied to an adjoint jet.
 
     If y = mul(a, b) then abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k];
     this is the exact coefficient-space transpose of the Leibniz product,
-    truncated at the K = ybar.shape[-1] coefficients carried.
+    truncated at the K = ybar.shape[-1] coefficients carried.  The result goes
+    to `out` and the one temporary to `scratch[0]` when they are given.
     """
     n = ybar.shape[-1]
-    out = np.empty(np.broadcast_shapes(ybar.shape, b.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(ybar.shape, b.shape))
+    term = np.empty(out.shape[:-1]) if scratch is None else scratch[0]
     y = [ybar[..., k] for k in range(n)]
     bk = [b[..., k] for k in range(n)]
     for j in range(n):
-        acc = y[j] * bk[0]
+        acc = out[..., j]
+        np.multiply(y[j], bk[0], out=acc)
         for k in range(j + 1, n):
             c = math.comb(k, j)
-            acc += y[k] * bk[k - j] if c == 1 else float(c) * y[k] * bk[k - j]
-        out[..., j] = acc
+            if c == 1:
+                np.multiply(y[k], bk[k - j], out=term)
+            else:
+                np.multiply(float(c), y[k], out=term)
+                np.multiply(term, bk[k - j], out=term)
+            acc += term
     return out
 
 
@@ -118,44 +129,79 @@ def _derivative_table(fname: str, x: np.ndarray, power: float | None = None):
     raise ValueError(f"unknown elementary function {fname!r}")
 
 
-def _tanh_table(x: np.ndarray, count: int) -> tuple[np.ndarray, ...]:
-    """The first `count` (2..5) derivatives f, f', ... of tanh at x.
+def _tanh_table(x: np.ndarray, count: int, out=None, scratch=None) -> np.ndarray:
+    """The first `count` (2..5) derivatives f, f', ... of tanh at x, stacked.
 
     The value is computed by exp in the overflow-safe half-domain form; the
     derivative chain is generated from the value itself through 1 - tanh^2.
+    Row k of the (count, *x.shape) result is f^(k).  The result goes to `out`
+    and the temporaries to `scratch[0]` and `scratch[1]` (each x.shape and
+    contiguous, so exp sees the same operand layout) when they are given.
     """
-    s = np.exp(-2.0 * np.abs(x))
-    t = np.sign(x) * (1.0 - s) / (1.0 + s)
-    p = 1.0 - t * t
-    table = [t, p]
+    if out is None:
+        out = np.empty((count,) + np.shape(x))
+    s, u = (np.empty(np.shape(x)), np.empty(np.shape(x))) if scratch is None else scratch[:2]
+    f = [out[k, ...] for k in range(count)]
+    t, p = f[0], f[1]
+    np.abs(x, out=u)
+    np.multiply(-2.0, u, out=u)
+    np.exp(u, out=s)                   # s = exp(-2|x|)
+    np.sign(x, out=t)
+    np.subtract(1.0, s, out=u)
+    np.multiply(t, u, out=t)
+    np.add(1.0, s, out=u)
+    np.divide(t, u, out=t)             # t = sign(x) * (1 - s) / (1 + s)
+    tt = u
+    np.multiply(t, t, out=tt)
+    np.subtract(1.0, tt, out=p)        # p = 1 - t^2
     if count > 2:
-        table.append(-2.0 * t * p)
+        np.multiply(-2.0, t, out=f[2])
+        np.multiply(f[2], p, out=f[2])
     if count > 3:
-        tt = t * t
-        table.append(p * (6.0 * tt - 2.0))
+        np.multiply(6.0, tt, out=f[3])
+        np.subtract(f[3], 2.0, out=f[3])
+        np.multiply(p, f[3], out=f[3])
     if count > 4:
-        table.append(p * (16.0 * t - 24.0 * tt * t))
-    return tuple(table)
+        np.multiply(24.0, tt, out=s)
+        np.multiply(s, t, out=s)
+        np.multiply(16.0, t, out=f[4])
+        np.subtract(f[4], s, out=f[4])
+        np.multiply(p, f[4], out=f[4])
+    return out
 
 
-def _kcompose(f, a: np.ndarray) -> np.ndarray:
+def _kcompose(f, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """Chain rule: compose the derivative tables f[0], f[1], ... with the inner jet a.
 
     Computes the K = a.shape[-1] (1..4) coefficients that a carries and reads
-    the tables f[0] .. f[K-1] only.
+    the tables f[0] .. f[K-1] only.  The result goes to `out` and the
+    temporaries to `scratch[0..2]` (each a.shape[:-1]) when they are given.
     """
     n = a.shape[-1]
-    out = np.empty(a.shape)
+    if out is None:
+        out = np.empty(a.shape)
+    if scratch is None:
+        scratch = [np.empty(a.shape[:-1]) for _ in range(3)] if n > 2 else ()
     out[..., 0] = f[0]
     if n > 1:
         a1 = a[..., 1]
-        out[..., 1] = f[1] * a1
+        np.multiply(f[1], a1, out=out[..., 1])
     if n > 2:
         a2 = a[..., 2]
-        a1sq = a1 * a1
-        out[..., 2] = f[2] * a1sq + f[1] * a2
+        a1sq, lead, mid = scratch[:3]
+        np.multiply(a1, a1, out=a1sq)
+        np.multiply(f[2], a1sq, out=lead)
+        np.multiply(f[1], a2, out=out[..., 2])
+        np.add(lead, out[..., 2], out=out[..., 2])      # f2 a1^2 + f1 a2
     if n > 3:
-        out[..., 3] = f[3] * a1sq * a1 + 3.0 * f[2] * a1 * a2 + f[1] * a[..., 3]
+        np.multiply(f[3], a1sq, out=lead)
+        np.multiply(lead, a1, out=lead)
+        np.multiply(3.0, f[2], out=mid)
+        np.multiply(mid, a1, out=mid)
+        np.multiply(mid, a2, out=mid)
+        np.add(lead, mid, out=lead)
+        np.multiply(f[1], a[..., 3], out=out[..., 3])
+        np.add(lead, out[..., 3], out=out[..., 3])      # f3 a1^3 + 3 f2 a1 a2 + f1 a3
     return out
 
 

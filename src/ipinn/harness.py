@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import DomainError
 from .network import ParamSet, mlp_values, save_weights
 from .problems import REGISTRY, ProblemSpec, get_problem
@@ -203,8 +204,9 @@ def write_report(report: RunReport, path) -> None:
 
     Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
     which `float`, and so `load_report`, read back as the same values.
+    The file is replaced atomically, like every artifact a run writes.
     """
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(_strict_json(report.to_json()), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
@@ -222,7 +224,7 @@ def emit_error_series(report: RunReport, path, cap: float | None = None) -> None
     err = report.squared_error
     if cap is not None:
         err = np.minimum(err, cap)
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([report.metadata.get("x_name", "t"), "squared_error"])
         for x, e in zip(report.grid, err):
@@ -292,7 +294,7 @@ def summarize(report_dir) -> SummaryTable:
 
 
 def write_summary_csv(table: SummaryTable, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["problem", "formulation", "n_seeds", "seeds",
                          "mean_mse", "std_mse", "mean_mse_summary",

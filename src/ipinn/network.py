@@ -7,15 +7,22 @@ leaves for the coefficients they read, and differentiates the whole network
 by one hand-written reverse pass over the layers.  The same layer loop, at
 order 0, evaluates the network (`mlp_values`), and at order 3 on a single
 point gives its scalar jets (`mlp_forward`).
+
+Every array of a pass lives in a `JetWorkspace`.  Training keeps one per
+cell and each epoch overwrites it; every other caller gets a fresh one.  The
+kernels write into the workspace with the same numpy operations, in the same
+order, as they would into fresh arrays, so the two give the same bits.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_write
 from .autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, Node, _kcompose,
                        _kmul_t, _tanh_table)
 
@@ -72,20 +79,26 @@ class ParamSet:
         if flat.shape != (layout.flat_size(),):
             raise ValueError(f"flat vector of length {flat.shape} does not fit layout "
                              f"({layout.flat_size()} expected)")
-        weights, biases = [], []
-        pos = 0
-        for wsh, bsh in layout.layer_shapes():
-            n = wsh[0] * wsh[1]
-            weights.append(flat[pos:pos + n].reshape(wsh).copy())
-            pos += n
-            biases.append(flat[pos:pos + bsh[0]].copy())
-            pos += bsh[0]
-        return cls(layout, weights, biases)
+        weights, biases = _layer_views(layout, flat)
+        return cls(layout, [w.copy() for w in weights], [b.copy() for b in biases])
 
     def copy(self) -> "ParamSet":
         return ParamSet(self.layout,
                         [w.copy() for w in self.weights],
                         [b.copy() for b in self.biases])
+
+
+def _layer_views(layout: MlpLayout, flat: np.ndarray):
+    """Per-layer weight and bias views into a flat parameter-shaped vector."""
+    weights, biases = [], []
+    pos = 0
+    for wsh, bsh in layout.layer_shapes():
+        n = wsh[0] * wsh[1]
+        weights.append(flat[pos:pos + n].reshape(wsh))
+        pos += n
+        biases.append(flat[pos:pos + bsh[0]])
+        pos += bsh[0]
+    return weights, biases
 
 
 def init_mlp(layout: MlpLayout, seed: int) -> ParamSet:
@@ -97,6 +110,88 @@ def init_mlp(layout: MlpLayout, seed: int) -> ParamSet:
         weights.append(rng.uniform(-bound, bound, size=(out_d, in_d)))
         biases.append(np.zeros(b_d))
     return ParamSet(layout, weights, biases)
+
+
+class JetWorkspace:
+    """Every array of one network's jet forward and reverse pass, allocated once.
+
+    A workspace belongs to one (layout, collocation points, order): `train`
+    builds one per cell and every epoch writes into the same buffers, with
+    the same numpy operations in the same order as a pass on fresh arrays, so
+    reusing it moves no bit of any trajectory.  It holds the input jet (built
+    here, once), each hidden layer's pre-activation jets, activation jets and
+    tanh tables f0..fK, the output jets, and one set of (width, batch) scratch
+    arrays that all layers share.  The reverse buffers are allocated on the
+    first `param_grad`, so a forward-only pass does not pay for them.  With
+    `with_grad` false every hidden layer writes into the same three buffers,
+    each overwriting what the layer before it no longer needs; such a
+    workspace evaluates the network but cannot differentiate it.
+    """
+
+    def __init__(self, layout: MlpLayout, x_values, order: int, with_grad: bool = True):
+        if not 0 <= order <= JET_ORDER:
+            raise ValueError(f"jet order {order} out of range 0..{JET_ORDER}")
+        self.layout = layout
+        self.order = order
+        self.with_grad = with_grad
+        self.points = np.asarray(x_values, dtype=float).ravel()
+        n, batch = order + 1, self.points.size
+        self.input = np.zeros((1, batch, n))
+        self.input[0, :, 0] = self.points
+        if order > 0:
+            self.input[0, :, 1] = 1.0
+        width, depth = layout.hidden_width, layout.hidden_layers
+
+        def per_layer(shape):
+            if with_grad:
+                return [np.empty(shape) for _ in range(depth)]
+            return [np.empty(shape)] * depth
+
+        self.pre = per_layer((width, batch, n))
+        self.act = per_layer((width, batch, n))
+        self.tables = per_layer((n + 1, width, batch))
+        self.value = np.empty((layout.output_dim, batch, n))
+        self.scratch = [np.empty((width, batch)) for _ in range(3)]
+
+    def fits(self, layout: MlpLayout, x_values, order: int) -> bool:
+        return (layout == self.layout and order == self.order
+                and np.array_equal(np.ravel(x_values), self.points))
+
+    @cached_property
+    def reverse(self) -> "_ReverseBuffers":
+        if not self.with_grad:
+            raise ValueError("a workspace built without with_grad keeps no "
+                             "layer jets to differentiate")
+        return _ReverseBuffers(self)
+
+
+class _ReverseBuffers:
+    """The reverse pass's arrays: adjoint jets, the flat gradient and its views.
+
+    `xbar` takes the adjoint of a hidden activation and `dcomp` the tanh
+    derivative composed with the pre-activation; `g_out` and `g_hidden` hold
+    the adjoint of the output and of a hidden pre-activation.  Below order 3
+    the weight-gradient product runs on order-3-width copies of the adjoint
+    and of the layer input (`padded_g`, `padded_x`, one per row count) whose
+    padding is zeroed here, once; each pass copies in only the K live
+    coefficients.
+    """
+
+    def __init__(self, ws: JetWorkspace):
+        layout = ws.layout
+        n, batch = ws.order + 1, ws.points.size
+        width = (layout.hidden_width, batch, n)
+        self.xbar = np.empty(width)
+        self.dcomp = np.empty(width)
+        self.g_out = np.empty(ws.value.shape)
+        self.g_hidden = np.empty(width)
+        self.padded_g, self.padded_x = {}, {}
+        if n < N_COEFFS:
+            dims = layout.dims()
+            self.padded_g = {r: np.zeros((r, batch, N_COEFFS)) for r in set(dims[1:])}
+            self.padded_x = {r: np.zeros((r, batch, N_COEFFS)) for r in set(dims[:-1])}
+        self.grad = np.empty(layout.flat_size())
+        self.grad_w, self.grad_b = _layer_views(layout, self.grad)
 
 
 class MlpJets:
@@ -112,18 +207,28 @@ class MlpJets:
     hand-derived transpose of that forward pass.  Values, loss and gradient
     equal, bit for bit at the training shape, those of an order-3 pass whose
     loss reads the same coefficients, so truncation moves no trajectory.
+
+    All arrays live in `workspace`; without one a fresh workspace is built,
+    so the values and the gradient of this pass are never overwritten.  A
+    shared workspace (one per training cell) is overwritten by the next pass.
     """
 
-    def __init__(self, graph: AdjointGraph, params: ParamSet, x_values, order: int):
-        if not 0 <= order <= JET_ORDER:
-            raise ValueError(f"jet order {order} out of range 0..{JET_ORDER}")
+    def __init__(self, graph: AdjointGraph, params: ParamSet, x_values, order: int,
+                 workspace: JetWorkspace | None = None):
+        if workspace is None:
+            workspace = JetWorkspace(params.layout, x_values, order)
+        elif not workspace.fits(params.layout, x_values, order):
+            raise ValueError("workspace was built for another layout, points or order")
         self.graph = graph
         self.params = params
         self.order = order
-        self._inputs, self._pre, self._tables, self.value = _jet_layers(
-            params, _input_jet(x_values, order))
-        self.outputs = [OutputJet(self, row) for row in range(params.layout.output_dim)]
+        self.workspace = workspace
+        self.value = _jet_layers(params, workspace)
         self._leaves: dict[tuple[int, int], Node] = {}
+
+    @property
+    def outputs(self) -> list["OutputJet"]:
+        return [OutputJet(self, row) for row in range(self.params.layout.output_dim)]
 
     def leaf(self, row: int, k: int) -> Node:
         """Plain tape leaf holding coefficient k of output row at every point."""
@@ -137,21 +242,26 @@ class MlpJets:
 
     def param_grad(self) -> np.ndarray:
         """d loss / d parameters as one flat vector, read after graph.backward."""
-        g = np.zeros(self.value.shape)
+        ws = self.workspace
+        rb = ws.reverse
+        g = rb.g_out
+        g.fill(0.0)
         for (row, k), node in self._leaves.items():
             if node.adjoint is not None:
                 g[row, :, k] += node.adjoint
-        parts = []
+        inputs = [ws.input] + ws.act
         for i in reversed(range(len(self.params.weights))):
-            x = self._inputs[i]
+            x = inputs[i]
             rows, batch, n = x.shape
-            gm = g.reshape(g.shape[0], batch * n)
-            parts.append(g[..., 0].sum(axis=1))
-            parts.append((_full_width(g) @ _full_width(x).T).ravel())
+            np.sum(g[..., 0], axis=1, out=rb.grad_b[i])
+            np.matmul(_full_width(g, rb.padded_g), _full_width(x, rb.padded_x).T,
+                      out=rb.grad_w[i])
             if i > 0:
-                xbar = (self.params.weights[i].T @ gm).reshape(x.shape)
-                g = _kmul_t(xbar, _kcompose(self._tables[i - 1][1:], self._pre[i - 1]))
-        return np.concatenate(parts[::-1])
+                np.matmul(self.params.weights[i].T, g.reshape(g.shape[0], batch * n),
+                          out=rb.xbar.reshape(rows, batch * n))
+                _kcompose(ws.tables[i - 1][1:], ws.pre[i - 1], rb.dcomp, ws.scratch)
+                g = _kmul_t(rb.xbar, rb.dcomp, rb.g_hidden, ws.scratch)
+        return rb.grad
 
 
 class OutputJet:
@@ -165,70 +275,65 @@ class OutputJet:
         return self.jets.leaf(self.row, k)
 
 
-def _full_width(a: np.ndarray) -> np.ndarray:
+def _full_width(a: np.ndarray, padded: dict[int, np.ndarray]) -> np.ndarray:
     """(rows, batch * 4) matrix of (rows, batch, K) jets, zero beyond coefficient K-1.
 
     The weight gradient sums over batch and coefficients in one product.  At
     the full order-3 width that product adds the same nonzero terms in the
     same order whatever K is, so the gradient, and with it every training
     trajectory, does not depend on the order the jets were truncated at.
+    Below order 3 the live coefficients go into `padded[rows]`, whose padding
+    stays zero.
     """
     rows, batch, n = a.shape
     if n < N_COEFFS:
-        full = np.zeros((rows, batch, N_COEFFS))
+        full = padded[rows]
         for k in range(n):  # one long strided copy per coefficient: ~4x faster
             full[..., k] = a[..., k]
         a = full
     return a.reshape(rows, batch * N_COEFFS)
 
 
-def _input_jet(x_values, order: int) -> np.ndarray:
-    """The (1, batch, order + 1) jet of the input variable itself."""
-    t = np.asarray(x_values, dtype=float).ravel()
-    h = np.zeros((1, t.size, order + 1))
-    h[0, :, 0] = t
-    if order > 0:
-        h[0, :, 1] = 1.0
-    return h
+def _jet_layers(params: ParamSet, ws: JetWorkspace) -> np.ndarray:
+    """Forward pass on (rows, batch, K) jets, into the buffers of `ws`.
 
-
-def _jet_layers(params: ParamSet, h: np.ndarray):
-    """Forward pass on (rows, batch, K) jets.
-
-    Returns each layer's input jets, each hidden layer's pre-activation jets
-    and its tanh derivative tables f0..fK (the reverse pass reads f1..fK),
-    and the output jets.
+    Fills each hidden layer's pre-activation jets, its tanh derivative tables
+    f0..fK (the reverse pass reads f1..fK) and its activation jets, and
+    returns the output jets.
     """
-    inputs, pre, tables = [], [], []
+    h = ws.input
     last = len(params.weights) - 1
     n = h.shape[-1]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        inputs.append(h)
         rows, batch, _ = h.shape
-        h = (w @ h.reshape(rows, batch * n)).reshape(w.shape[0], batch, n)
-        h[..., 0] += b[:, None]
+        z = ws.pre[i] if i < last else ws.value
+        np.matmul(w, h.reshape(rows, batch * n), out=z.reshape(w.shape[0], batch * n))
+        z[..., 0] += b[:, None]
         if i < last:
-            pre.append(h)
-            table = _tanh_table(h[..., 0], n + 1)
-            h = _kcompose(table, h)
-            tables.append(table)
-    return inputs, pre, tables, h
+            _tanh_table(z[..., 0], n + 1, ws.tables[i], ws.scratch)
+            h = _kcompose(ws.tables[i], z, ws.act[i], ws.scratch)
+    return ws.value
 
 
 def mlp_forward(params: ParamSet, x: Jet3) -> list[Jet3]:
     """Evaluate the network on a single jet; pure, no gradient bookkeeping."""
-    *_, out = _jet_layers(params, x.as_array().reshape(1, 1, N_COEFFS))
+    ws = JetWorkspace(params.layout, [x.c0], JET_ORDER, with_grad=False)
+    ws.input[0, 0] = x.as_array()
+    out = _jet_layers(params, ws)
     return [Jet3.from_array(out[j, 0]) for j in range(params.layout.output_dim)]
 
 
 def mlp_values(params: ParamSet, x_values) -> np.ndarray:
     """Network output values only, as an (output_dim, n) array: the jet kernel at order 0."""
-    *_, out = _jet_layers(params, _input_jet(x_values, 0))
-    return out[..., 0]
+    ws = JetWorkspace(params.layout, x_values, 0, with_grad=False)
+    return _jet_layers(params, ws)[..., 0]
 
 
 def save_weights(path, params: ParamSet, seed: int | None = None) -> None:
-    """JSON header line (layout and seed) then the flat vector, little-endian f8."""
+    """JSON header line (layout and seed) then the flat vector, little-endian f8.
+
+    The file is replaced atomically: a failed write leaves any earlier file.
+    """
     layout = params.layout
     header = {
         "layout": {
@@ -239,7 +344,7 @@ def save_weights(path, params: ParamSet, seed: int | None = None) -> None:
         },
         "seed": seed,
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         fh.write(params.to_flat().astype("<f8").tobytes())

@@ -194,6 +194,12 @@ def schwarz_spec() -> ProblemSpec:
     def invariant_exact(x):
         return np.stack([np.cos(x), np.sin(x), -np.sin(x), np.cos(x)], axis=-1)
 
+    # The invariant ICs are the left frame (a, b, c, d) at the vanilla initial
+    # jet (u, u_t, u_tt)(0); "+ 0.0" turns the frame's -0.0 entries into 0.0.
+    vanilla_ics = ((0, 0, 0.0), (0, 1, 1.0), (0, 2, 0.0))
+    frame = sl2_moving_frame(*(value for _, _, value in vanilla_ics)).inverse()
+    invariant_ics = tuple((row, 0, entry + 0.0) for row, entry in
+                          enumerate((frame.a, frame.b, frame.c, frame.d)))
     interval = (0.0, math.pi)
     return ProblemSpec(
         name="schwarz",
@@ -202,14 +208,14 @@ def schwarz_spec() -> ProblemSpec:
         vanilla=FormulationSpec(
             kind="vanilla", output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
-            ics=((0, 0, 0.0), (0, 1, 1.0), (0, 2, 0.0)),
+            ics=vanilla_ics,
             order=3,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             kind="invariant", output_dim=4, interval=interval, x_name="t",
             residual=invariant_residual,
-            ics=((0, 0, 1.0), (1, 0, 0.0), (2, 0, 0.0), (3, 0, 1.0)),
+            ics=invariant_ics,
             order=1,
             reconstruct=reconstruct,
             ode_rhs=invariant_rhs,

@@ -1,4 +1,12 @@
-"""Loss assembly and full-batch Adam training for both formulations."""
+"""Loss assembly and full-batch Adam training for both formulations.
+
+`train` keeps one jet workspace per cell (see `network.JetWorkspace`): each
+epoch writes its layer jets, tanh tables, adjoints and gradient into the same
+buffers, so a cell's memory does not grow with its epochs.  The public loss
+functions build a fresh workspace per call, so what they return is never
+overwritten.  Both paths run the same numpy operations in the same order and
+give the same trajectories bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import AdjointGraph, DomainError, Node
-from .network import MlpJets, MlpLayout, ParamSet, init_mlp
+from .network import JetWorkspace, MlpJets, MlpLayout, ParamSet, init_mlp
 from .problems import FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
@@ -142,10 +150,15 @@ def _require_finite(total_value: float, residuals: list[Node], ic_value: float,
 
 
 def _evaluate(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
-              alpha_ic: float, mean_reduction: bool, with_grad: bool):
+              alpha_ic: float, mean_reduction: bool, with_grad: bool,
+              workspace: JetWorkspace | None = None):
+    """Loss breakdown and, with_grad, the flat gradient of one pass.
+
+    The gradient lives in the workspace; without one it is a fresh array.
+    """
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
-        net = MlpJets(graph, params, points, spec.order)
+        net = MlpJets(graph, params, points, spec.order, workspace)
         total, eq, ic, residuals = _loss_nodes(graph, points, net.outputs, spec,
                                                alpha_ic, mean_reduction)
         gvec = None
@@ -213,7 +226,10 @@ def train(problem: ProblemSpec, config: TrainConfig):
     Returns the trained ParamSet, the (epochs_run, 3) per-epoch array of
     (equation_loss, ic_loss, total), and the evaluated RunReport.  A run
     whose loss or update turns non-finite stops early; the report records
-    the abort and keeps the last finite parameters.
+    the abort and keeps the last finite parameters.  The cell's jet arrays
+    are allocated once, in one `JetWorkspace`, and every epoch overwrites
+    them; an epoch computes the same bits as `loss_and_grad` followed by
+    `adam_step`.
     """
     from .harness import build_report
 
@@ -228,12 +244,12 @@ def train(problem: ProblemSpec, config: TrainConfig):
     history = np.zeros((config.epochs, 3))
     status, message = "ok", ""
     epochs_run = 0
+    workspace = JetWorkspace(layout, points, spec.order)
     for epoch in range(config.epochs):
         current = ParamSet.from_flat(layout, flat)
         try:
-            breakdown, gvec = loss_and_grad(current, spec, points,
-                                            config.alpha_ic,
-                                            config.mean_reduction)
+            breakdown, gvec = _evaluate(current, spec, points, config.alpha_ic,
+                                        config.mean_reduction, True, workspace)
         except DomainError as err:
             status, message = "diverged", f"epoch {epoch}: {err}"
             break

@@ -21,6 +21,8 @@ from ipinn.harness import (
     EVAL_GRID_POINTS,
     PLOT_ERROR_CAP,
     RunReport,
+    SummaryRow,
+    SummaryTable,
     build_report,
     cell_dir_name,
     collect_reports,
@@ -33,7 +35,7 @@ from ipinn.harness import (
     write_summary_csv,
     format_summary,
 )
-from ipinn.network import MlpLayout, init_mlp
+from ipinn.network import MlpLayout, init_mlp, save_weights
 from ipinn.problems import get_problem
 from ipinn.training import TrainConfig
 
@@ -68,6 +70,7 @@ def test_run_cell_persists_all_artifacts(tmp_path):
     for name in ("report.json", "weights.bin", "error_series.csv",
                  "error_series_plot.csv"):
         assert (cell / name).exists()
+    assert len(os.listdir(cell)) == 4  # no temporary file left behind
     assert report.problem == "logistic"
     assert report.formulation == "invariant"
     assert report.grid.shape == (EVAL_GRID_POINTS,)
@@ -194,6 +197,48 @@ def test_plot_series_caps_huge_errors(tmp_path):
         rows = list(csv.reader(fh))
     assert float(rows[1][1]) == PLOT_ERROR_CAP
     assert float(rows[2][1]) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# atomic artifact writes
+# ---------------------------------------------------------------------------
+
+
+def _fail_report_midway(monkeypatch, path):
+    report = _fake_report("logistic", "invariant", 0, 1.0)
+    report.metadata["unserializable"] = object()
+    write_report(report, path)
+
+
+def _fail_weights_midway(monkeypatch, path):
+    params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=3), 0)
+    monkeypatch.setattr(type(params), "to_flat", lambda self: 1 / 0)
+    save_weights(path, params, seed=0)
+
+
+def _fail_series_midway(monkeypatch, path):
+    report = _fake_report("logistic", "invariant", 0, 1.0)
+    report.squared_error = [1.0, "not a number"]
+    emit_error_series(report, path)
+
+
+def _fail_summary_midway(monkeypatch, path):
+    table = SummaryTable([
+        SummaryRow("logistic", "invariant", [0], 1.0, 0.0, 1.0, 0.0, 0),
+        SummaryRow("logistic", "vanilla", [0], "not a number", 0.0, 1.0, 0.0, 0)])
+    write_summary_csv(table, path)
+
+
+@pytest.mark.parametrize("fail", [_fail_report_midway, _fail_weights_midway,
+                                  _fail_series_midway, _fail_summary_midway])
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, fail):
+    """An exception in the middle of a write leaves the old file and no temporary."""
+    path = tmp_path / "artifact"
+    path.write_bytes(b"earlier contents\n")
+    with pytest.raises((TypeError, ZeroDivisionError)):
+        fail(monkeypatch, path)
+    assert path.read_bytes() == b"earlier contents\n"
+    assert os.listdir(tmp_path) == ["artifact"]
 
 
 # ---------------------------------------------------------------------------

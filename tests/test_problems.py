@@ -148,6 +148,17 @@ def test_frame_of_cross_section_point_is_identity():
     assert np.array_equal(rho.as_matrix(), np.eye(2))
 
 
+def test_schwarz_invariant_ics_are_the_left_frame_of_the_vanilla_ics():
+    schwarz = get_problem("schwarz")
+    u, ut, utt = (value for _, _, value in schwarz.vanilla.ics)
+    frame = sl2_moving_frame(u, ut, utt).inverse()
+    ics = schwarz.invariant.ics
+    assert ics == tuple((row, 0, v) for row, v in
+                        enumerate((frame.a, frame.b, frame.c, frame.d)))
+    assert ics == ((0, 0, 1.0), (1, 0, 0.0), (2, 0, 0.0), (3, 0, 1.0))
+    assert all(math.copysign(1.0, value) == 1.0 for _, _, value in ics)
+
+
 def test_frame_rejects_critical_points():
     with pytest.raises(DomainError):
         sl2_moving_frame(1.0, 0.0, 1.0)

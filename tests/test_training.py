@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from ipinn.autodiff import DomainError
-from ipinn.network import MlpLayout, ParamSet, init_mlp
-from ipinn.problems import get_problem
+from ipinn import training
+from ipinn.autodiff import AdjointGraph, DomainError
+from ipinn.network import JetWorkspace, MlpJets, MlpLayout, ParamSet, init_mlp
+from ipinn.problems import REGISTRY, get_problem
 from ipinn.training import (
     ADAM_EPSILON,
     AdamState,
@@ -287,3 +291,100 @@ def test_config_interval_overrides_formulation_interval():
     config = TrainConfig(epochs=0, interval=(0.0, 1.0), n_collocation=10)
     _, _, report = train(problem, config)
     assert report.config["interval"] == [0.0, 1.0]
+
+
+# ---------------------------------------------------------------------------
+# one jet workspace per cell
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["invariant", "vanilla"])
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_train_is_bitwise_a_loop_of_loss_and_grad(name, kind):
+    """train, on one reused workspace, against a fresh workspace every epoch."""
+    problem = get_problem(name)
+    spec = problem.formulation(kind)
+    layout = MlpLayout(output_dim=spec.output_dim)
+    for n in (50, 200):
+        config = TrainConfig(epochs=20, n_collocation=n, seed=0, formulation=kind,
+                             alpha_ic=problem.alpha_ic)
+        trained, history, _ = train(problem, config)
+        points = sample_collocation(spec.interval, n, config.seed)
+        flat = init_mlp(layout, config.seed).to_flat()
+        state = AdamState.zeros(flat.size)
+        want = []
+        for _ in range(config.epochs):
+            breakdown, gvec = loss_and_grad(ParamSet.from_flat(layout, flat), spec,
+                                            points, problem.alpha_ic)
+            want.append((breakdown.equation_loss, breakdown.ic_loss, breakdown.total))
+            flat, state = adam_step(flat, gvec, state, config.learning_rate)
+        assert np.array_equal(history, np.array(want))
+        assert np.array_equal(trained.to_flat(), flat)
+
+
+def test_loss_and_grad_leaves_no_cycle_behind(monkeypatch):
+    """Without the cyclic collector, the pass's MlpJets dies with the call."""
+    made = []
+
+    class Recorded(MlpJets):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(training, "MlpJets", Recorded)
+    problem = get_problem("schwarz")
+    spec = problem.vanilla
+    params = init_mlp(MlpLayout(output_dim=spec.output_dim), 0)
+    points = sample_collocation(spec.interval, 20, 0)
+    gc.disable()
+    try:
+        _, gvec = loss_and_grad(params, spec, points)
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
+    assert np.all(np.isfinite(gvec))
+
+
+def test_returned_gradients_are_never_overwritten():
+    problem = get_problem("logistic")
+    spec = problem.invariant
+    points = sample_collocation(spec.interval, 30, 0)
+    layout = MlpLayout(output_dim=spec.output_dim)
+    _, first = loss_and_grad(init_mlp(layout, 0), spec, points)
+    kept = first.copy()
+    _, second = loss_and_grad(init_mlp(layout, 1), spec, points)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(first, second)
+
+
+def test_workspace_must_fit_the_pass():
+    layout = MlpLayout(hidden_layers=1, hidden_width=4)
+    params = init_mlp(layout, 0)
+    x = np.linspace(0.0, 1.0, 5)
+    workspace = JetWorkspace(layout, x, 1)
+    MlpJets(AdjointGraph(), params, x, 1, workspace)
+    for other_x, order in ((x + 1.0, 1), (x, 2)):
+        with pytest.raises(ValueError):
+            MlpJets(AdjointGraph(), params, other_x, order, workspace)
+    with pytest.raises(ValueError):
+        MlpJets(AdjointGraph(), init_mlp(MlpLayout(hidden_layers=2, hidden_width=4), 0),
+                x, 1, workspace)
+    graph = AdjointGraph()
+    net = MlpJets(graph, params, x, 1, JetWorkspace(layout, x, 1, with_grad=False))
+    graph.backward(graph.sum(net.leaf(0, 1)))
+    with pytest.raises(ValueError):
+        net.param_grad()
+
+
+@pytest.mark.parametrize("name,kind", [("logistic", "invariant"), ("schwarz", "vanilla")])
+def test_training_memory_does_not_grow_with_epochs(name, kind):
+    """A 300-epoch cell stays far below the ~100 MB that per-epoch buffers reached."""
+    problem = get_problem(name)
+    config = TrainConfig(epochs=300, seed=0, formulation=kind, alpha_ic=problem.alpha_ic)
+    tracemalloc.start()
+    try:
+        train(problem, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
