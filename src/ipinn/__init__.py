@@ -1,10 +1,12 @@
 """Physics-informed ODE solvers trained on symmetry-reduced equations.
 
 The package pairs a fused tanh-MLP Taylor-jet kernel, which carries only the
-derivative orders a formulation reads, and a small plain-array reverse-mode
-tape with five benchmark problems, each solvable two ways: directly on the
-original residual, or on the invariantized equation plus the first-order
-moving-frame reconstruction system.
+derivative orders a formulation reads and computes every jet that training
+and evaluation use, and a small plain-array reverse-mode tape with five
+benchmark problems, each solvable two ways: directly on the original
+residual, or on the invariantized equation plus the first-order moving-frame
+reconstruction system.  The SL(2, R) group action behind the Schwarzian
+problem works on single third-order jets (`problems.Jet3`).
 """
 
 import os
@@ -13,11 +15,10 @@ import os
 # this when it loads, so it must be set before anything below imports numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .autodiff import (AdjointGraph, DomainError, Jet3, jet_add, jet_elem,
-                       jet_mul)
+from .autodiff import AdjointGraph, DomainError
 from .network import (MlpJets, MlpLayout, ParamSet, init_mlp, load_weights,
-                      mlp_forward, mlp_values, save_weights)
-from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, Jet3Point,
+                      mlp_values, save_weights)
+from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, Jet3, Jet3Point,
                        ProblemSpec, get_problem, schwarzian, sl2_moving_frame,
                        sl2_prolong)
 from .reference import Trajectory, erf, exact_eval, rk4_solve
@@ -31,10 +32,10 @@ from .harness import (RunReport, SummaryTable, emit_error_series,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjointGraph", "DomainError", "Jet3", "jet_add", "jet_elem", "jet_mul",
-    "MlpJets", "MlpLayout", "ParamSet", "init_mlp", "load_weights", "mlp_forward",
-    "mlp_values", "save_weights",
-    "REGISTRY", "FormulationSpec", "GroupElementSL2", "Jet3Point",
+    "AdjointGraph", "DomainError",
+    "MlpJets", "MlpLayout", "ParamSet", "init_mlp", "load_weights", "mlp_values",
+    "save_weights",
+    "REGISTRY", "FormulationSpec", "GroupElementSL2", "Jet3", "Jet3Point",
     "ProblemSpec", "get_problem", "schwarzian", "sl2_moving_frame",
     "sl2_prolong",
     "Trajectory", "erf", "exact_eval", "rk4_solve",

@@ -1,14 +1,13 @@
-"""Truncated Taylor jets and a reverse-mode tape over plain arrays.
+"""Truncated Taylor-jet kernels and a reverse-mode tape over plain arrays.
 
 A jet carries a value and its first derivatives with respect to the scalar
-input variable.  Scalar `Jet3` arithmetic covers the elementary functions at
-order 3; the coefficient kernels below also serve the batched tanh-MLP jet
-kernel in `network`, which works on (rows, batch, K) arrays with the
-coefficient axis last and carries only the K = order + 1 coefficients that a
-formulation reads.  The tanh, chain-rule and transpose kernels write into
-caller-supplied buffers when given them, so training reuses one set of
-arrays per cell; with or without buffers they do the same operations in the
-same order.
+input variable.  The three coefficient kernels below are the pieces of the
+batched tanh-MLP jet kernel in `network`, which works on (rows, batch, K)
+arrays with the coefficient axis last and carries only the K = order + 1
+coefficients that a formulation reads: the tanh derivative table, the chain
+rule that composes it with a jet, and the transpose of jet multiplication
+for the reverse pass.  Each writes into caller-supplied buffers, so training
+reuses one set of arrays per cell.
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
@@ -19,7 +18,6 @@ one backward sweep then leaves an adjoint on every leaf that needs one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,41 +25,26 @@ import numpy as np
 JET_ORDER = 3
 N_COEFFS = JET_ORDER + 1
 
-ELEMENTARY = ("tanh", "exp", "ln", "sin", "cos", "reciprocal", "power")
-
 
 class DomainError(ValueError):
-    """An elementary function or a residual was evaluated outside its domain."""
+    """A residual, reference or group action was evaluated outside its domain."""
 
 
 # ---------------------------------------------------------------------------
 # raw kernels on coefficient arrays (shape (..., K), K <= 4)
 # ---------------------------------------------------------------------------
 
-def _kmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Leibniz product of derivative-coefficient jets, truncated at order 3."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out[..., 0] = a0 * b0
-    out[..., 1] = a1 * b0 + a0 * b1
-    out[..., 2] = a2 * b0 + 2.0 * a1 * b1 + a0 * b2
-    out[..., 3] = a3 * b0 + 3.0 * a2 * b1 + 3.0 * a1 * b2 + a0 * b3
-    return out
-
-
-def _kmul_t(ybar: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
     """Transpose of jet multiplication by b, applied to an adjoint jet.
 
-    If y = mul(a, b) then abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k];
-    this is the exact coefficient-space transpose of the Leibniz product,
-    truncated at the K = ybar.shape[-1] coefficients carried.  The result goes
-    to `out` and the one temporary to `scratch[0]` when they are given.
+    If y = b * a (the Leibniz product of jets) then
+    abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k]; this is the exact
+    coefficient-space transpose of that product, truncated at the
+    K = ybar.shape[-1] coefficients carried.  The result goes to `out` and
+    the one temporary to `scratch[0]`.
     """
     n = ybar.shape[-1]
-    if out is None:
-        out = np.empty(np.broadcast_shapes(ybar.shape, b.shape))
-    term = np.empty(out.shape[:-1]) if scratch is None else scratch[0]
+    term = scratch[0]
     y = [ybar[..., k] for k in range(n)]
     bk = [b[..., k] for k in range(n)]
     for j in range(n):
@@ -78,69 +61,16 @@ def _kmul_t(ybar: np.ndarray, b: np.ndarray, out=None, scratch=None) -> np.ndarr
     return out
 
 
-def _derivative_table(fname: str, x: np.ndarray, power: float | None = None):
-    """Derivatives f, f', f'', f''', f'''' of an elementary function at x.
-
-    The fourth derivative is needed because the adjoint of an order-3
-    composition perturbs the base point of the order-3 chain.
-    """
-    if fname == "tanh":
-        return _tanh_table(x, N_COEFFS + 1)
-    if fname == "exp":
-        e = np.exp(x)
-        return e, e, e, e, e
-    if fname == "ln":
-        if np.any(x <= 0.0):
-            raise DomainError("ln requires a positive argument")
-        i = 1.0 / x
-        ii = i * i
-        return np.log(x), i, -ii, 2.0 * ii * i, -6.0 * ii * ii
-    if fname == "sin":
-        s, c = np.sin(x), np.cos(x)
-        return s, c, -s, -c, s
-    if fname == "cos":
-        s, c = np.sin(x), np.cos(x)
-        return c, -s, -c, s, c
-    if fname == "reciprocal":
-        if np.any(x == 0.0):
-            raise DomainError("reciprocal of zero")
-        i = 1.0 / x
-        ii = i * i
-        return i, -ii, 2.0 * ii * i, -6.0 * ii * ii, 24.0 * ii * ii * i
-    if fname == "power":
-        if power is None:
-            raise ValueError("power requires an exponent")
-        p = float(power)
-        if p != round(p) and np.any(x <= 0.0):
-            raise DomainError("non-integer power requires a positive base")
-        tables = []
-        coeff = 1.0
-        for k in range(5):
-            if k > 0:
-                coeff *= p - (k - 1)
-            if coeff == 0.0:
-                tables.append(np.zeros_like(np.asarray(x, dtype=float)))
-                continue
-            e = p - k
-            if e < 0 and np.any(x == 0.0):
-                raise DomainError("negative power of zero")
-            tables.append(coeff * x ** e)
-        return tuple(tables)
-    raise ValueError(f"unknown elementary function {fname!r}")
-
-
-def _tanh_table(x: np.ndarray, count: int, out=None, scratch=None) -> np.ndarray:
+def _tanh_table(x: np.ndarray, count: int, out: np.ndarray, scratch) -> np.ndarray:
     """The first `count` (2..5) derivatives f, f', ... of tanh at x, stacked.
 
     The value is computed by exp in the overflow-safe half-domain form; the
     derivative chain is generated from the value itself through 1 - tanh^2.
-    Row k of the (count, *x.shape) result is f^(k).  The result goes to `out`
-    and the temporaries to `scratch[0]` and `scratch[1]` (each x.shape and
-    contiguous, so exp sees the same operand layout) when they are given.
+    Row k of the (count, *x.shape) result `out` is f^(k).  The temporaries go
+    to `scratch[0]` and `scratch[1]` (each x.shape and contiguous, so exp
+    sees the same operand layout).
     """
-    if out is None:
-        out = np.empty((count,) + np.shape(x))
-    s, u = (np.empty(np.shape(x)), np.empty(np.shape(x))) if scratch is None else scratch[:2]
+    s, u = scratch[:2]
     f = [out[k, ...] for k in range(count)]
     t, p = f[0], f[1]
     np.abs(x, out=u)
@@ -170,18 +100,14 @@ def _tanh_table(x: np.ndarray, count: int, out=None, scratch=None) -> np.ndarray
     return out
 
 
-def _kcompose(f, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+def _kcompose(f, a: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
     """Chain rule: compose the derivative tables f[0], f[1], ... with the inner jet a.
 
-    Computes the K = a.shape[-1] (1..4) coefficients that a carries and reads
-    the tables f[0] .. f[K-1] only.  The result goes to `out` and the
-    temporaries to `scratch[0..2]` (each a.shape[:-1]) when they are given.
+    Computes into `out` the K = a.shape[-1] (1..4) coefficients that a
+    carries and reads the tables f[0] .. f[K-1] only.  The temporaries go to
+    `scratch[0..2]` (each a.shape[:-1]).
     """
     n = a.shape[-1]
-    if out is None:
-        out = np.empty(a.shape)
-    if scratch is None:
-        scratch = [np.empty(a.shape[:-1]) for _ in range(3)] if n > 2 else ()
     out[..., 0] = f[0]
     if n > 1:
         a1 = a[..., 1]
@@ -203,59 +129,6 @@ def _kcompose(f, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
         np.multiply(f[1], a[..., 3], out=out[..., 3])
         np.add(lead, out[..., 3], out=out[..., 3])      # f3 a1^3 + 3 f2 a1 a2 + f1 a3
     return out
-
-
-def _kelem(fname: str, a: np.ndarray, power: float | None = None):
-    tables = _derivative_table(fname, a[..., 0], power)
-    return _kcompose(tables, a), tables
-
-
-# ---------------------------------------------------------------------------
-# scalar jets
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Jet3:
-    """Value and first three derivatives with respect to the input variable."""
-
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-    @classmethod
-    def variable(cls, t0: float) -> "Jet3":
-        """Jet of the input variable itself, evaluated at t0."""
-        return cls(float(t0), 1.0, 0.0, 0.0)
-
-    @classmethod
-    def constant(cls, value: float) -> "Jet3":
-        return cls(float(value), 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_array(cls, coeffs) -> "Jet3":
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (N_COEFFS,):
-            raise ValueError(f"expected {N_COEFFS} coefficients, got shape {c.shape}")
-        return cls(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2, self.c3])
-
-
-def jet_add(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3(a.c0 + b.c0, a.c1 + b.c1, a.c2 + b.c2, a.c3 + b.c3)
-
-
-def jet_mul(a: Jet3, b: Jet3) -> Jet3:
-    return Jet3.from_array(_kmul(a.as_array(), b.as_array()))
-
-
-def jet_elem(fname: str, a: Jet3, power: float | None = None) -> Jet3:
-    if fname not in ELEMENTARY:
-        raise ValueError(f"unknown elementary function {fname!r}")
-    value, _ = _kelem(fname, a.as_array(), power)
-    return Jet3.from_array(value)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,14 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1, such as a worker count."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ipinn",
@@ -61,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--lr", type=float, default=1e-3, help="Adam step size")
     run_p.add_argument("--mean-reduction", action="store_true",
                        help="average the equation loss over points instead of summing")
-    run_p.add_argument("--jobs", type=int, default=1,
+    run_p.add_argument("--jobs", type=positive_int, default=1,
                        help="cells to train in parallel")
     run_p.add_argument("--out", required=True, help="output directory")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -212,8 +212,26 @@ def write_report(report: RunReport, path) -> None:
 
 
 def load_report(path) -> RunReport:
+    """The report in a file written by `write_report`.
+
+    A file that is not a JSON object holding every report field, each of a
+    usable type, raises ValueError naming the file and the fault.
+    """
     with open(path) as fh:
-        return RunReport.from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: not a JSON report ({err})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: a report is a JSON object, not a "
+                         f"{type(data).__name__}")
+    missing = [f.name for f in fields(RunReport) if f.name not in data]
+    if missing:
+        raise ValueError(f"{path}: the report lacks the keys {missing}")
+    try:
+        return RunReport.from_json(data)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: a report field does not fit: {err}") from None
 
 
 def emit_error_series(report: RunReport, path, cap: float | None = None) -> None:

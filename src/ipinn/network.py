@@ -5,8 +5,7 @@ jets of all outputs through the layers as (rows, batch, K) arrays, K = order
 + 1 for the highest derivative the caller reads, hands the residuals plain
 leaves for the coefficients they read, and differentiates the whole network
 by one hand-written reverse pass over the layers.  The same layer loop, at
-order 0, evaluates the network (`mlp_values`), and at order 3 on a single
-point gives its scalar jets (`mlp_forward`).
+order 0, evaluates the network (`mlp_values`).
 
 Every array of a pass lives in a `JetWorkspace`.  Training keeps one per
 cell and each epoch overwrites it; every other caller gets a fresh one.  The
@@ -23,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, Node, _kcompose,
-                       _kmul_t, _tanh_table)
+from .autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Node, _kcompose, _kmul_t,
+                       _tanh_table)
 
 
 @dataclass(frozen=True)
@@ -81,11 +80,6 @@ class ParamSet:
                              f"({layout.flat_size()} expected)")
         weights, biases = _layer_views(layout, flat)
         return cls(layout, [w.copy() for w in weights], [b.copy() for b in biases])
-
-    def copy(self) -> "ParamSet":
-        return ParamSet(self.layout,
-                        [w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
 
 
 def _layer_views(layout: MlpLayout, flat: np.ndarray):
@@ -313,14 +307,6 @@ def _jet_layers(params: ParamSet, ws: JetWorkspace) -> np.ndarray:
             _tanh_table(z[..., 0], n + 1, ws.tables[i], ws.scratch)
             h = _kcompose(ws.tables[i], z, ws.act[i], ws.scratch)
     return ws.value
-
-
-def mlp_forward(params: ParamSet, x: Jet3) -> list[Jet3]:
-    """Evaluate the network on a single jet; pure, no gradient bookkeeping."""
-    ws = JetWorkspace(params.layout, [x.c0], JET_ORDER, with_grad=False)
-    ws.input[0, 0] = x.as_array()
-    out = _jet_layers(params, ws)
-    return [Jet3.from_array(out[j, 0]) for j in range(params.layout.output_dim)]
 
 
 def mlp_values(params: ParamSet, x_values) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import reference
-from .autodiff import AdjointGraph, DomainError, Jet3, Node
+from .autodiff import N_COEFFS, AdjointGraph, DomainError, Node
 
 # ---------------------------------------------------------------------------
 # SL(2, R) acting on the dependent variable by Mobius maps
@@ -57,6 +57,26 @@ class GroupElementSL2:
 
     def as_matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]])
+
+
+@dataclass(frozen=True)
+class Jet3:
+    """Value and first three derivatives with respect to the input variable."""
+
+    c0: float
+    c1: float
+    c2: float
+    c3: float
+
+    @classmethod
+    def from_array(cls, coeffs) -> "Jet3":
+        c = np.asarray(coeffs, dtype=float)
+        if c.shape != (N_COEFFS,):
+            raise ValueError(f"expected {N_COEFFS} coefficients, got shape {c.shape}")
+        return cls(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
+
+    def as_array(self) -> np.ndarray:
+        return np.array([self.c0, self.c1, self.c2, self.c3])
 
 
 @dataclass(frozen=True)

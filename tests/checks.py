@@ -13,13 +13,13 @@ import math
 import numpy as np
 
 import oracles
-from ipinn.autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, jet_add, jet_elem,
-                            jet_mul)
+from ipinn.autodiff import JET_ORDER, N_COEFFS, AdjointGraph
 from ipinn.harness import SCHWARZ_MASK_HALF_WIDTH
 from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
+    Jet3,
     Jet3Point,
     get_problem,
     schwarzian,
@@ -29,53 +29,20 @@ from ipinn.problems import (
 from ipinn.reference import rk4_solve
 
 # ---------------------------------------------------------------------------
-# expression trees evaluated with the package's scalar jets
+# network jets against finite differences
 # ---------------------------------------------------------------------------
 
 
-def eval_tree_jet(tree, t0: float) -> Jet3:
-    """Evaluate an oracle expression tree with scalar jet arithmetic."""
-    op = tree[0]
-    if op == "t":
-        return Jet3.variable(t0)
-    if op == "const":
-        return Jet3.constant(tree[1])
-    if op in ("add", "sub", "mul", "divshift"):
-        a = eval_tree_jet(tree[1], t0)
-        b = eval_tree_jet(tree[2], t0)
-        if op == "add":
-            return jet_add(a, b)
-        if op == "sub":
-            return jet_add(a, jet_mul(Jet3.constant(-1.0), b))
-        if op == "mul":
-            return jet_mul(a, b)
-        shifted = jet_add(Jet3.constant(2.5), jet_elem("cos", b))
-        return jet_mul(a, jet_elem("reciprocal", shifted))
-    if op == "powshift":
-        inner = eval_tree_jet(tree[2], t0)
-        shifted = jet_add(Jet3.constant(2.5), jet_elem("sin", inner))
-        return jet_elem("power", shifted, power=tree[1])
-    a = eval_tree_jet(tree[1], t0)
-    if op in ("sin", "cos", "tanh"):
-        return jet_elem(op, a)
-    if op == "expsin":
-        return jet_elem("exp", jet_elem("sin", a))
-    if op == "lnshift":
-        return jet_elem("ln", jet_add(Jet3.constant(2.5), jet_elem("sin", a)))
-    if op == "recipshift":
-        return jet_elem("reciprocal", jet_add(Jet3.constant(2.5), jet_elem("sin", a)))
-    if op == "square":
-        return jet_mul(a, a)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def jet_fd_worst(n_cases: int = 1000, seed: int = 0) -> float:
-    """Worst relative error of jet coefficients against the FD oracle.
+    """Worst relative error of `MlpJets` order-3 coefficients against the FD oracle.
 
-    The oracle is only trusted where it is self-consistent: cases where
-    halving the stencil step moves the estimate by more than 1e-7 (relative)
-    have unresolved truncation error in the oracle itself, not in the jets,
-    and are resampled.
+    Each case draws a layout (1-5 hidden layers of width 3-40, 1-4 outputs),
+    an init seed, uniform biases in [-1, 1] and a point t0 in [-1.5, 1.5],
+    and compares every output's jet at t0 with finite-difference stencils of
+    the plain numpy network in `oracles.tanh_mlp`.  The oracle is only trusted
+    where it is self-consistent: cases where halving the stencil step moves
+    the estimate by more than 1e-7 (relative) have unresolved truncation
+    error in the oracle itself, not in the jets, and are resampled.
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -85,18 +52,22 @@ def jet_fd_worst(n_cases: int = 1000, seed: int = 0) -> float:
         attempts += 1
         if attempts > 4 * n_cases:
             raise RuntimeError("finite-difference oracle rejected too many cases")
-        tree = oracles.random_expression(rng, depth=3)
+        layout = MlpLayout(hidden_layers=int(rng.integers(1, 6)),
+                           hidden_width=int(rng.integers(3, 41)),
+                           output_dim=int(rng.integers(1, 5)))
+        params = init_mlp(layout, seed=int(rng.integers(10_000)))
+        params.biases = [rng.uniform(-1.0, 1.0, b.size) for b in params.biases]
         t0 = float(rng.uniform(-1.5, 1.5))
 
-        def f(s, _tree=tree):
-            return oracles.eval_scalar(_tree, s)
+        def f(s, _params=params):
+            return oracles.tanh_mlp(_params.weights, _params.biases, s)
 
-        coarse = oracles.fd_derivatives(f, t0, h=oracles.FD_STEP)
-        want = oracles.fd_derivatives(f, t0, h=0.5 * oracles.FD_STEP)
+        coarse = oracles.fd_derivatives(f, t0, h=oracles.FD_STEP).T
+        want = oracles.fd_derivatives(f, t0, h=0.5 * oracles.FD_STEP).T
         scale = np.maximum(1.0, np.abs(want))
         if float((np.abs(want - coarse) / scale).max()) > 1e-7:
             continue
-        got = eval_tree_jet(tree, t0).as_array()
+        got = MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, 0, :]
         worst = max(worst, float((np.abs(got - want) / scale).max()))
         done += 1
     return worst

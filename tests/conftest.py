@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from ipinn.harness import run_cell
+from ipinn.cli import _run_cells
 from ipinn.problems import get_problem
 from ipinn.training import TrainConfig
 
 SEEDS = (0, 1, 2, 3, 4)
+WORKERS = 2
 
 # every cell an acceptance criterion reads; other cells are not trained here
 BENCHMARK_CELLS = (
@@ -32,13 +33,17 @@ def benchmark_config(problem_name: str, seed: int) -> TrainConfig:
 def benchmark_matrix():
     """Reports for all benchmark cells, keyed by (problem, formulation, seed).
 
-    Trains 40 full-budget cells; takes several minutes and runs once.
+    Trains 40 full-budget cells on the worker pool of `ipinn run --jobs`,
+    WORKERS at a time; a cell's report does not depend on the process it
+    ran in.  Takes a few minutes and runs once.
     """
+    cells = [(problem, formulation, benchmark_config(problem, seed))
+             for problem, formulation in BENCHMARK_CELLS for seed in SEEDS]
     matrix = {}
-    for problem, formulation in BENCHMARK_CELLS:
-        for seed in SEEDS:
-            matrix[(problem, formulation, seed)] = run_cell(
-                problem, formulation, benchmark_config(problem, seed))
+    for (problem, formulation, config), outcome in _run_cells(cells, None, WORKERS):
+        if isinstance(outcome, Exception):
+            raise outcome
+        matrix[(problem, formulation, config.seed)] = outcome
     return matrix
 
 

@@ -34,69 +34,46 @@ def directional_derivative(f, x: np.ndarray, v: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# random closed-under-domain expression trees
+# the tanh network, written out independently of the package's kernels
 #
-# Each node is a tuple; the same tree evaluates as plain scalar math (for the
-# finite-difference route) and as whatever jet/tape arithmetic the test under
-# scrutiny provides.  Unary ops wrap their argument so every composite stays
-# inside its domain no matter the input.
+# `weights` and `biases` are per-layer lists as in `ParamSet`: tanh on every
+# layer but the last, which is linear.
 # ---------------------------------------------------------------------------
 
-UNARY_OPS = ("sin", "cos", "tanh", "expsin", "lnshift", "recipshift",
-             "powshift", "square")
-BINARY_OPS = ("add", "sub", "mul", "divshift")
+
+def tanh_mlp(weights, biases, t: float) -> np.ndarray:
+    """Network outputs at the scalar input t, by plain numpy matrix-vector products."""
+    h = np.array([t])
+    for w, b in zip(weights[:-1], biases[:-1]):
+        h = np.tanh(w @ h + b)
+    return weights[-1] @ h + biases[-1]
 
 
-def random_expression(rng: np.random.Generator, depth: int):
-    if depth == 0 or rng.random() < 0.25:
-        if rng.random() < 0.7:
-            return ("t",)
-        return ("const", float(rng.uniform(-2.0, 2.0)))
-    if rng.random() < 0.5:
-        op = BINARY_OPS[rng.integers(len(BINARY_OPS))]
-        return (op, random_expression(rng, depth - 1),
-                random_expression(rng, depth - 1))
-    op = UNARY_OPS[rng.integers(len(UNARY_OPS))]
-    if op == "powshift":
-        exponent = float(rng.uniform(0.5, 3.5))
-        return (op, exponent, random_expression(rng, depth - 1))
-    return (op, random_expression(rng, depth - 1))
+def _tanh_jet(z: list[float]) -> tuple[float, float, float, float]:
+    """tanh composed with the order-3 jet z, by Faa di Bruno from math.tanh."""
+    z0, z1, z2, z3 = z
+    f = math.tanh(z0)
+    f1 = 1.0 - f * f
+    f2 = -2.0 * f * f1
+    f3 = f1 * (6.0 * f * f - 2.0)
+    return (f, f1 * z1, f2 * z1 * z1 + f1 * z2,
+            f3 * z1 ** 3 + 3.0 * f2 * z1 * z2 + f1 * z3)
 
 
-def eval_scalar(tree, t: float) -> float:
-    """Plain-math evaluation of an expression tree."""
-    op = tree[0]
-    if op == "t":
-        return t
-    if op == "const":
-        return tree[1]
-    if op in BINARY_OPS:
-        a, b = eval_scalar(tree[1], t), eval_scalar(tree[2], t)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a / (2.5 + math.cos(b))
-    if op == "powshift":
-        return (2.5 + math.sin(eval_scalar(tree[2], t))) ** tree[1]
-    a = eval_scalar(tree[1], t)
-    if op == "sin":
-        return math.sin(a)
-    if op == "cos":
-        return math.cos(a)
-    if op == "tanh":
-        return math.tanh(a)
-    if op == "expsin":
-        return math.exp(math.sin(a))
-    if op == "lnshift":
-        return math.log(2.5 + math.sin(a))
-    if op == "recipshift":
-        return 1.0 / (2.5 + math.sin(a))
-    if op == "square":
-        return a * a
-    raise ValueError(f"unknown op {op!r}")
+def tanh_mlp_jets(weights, biases, t0: float) -> list[tuple[float, ...]]:
+    """Order-3 jets (u, du, d2u, d3u) of every output at t0, neuron by neuron."""
+    h = [(float(t0), 1.0, 0.0, 0.0)]
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        layer = []
+        for j in range(w.shape[0]):
+            z = [float(b[j]), 0.0, 0.0, 0.0]
+            for k, hk in enumerate(h):
+                for m in range(4):
+                    z[m] += float(w[j, k]) * hk[m]
+            layer.append(_tanh_jet(z) if i < last else tuple(z))
+        h = layer
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_criterion_7_property_suite():
     order = checks.rk4_convergence_order()
     elapsed = time.perf_counter() - start
 
-    _line("7", f"jet coefficients vs finite differences {jets:.2e} < 1e-5",
+    _line("7", f"MlpJets order-3 jets vs finite differences {jets:.2e} < 1e-5",
           jets < 1e-5)
     _line("7", f"parameter gradients vs finite differences {grads:.2e} < 1e-4",
           grads < 1e-4)

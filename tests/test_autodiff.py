@@ -1,4 +1,4 @@
-"""Scalar jet arithmetic and plain-tape reverse-mode tests."""
+"""Jet kernel values and plain-tape reverse-mode tests."""
 
 from __future__ import annotations
 
@@ -6,66 +6,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import checks
 import oracles
-from ipinn.autodiff import (
-    AdjointGraph,
-    DomainError,
-    JET_ORDER,
-    Jet3,
-    N_COEFFS,
-    jet_add,
-    jet_elem,
-    jet_mul,
-)
+from ipinn.autodiff import AdjointGraph, JET_ORDER, N_COEFFS
 from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
+from ipinn.problems import Jet3
 
 # ---------------------------------------------------------------------------
-# frozen scalar-jet values
+# frozen jet values
 # ---------------------------------------------------------------------------
-
-
-def test_square_jet_at_two():
-    t = Jet3.variable(2.0)
-    assert jet_mul(t, t) == Jet3(4.0, 4.0, 2.0, 0.0)
-
-
-def test_exp_jet_at_zero():
-    got = jet_elem("exp", Jet3.variable(0.0))
-    assert got == Jet3(1.0, 1.0, 1.0, 1.0)
 
 
 def test_tanh_jet_at_zero():
-    got = jet_elem("tanh", Jet3.variable(0.0))
-    assert got == Jet3(0.0, 1.0, 0.0, -2.0)
-
-
-def test_sin_jet_at_half_pi():
-    got = jet_elem("sin", Jet3.variable(math.pi / 2.0)).as_array()
-    assert np.abs(got - [1.0, 0.0, -1.0, 0.0]).max() < 1e-15
-
-
-def test_product_rule_sin_cos():
-    t0 = 0.7
-    got = jet_mul(jet_elem("sin", Jet3.variable(t0)),
-                  jet_elem("cos", Jet3.variable(t0)))
-    s, c = math.sin(2.0 * t0), math.cos(2.0 * t0)
-    want = np.array([0.5 * s, c, -2.0 * s, -4.0 * c])
-    assert np.abs(got.as_array() - want).max() < 1e-14
-
-
-def test_constant_jet_has_no_derivatives():
-    assert Jet3.constant(3.0) == Jet3(3.0, 0.0, 0.0, 0.0)
-
-
-def test_power_matches_repeated_multiplication():
-    t = Jet3.variable(1.3)
-    cubed = jet_elem("power", t, power=3.0)
-    assert np.abs(cubed.as_array()
-                  - jet_mul(jet_mul(t, t), t).as_array()).max() < 1e-12
+    """The jet kernel on the one-neuron network u = tanh(t), at t = 0."""
+    layout = MlpLayout(hidden_layers=1, hidden_width=1)
+    params = ParamSet(layout, [np.ones((1, 1)), np.ones((1, 1))],
+                      [np.zeros(1), np.zeros(1)])
+    got = MlpJets(AdjointGraph(), params, [0.0], JET_ORDER).value[0, 0]
+    assert got.tolist() == [0.0, 1.0, 0.0, -2.0]
 
 
 def test_from_array_roundtrip_and_shape_guard():
@@ -82,62 +41,6 @@ def test_from_array_roundtrip_and_shape_guard():
 
 def test_jets_match_finite_differences():
     assert checks.jet_fd_worst(n_cases=1000, seed=0) < 1e-5
-
-
-# ---------------------------------------------------------------------------
-# algebraic properties
-# ---------------------------------------------------------------------------
-
-coeffs = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
-jets = st.builds(Jet3, coeffs, coeffs, coeffs, coeffs)
-
-
-@settings(deadline=None)
-@given(jets, jets)
-def test_jet_multiplication_commutes(a, b):
-    left = jet_mul(a, b).as_array()
-    right = jet_mul(b, a).as_array()
-    scale = 1.0 + np.abs(left).max()
-    assert np.abs(left - right).max() < 1e-14 * scale
-
-
-@settings(deadline=None)
-@given(jets, jets, jets)
-def test_jet_multiplication_associates(a, b, c):
-    left = jet_mul(jet_mul(a, b), c).as_array()
-    right = jet_mul(a, jet_mul(b, c)).as_array()
-    scale = 1.0 + np.abs(left).max()
-    assert np.abs(left - right).max() < 1e-10 * scale
-
-
-@settings(deadline=None)
-@given(jets, jets, jets)
-def test_jet_multiplication_distributes(a, b, c):
-    left = jet_mul(a, jet_add(b, c)).as_array()
-    right = jet_add(jet_mul(a, b), jet_mul(a, c)).as_array()
-    scale = 1.0 + np.abs(left).max()
-    assert np.abs(left - right).max() < 1e-10 * scale
-
-
-@settings(deadline=None)
-@given(st.builds(Jet3, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
-                 st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
-       st.builds(Jet3, st.floats(-1.5, 1.5), st.floats(-1.5, 1.5),
-                 st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
-def test_exp_turns_sums_into_products(a, b):
-    left = jet_elem("exp", jet_add(a, b)).as_array()
-    right = jet_mul(jet_elem("exp", a), jet_elem("exp", b)).as_array()
-    scale = 1.0 + np.abs(left).max()
-    assert np.abs(left - right).max() < 1e-10 * scale
-
-
-@settings(deadline=None)
-@given(jets)
-def test_sin_cos_identity(a):
-    s = jet_elem("sin", a)
-    c = jet_elem("cos", a)
-    got = jet_add(jet_mul(s, s), jet_mul(c, c)).as_array()
-    assert np.abs(got - [1.0, 0.0, 0.0, 0.0]).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +148,8 @@ def test_forward_pass_is_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# domain and usage errors
+# usage errors
 # ---------------------------------------------------------------------------
-
-
-def test_ln_rejects_nonpositive_values():
-    with pytest.raises(DomainError):
-        jet_elem("ln", Jet3.variable(0.0))
-    with pytest.raises(DomainError):
-        jet_elem("ln", Jet3.variable(-1.0))
-
-
-def test_reciprocal_rejects_zero():
-    with pytest.raises(DomainError):
-        jet_elem("reciprocal", Jet3.variable(0.0))
-
-
-def test_power_domain_errors():
-    with pytest.raises(DomainError):
-        jet_elem("power", Jet3.variable(-1.0), power=0.5)
-    with pytest.raises(DomainError):
-        jet_elem("power", Jet3.variable(0.0), power=-2.0)
-
-
-def test_unknown_elementary_function_rejected():
-    with pytest.raises(ValueError):
-        jet_elem("sinh", Jet3.variable(1.0))
 
 
 def test_nodes_cannot_cross_graphs():

@@ -352,6 +352,45 @@ def test_cli_errors_exit_with_status_two(tmp_path, capsys):
     assert main(["summarize", "--in", str(tmp_path / "missing")]) == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4", "two"])
+def test_cli_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--jobs", jobs, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+@pytest.mark.parametrize("corrupt, fault", [
+    (lambda d: json.dumps(d)[:40], "not a JSON report"),
+    (lambda d: json.dumps([d]), "JSON object, not a list"),
+    (lambda d: json.dumps(_without(d, "metadata")), "lacks the keys ['metadata']"),
+    (lambda d: json.dumps({**d, "seed": "zero"}), "does not fit"),
+    (lambda d: json.dumps({**d, "config": 3}), "does not fit"),
+    (lambda d: json.dumps({**d, "loss_history": [[1.0, 2.0]]}), "does not fit"),
+], ids=["truncated", "json-list", "missing-key", "non-integer-seed",
+        "config-not-an-object", "ragged-loss-history"])
+def test_load_report_names_file_and_fault(tmp_path, capsys, corrupt, fault):
+    path = tmp_path / "runs" / "cell" / "report.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(corrupt(_fake_report("logistic", "invariant", 0, 1e-3).to_json()))
+    with pytest.raises(ValueError) as err:
+        load_report(path)
+    assert str(err.value).startswith(f"{path}: ")
+    assert fault in str(err.value)
+    csv_path = tmp_path / "series.csv"
+    assert main(["series", "--report", str(path), "--csv", str(csv_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not csv_path.exists()
+    assert main(["summarize", "--in", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
 def test_cli_benchmark_alpha_defaults_per_problem(tmp_path):
     out = tmp_path / "runs"
     main(["run", "--problem", "system", "--formulation", "invariant",

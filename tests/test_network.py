@@ -8,15 +8,13 @@ import numpy as np
 import pytest
 
 import oracles
-from ipinn.autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Jet3, jet_add, jet_elem,
-                            jet_mul)
+from ipinn.autodiff import JET_ORDER, N_COEFFS, AdjointGraph
 from ipinn.network import (
     MlpJets,
     MlpLayout,
     ParamSet,
     init_mlp,
     load_weights,
-    mlp_forward,
     mlp_values,
     save_weights,
 )
@@ -64,20 +62,25 @@ def test_flat_roundtrip():
         ParamSet.from_flat(layout, np.zeros(layout.flat_size() + 1))
 
 
+def _point_jets(params: ParamSet, t0: float) -> np.ndarray:
+    """(output_dim, 4) order-3 jets of the kernel at the single point t0."""
+    return MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, 0, :]
+
+
 def test_network_jets_match_finite_differences():
     layout = MlpLayout(hidden_layers=3, hidden_width=10, output_dim=2)
     params = init_mlp(layout, seed=2)
     for t0 in (-8.0, -1.3, 0.0, 0.4, 7.5):
-        jets = mlp_forward(params, Jet3.variable(t0))
+        jets = _point_jets(params, t0)
         for row, jet in enumerate(jets):
             want = oracles.fd_derivatives(
                 lambda s: float(mlp_values(params, [s])[row, 0]), t0)
-            rel = np.abs(jet.as_array() - want) / np.maximum(1.0, np.abs(want))
+            rel = np.abs(jet - want) / np.maximum(1.0, np.abs(want))
             assert rel.max() < 1e-5
 
 
 def test_forward_routes_agree():
-    """Batched kernel, single-jet evaluation, and plain numpy all match."""
+    """Batched kernel, single-point kernel, order-0 values and plain numpy all match."""
     layout = MlpLayout(hidden_layers=2, hidden_width=8, output_dim=3)
     params = init_mlp(layout, seed=3)
     x = np.linspace(-2.0, 2.0, 9)
@@ -86,34 +89,19 @@ def test_forward_routes_agree():
     values = mlp_values(params, x)
     assert values.shape == (3, 9)
     assert net.value.shape == (3, 9, N_COEFFS)
-    for row in range(layout.output_dim):
-        batched = net.value[row]
-        assert np.abs(batched[:, 0] - values[row]).max() < 1e-14
-        for i, t0 in enumerate(x):
-            single = mlp_forward(params, Jet3.variable(float(t0)))[row]
-            assert np.abs(batched[i] - single.as_array()).max() < 1e-12
-
-
-def _scalar_jet_mlp(params: ParamSet, t0: float) -> list[Jet3]:
-    """The same network built neuron by neuron from scalar jet arithmetic."""
-    h = [Jet3.variable(t0)]
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        layer = []
-        for j in range(w.shape[0]):
-            z = Jet3.constant(b[j])
-            for k, hk in enumerate(h):
-                z = jet_add(z, jet_mul(Jet3.constant(w[j, k]), hk))
-            layer.append(jet_elem("tanh", z) if i < last else z)
-        h = layer
-    return h
+    for i, t0 in enumerate(x):
+        single = _point_jets(params, float(t0))
+        plain = oracles.tanh_mlp(params.weights, params.biases, float(t0))
+        assert np.abs(net.value[:, i] - single).max() < 1e-12
+        assert np.abs(net.value[:, i, 0] - values[:, i]).max() < 1e-14
+        assert np.abs(values[:, i] - plain).max() < 1e-14
 
 
 @pytest.mark.parametrize("hidden_layers,hidden_width,output_dim",
                          [(0, 1, 1), (1, 4, 2), (3, 6, 1), (2, 9, 4)])
 def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
                                               output_dim):
-    """All four coefficients of the batched kernel against scalar Jet3 sums."""
+    """All four coefficients of the batched kernel against the scalar tanh-jet oracle."""
     layout = MlpLayout(hidden_layers=hidden_layers, hidden_width=hidden_width,
                        output_dim=output_dim)
     params = init_mlp(layout, seed=hidden_layers + 10 * hidden_width)
@@ -121,9 +109,9 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
     x = np.linspace(-2.5, 2.5, 7)
     net = MlpJets(AdjointGraph(), params, x, JET_ORDER)
     for i, t0 in enumerate(x):
-        scalar = _scalar_jet_mlp(params, float(t0))
+        scalar = oracles.tanh_mlp_jets(params.weights, params.biases, float(t0))
         for row in range(output_dim):
-            want = scalar[row].as_array()
+            want = np.array(scalar[row])
             got = net.value[row, i]
             scale = np.maximum(1.0, np.abs(want))
             assert (np.abs(got - want) / scale).max() < 1e-12

@@ -10,11 +10,12 @@ import scipy.special
 
 import checks
 import oracles
-from ipinn.autodiff import JET_ORDER, AdjointGraph, DomainError, Jet3
+from ipinn.autodiff import JET_ORDER, AdjointGraph, DomainError
 from ipinn.network import MlpJets, MlpLayout, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
+    Jet3,
     Jet3Point,
     get_problem,
     schwarzian,
