@@ -2,12 +2,14 @@
 
 A jet carries a value and its first derivatives with respect to the scalar
 input variable.  The three coefficient kernels below are the pieces of the
-batched tanh-MLP jet kernel in `network`, which works on (rows, batch, K)
-arrays with the coefficient axis last and carries only the K = order + 1
-coefficients that a formulation reads: the tanh derivative table, the chain
-rule that composes it with a jet, and the transpose of jet multiplication
-for the reverse pass.  Each writes into caller-supplied buffers, so training
-reuses one set of arrays per cell.
+batched tanh-MLP jet kernel in `network`, which works on (K, rows, batch)
+arrays, coefficient index first as in Taylor-mode AD, and carries only the
+K = order + 1 coefficients that a formulation reads: the tanh derivative
+table, the chain rule that composes it with a jet, and the transpose of jet
+multiplication for the reverse pass.  Coefficient k of a jet is the
+contiguous slice a[k], laid out like row k of a derivative table.  Each
+kernel writes into caller-supplied buffers, so training reuses one set of
+arrays per cell.
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
@@ -31,7 +33,7 @@ class DomainError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# raw kernels on coefficient arrays (shape (..., K), K <= 4)
+# raw kernels on coefficient arrays (shape (K, ...), K <= 4)
 # ---------------------------------------------------------------------------
 
 def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
@@ -40,23 +42,21 @@ def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.nda
     If y = b * a (the Leibniz product of jets) then
     abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k]; this is the exact
     coefficient-space transpose of that product, truncated at the
-    K = ybar.shape[-1] coefficients carried.  The result goes to `out` and
-    the one temporary to `scratch[0]`.
+    K = len(ybar) coefficients carried.  The result goes to `out` and the
+    one temporary to `scratch[0]`.
     """
-    n = ybar.shape[-1]
+    n = len(ybar)
     term = scratch[0]
-    y = [ybar[..., k] for k in range(n)]
-    bk = [b[..., k] for k in range(n)]
     for j in range(n):
-        acc = out[..., j]
-        np.multiply(y[j], bk[0], out=acc)
+        acc = out[j]
+        np.multiply(ybar[j], b[0], out=acc)
         for k in range(j + 1, n):
             c = math.comb(k, j)
             if c == 1:
-                np.multiply(y[k], bk[k - j], out=term)
+                np.multiply(ybar[k], b[k - j], out=term)
             else:
-                np.multiply(float(c), y[k], out=term)
-                np.multiply(term, bk[k - j], out=term)
+                np.multiply(float(c), ybar[k], out=term)
+                np.multiply(term, b[k - j], out=term)
             acc += term
     return out
 
@@ -71,7 +71,7 @@ def _tanh_table(x: np.ndarray, count: int, out: np.ndarray, scratch) -> np.ndarr
     sees the same operand layout).
     """
     s, u = scratch[:2]
-    f = [out[k, ...] for k in range(count)]
+    f = out[:count]
     t, p = f[0], f[1]
     np.abs(x, out=u)
     np.multiply(-2.0, u, out=u)
@@ -103,31 +103,29 @@ def _tanh_table(x: np.ndarray, count: int, out: np.ndarray, scratch) -> np.ndarr
 def _kcompose(f, a: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
     """Chain rule: compose the derivative tables f[0], f[1], ... with the inner jet a.
 
-    Computes into `out` the K = a.shape[-1] (1..4) coefficients that a
-    carries and reads the tables f[0] .. f[K-1] only.  The temporaries go to
-    `scratch[0..2]` (each a.shape[:-1]).
+    Computes into `out` the K = len(a) (1..4) coefficients that a carries
+    and reads the tables f[0] .. f[K-1] only.  The temporaries go to
+    `scratch[0..2]` (each a.shape[1:]).
     """
-    n = a.shape[-1]
-    out[..., 0] = f[0]
+    n = len(a)
+    out[0] = f[0]
     if n > 1:
-        a1 = a[..., 1]
-        np.multiply(f[1], a1, out=out[..., 1])
+        np.multiply(f[1], a[1], out=out[1])
     if n > 2:
-        a2 = a[..., 2]
         a1sq, lead, mid = scratch[:3]
-        np.multiply(a1, a1, out=a1sq)
+        np.multiply(a[1], a[1], out=a1sq)
         np.multiply(f[2], a1sq, out=lead)
-        np.multiply(f[1], a2, out=out[..., 2])
-        np.add(lead, out[..., 2], out=out[..., 2])      # f2 a1^2 + f1 a2
+        np.multiply(f[1], a[2], out=out[2])
+        np.add(lead, out[2], out=out[2])                # f2 a1^2 + f1 a2
     if n > 3:
         np.multiply(f[3], a1sq, out=lead)
-        np.multiply(lead, a1, out=lead)
+        np.multiply(lead, a[1], out=lead)
         np.multiply(3.0, f[2], out=mid)
-        np.multiply(mid, a1, out=mid)
-        np.multiply(mid, a2, out=mid)
+        np.multiply(mid, a[1], out=mid)
+        np.multiply(mid, a[2], out=mid)
         np.add(lead, mid, out=lead)
-        np.multiply(f[1], a[..., 3], out=out[..., 3])
-        np.add(lead, out[..., 3], out=out[..., 3])      # f3 a1^3 + 3 f2 a1 a2 + f1 a3
+        np.multiply(f[1], a[3], out=out[3])
+        np.add(lead, out[3], out=out[3])                # f3 a1^3 + 3 f2 a1 a2 + f1 a3
     return out
 
 

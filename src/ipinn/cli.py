@@ -131,8 +131,10 @@ def _run_cells(cells, out: Path, jobs: int):
     """Yield (cell, its report or the exception it raised), as cells finish.
 
     A failing cell, or a crashed worker, is reported against its own cell
-    and the other cells still run.
+    and the other cells still run.  The pool is no wider than the number of
+    cells, since every worker is started up front; one cell runs in process.
     """
+    jobs = min(jobs, len(cells))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(run_cell, *cell, out): cell for cell in cells}

@@ -1,11 +1,15 @@
 """Fully connected tanh networks: a fused order-K jet kernel and flat parameter IO.
 
 `MlpJets` is the only place the network meets the tape.  It propagates the
-jets of all outputs through the layers as (rows, batch, K) arrays, K = order
+jets of all outputs through the layers as (K, rows, batch) arrays, K = order
 + 1 for the highest derivative the caller reads, hands the residuals plain
 leaves for the coefficients they read, and differentiates the whole network
 by one hand-written reverse pass over the layers.  The same layer loop, at
 order 0, evaluates the network (`mlp_values`).
+
+Coefficient k of a jet is its contiguous slice [k], and every product runs
+once per coefficient, so the operations on coefficient k do not depend on K:
+an order-K pass gives the bits of an order-3 pass.
 
 Every array of a pass lives in a `JetWorkspace`.  Training keeps one per
 cell and each epoch overwrites it; every other caller gets a fresh one.  The
@@ -22,8 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import (JET_ORDER, N_COEFFS, AdjointGraph, Node, _kcompose, _kmul_t,
-                       _tanh_table)
+from .autodiff import JET_ORDER, AdjointGraph, Node, _kcompose, _kmul_t, _tanh_table
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,9 @@ class JetWorkspace:
     reusing it moves no bit of any trajectory.  It holds the input jet (built
     here, once), each hidden layer's pre-activation jets, activation jets and
     tanh tables f0..fK, the output jets, and one set of (width, batch) scratch
-    arrays that all layers share.  The reverse buffers are allocated on the
-    first `param_grad`, so a forward-only pass does not pay for them.  With
+    arrays that all layers share; jets are (K, rows, batch) and tables (K + 1,
+    width, batch).  The reverse buffers are allocated on the first
+    `param_grad`, so a forward-only pass does not pay for them.  With
     `with_grad` false every hidden layer writes into the same three buffers,
     each overwriting what the layer before it no longer needs; such a
     workspace evaluates the network but cannot differentiate it.
@@ -130,10 +134,10 @@ class JetWorkspace:
         self.with_grad = with_grad
         self.points = np.asarray(x_values, dtype=float).ravel()
         n, batch = order + 1, self.points.size
-        self.input = np.zeros((1, batch, n))
-        self.input[0, :, 0] = self.points
+        self.input = np.zeros((n, 1, batch))
+        self.input[0, 0] = self.points
         if order > 0:
-            self.input[0, :, 1] = 1.0
+            self.input[1, 0] = 1.0
         width, depth = layout.hidden_width, layout.hidden_layers
 
         def per_layer(shape):
@@ -141,10 +145,10 @@ class JetWorkspace:
                 return [np.empty(shape) for _ in range(depth)]
             return [np.empty(shape)] * depth
 
-        self.pre = per_layer((width, batch, n))
-        self.act = per_layer((width, batch, n))
+        self.pre = per_layer((n, width, batch))
+        self.act = per_layer((n, width, batch))
         self.tables = per_layer((n + 1, width, batch))
-        self.value = np.empty((layout.output_dim, batch, n))
+        self.value = np.empty((n, layout.output_dim, batch))
         self.scratch = [np.empty((width, batch)) for _ in range(3)]
 
     def fits(self, layout: MlpLayout, x_values, order: int) -> bool:
@@ -164,28 +168,20 @@ class _ReverseBuffers:
 
     `xbar` takes the adjoint of a hidden activation and `dcomp` the tanh
     derivative composed with the pre-activation; `g_out` and `g_hidden` hold
-    the adjoint of the output and of a hidden pre-activation.  Below order 3
-    the weight-gradient product runs on order-3-width copies of the adjoint
-    and of the layer input (`padded_g`, `padded_x`, one per row count) whose
-    padding is zeroed here, once; each pass copies in only the K live
-    coefficients.
+    the adjoint of the output and of a hidden pre-activation.  `term_w[i]`
+    holds one coefficient's term of layer i's weight gradient.
     """
 
     def __init__(self, ws: JetWorkspace):
         layout = ws.layout
-        n, batch = ws.order + 1, ws.points.size
-        width = (layout.hidden_width, batch, n)
+        width = (ws.order + 1, layout.hidden_width, ws.points.size)
         self.xbar = np.empty(width)
         self.dcomp = np.empty(width)
         self.g_out = np.empty(ws.value.shape)
         self.g_hidden = np.empty(width)
-        self.padded_g, self.padded_x = {}, {}
-        if n < N_COEFFS:
-            dims = layout.dims()
-            self.padded_g = {r: np.zeros((r, batch, N_COEFFS)) for r in set(dims[1:])}
-            self.padded_x = {r: np.zeros((r, batch, N_COEFFS)) for r in set(dims[:-1])}
         self.grad = np.empty(layout.flat_size())
         self.grad_w, self.grad_b = _layer_views(layout, self.grad)
+        self.term_w = [np.empty(w.shape) for w in self.grad_w]
 
 
 class MlpJets:
@@ -199,8 +195,9 @@ class MlpJets:
     first time a residual asks for it.  After `graph.backward(loss)`,
     `param_grad` pulls the leaf adjoints back through the layers by the
     hand-derived transpose of that forward pass.  Values, loss and gradient
-    equal, bit for bit at the training shape, those of an order-3 pass whose
-    loss reads the same coefficients, so truncation moves no trajectory.
+    equal, bit for bit, those of an order-3 pass whose loss reads the same
+    coefficients: above the order the loss reads, the adjoint coefficients
+    of that pass are exactly zero, so truncation moves no trajectory.
 
     All arrays live in `workspace`; without one a fresh workspace is built,
     so the values and the gradient of this pass are never overwritten.  A
@@ -231,7 +228,7 @@ class MlpJets:
                              f"of order {self.order}")
         key = (row, k)
         if key not in self._leaves:
-            self._leaves[key] = self.graph.param(self.value[row, :, k])
+            self._leaves[key] = self.graph.param(self.value[k, row])
         return self._leaves[key]
 
     def param_grad(self) -> np.ndarray:
@@ -242,17 +239,17 @@ class MlpJets:
         g.fill(0.0)
         for (row, k), node in self._leaves.items():
             if node.adjoint is not None:
-                g[row, :, k] += node.adjoint
+                g[k, row] += node.adjoint
         inputs = [ws.input] + ws.act
         for i in reversed(range(len(self.params.weights))):
             x = inputs[i]
-            rows, batch, n = x.shape
-            np.sum(g[..., 0], axis=1, out=rb.grad_b[i])
-            np.matmul(_full_width(g, rb.padded_g), _full_width(x, rb.padded_x).T,
-                      out=rb.grad_w[i])
+            np.sum(g[0], axis=1, out=rb.grad_b[i])
+            np.matmul(g[0], x[0].T, out=rb.grad_w[i])
+            for k in range(1, len(x)):  # an order-3 pass adds only zeros after these
+                np.matmul(g[k], x[k].T, out=rb.term_w[i])
+                rb.grad_w[i] += rb.term_w[i]
             if i > 0:
-                np.matmul(self.params.weights[i].T, g.reshape(g.shape[0], batch * n),
-                          out=rb.xbar.reshape(rows, batch * n))
+                np.matmul(self.params.weights[i].T, g, out=rb.xbar)
                 _kcompose(ws.tables[i - 1][1:], ws.pre[i - 1], rb.dcomp, ws.scratch)
                 g = _kmul_t(rb.xbar, rb.dcomp, rb.g_hidden, ws.scratch)
         return rb.grad
@@ -269,27 +266,8 @@ class OutputJet:
         return self.jets.leaf(self.row, k)
 
 
-def _full_width(a: np.ndarray, padded: dict[int, np.ndarray]) -> np.ndarray:
-    """(rows, batch * 4) matrix of (rows, batch, K) jets, zero beyond coefficient K-1.
-
-    The weight gradient sums over batch and coefficients in one product.  At
-    the full order-3 width that product adds the same nonzero terms in the
-    same order whatever K is, so the gradient, and with it every training
-    trajectory, does not depend on the order the jets were truncated at.
-    Below order 3 the live coefficients go into `padded[rows]`, whose padding
-    stays zero.
-    """
-    rows, batch, n = a.shape
-    if n < N_COEFFS:
-        full = padded[rows]
-        for k in range(n):  # one long strided copy per coefficient: ~4x faster
-            full[..., k] = a[..., k]
-        a = full
-    return a.reshape(rows, batch * N_COEFFS)
-
-
 def _jet_layers(params: ParamSet, ws: JetWorkspace) -> np.ndarray:
-    """Forward pass on (rows, batch, K) jets, into the buffers of `ws`.
+    """Forward pass on (K, rows, batch) jets, into the buffers of `ws`.
 
     Fills each hidden layer's pre-activation jets, its tanh derivative tables
     f0..fK (the reverse pass reads f1..fK) and its activation jets, and
@@ -297,14 +275,12 @@ def _jet_layers(params: ParamSet, ws: JetWorkspace) -> np.ndarray:
     """
     h = ws.input
     last = len(params.weights) - 1
-    n = h.shape[-1]
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        rows, batch, _ = h.shape
         z = ws.pre[i] if i < last else ws.value
-        np.matmul(w, h.reshape(rows, batch * n), out=z.reshape(w.shape[0], batch * n))
-        z[..., 0] += b[:, None]
+        np.matmul(w, h, out=z)
+        z[0] += b[:, None]
         if i < last:
-            _tanh_table(z[..., 0], n + 1, ws.tables[i], ws.scratch)
+            _tanh_table(z[0], len(z) + 1, ws.tables[i], ws.scratch)
             h = _kcompose(ws.tables[i], z, ws.act[i], ws.scratch)
     return ws.value
 
@@ -312,7 +288,7 @@ def _jet_layers(params: ParamSet, ws: JetWorkspace) -> np.ndarray:
 def mlp_values(params: ParamSet, x_values) -> np.ndarray:
     """Network output values only, as an (output_dim, n) array: the jet kernel at order 0."""
     ws = JetWorkspace(params.layout, x_values, 0, with_grad=False)
-    return _jet_layers(params, ws)[..., 0]
+    return _jet_layers(params, ws)[0]
 
 
 def save_weights(path, params: ParamSet, seed: int | None = None) -> None:

@@ -5,7 +5,9 @@ epoch writes its layer jets, tanh tables, adjoints and gradient into the same
 buffers, so a cell's memory does not grow with its epochs.  The public loss
 functions build a fresh workspace per call, so what they return is never
 overwritten.  Both paths run the same numpy operations in the same order and
-give the same trajectories bit for bit.
+give the same trajectories bit for bit.  Each pass carries the jets of its
+formulation's order (`FormulationSpec.order`) and gives the loss and
+gradient of an order-3 pass bit for bit, at any number of collocation points.
 """
 
 from __future__ import annotations

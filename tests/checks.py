@@ -67,7 +67,7 @@ def jet_fd_worst(n_cases: int = 1000, seed: int = 0) -> float:
         scale = np.maximum(1.0, np.abs(want))
         if float((np.abs(want - coarse) / scale).max()) > 1e-7:
             continue
-        got = MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, 0, :]
+        got = MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, :, 0].T
         worst = max(worst, float((np.abs(got - want) / scale).max()))
         done += 1
     return worst

@@ -127,7 +127,7 @@ def test_logistic_invariant_seed0_band(benchmark_matrix):
 @pytest.mark.xfail(
     strict=True,
     reason="seed 0 escapes the wrong-flow-line trap under this initialization "
-           "and lands far below the band; seeds 2 and 4 land inside it")
+           "and lands far below the band; seeds 3 and 4 land inside it")
 def test_logistic_vanilla_seed0_band(benchmark_matrix):
     assert 1e-3 <= benchmark_matrix[("logistic", "vanilla", 0)].mse <= 1.0
 

@@ -23,7 +23,7 @@ def test_tanh_jet_at_zero():
     layout = MlpLayout(hidden_layers=1, hidden_width=1)
     params = ParamSet(layout, [np.ones((1, 1)), np.ones((1, 1))],
                       [np.zeros(1), np.zeros(1)])
-    got = MlpJets(AdjointGraph(), params, [0.0], JET_ORDER).value[0, 0]
+    got = MlpJets(AdjointGraph(), params, [0.0], JET_ORDER).value[:, 0, 0]
     assert got.tolist() == [0.0, 1.0, 0.0, -2.0]
 
 

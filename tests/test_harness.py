@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 import ipinn
+from ipinn import cli
 from ipinn.cli import main, parse_seeds
 from ipinn.harness import (
     EVAL_GRID_POINTS,
@@ -447,6 +449,25 @@ def test_parallel_run_matches_serial_run(tmp_path):
     parallel = collect_reports(tmp_path / "2")
     assert len(serial) == 4
     assert [r.canonical() for r in parallel] == [r.canonical() for r in serial]
+
+
+def test_worker_pool_is_no_wider_than_the_cells(tmp_path, monkeypatch):
+    """--jobs above the cell count starts one worker per cell, and one cell none."""
+    widths = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    for seeds, cells in (("0", 1), ("0..2", 3)):
+        widths.clear()
+        assert main(["run", "--problem", "logistic", "--formulation", "invariant",
+                     "--seeds", seeds, "--epochs", "1", "--collocation", "10",
+                     "--jobs", "6", "--out", str(tmp_path / seeds)]) == 0
+        assert len(collect_reports(tmp_path / seeds)) == cells
+        assert widths == ([] if cells == 1 else [cells])
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -18,6 +18,8 @@ from ipinn.network import (
     mlp_values,
     save_weights,
 )
+from ipinn.problems import REGISTRY, get_problem
+from ipinn.training import _loss_nodes, sample_collocation
 
 
 def test_default_layout_flat_size():
@@ -64,7 +66,7 @@ def test_flat_roundtrip():
 
 def _point_jets(params: ParamSet, t0: float) -> np.ndarray:
     """(output_dim, 4) order-3 jets of the kernel at the single point t0."""
-    return MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, 0, :]
+    return MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, :, 0].T
 
 
 def test_network_jets_match_finite_differences():
@@ -88,12 +90,12 @@ def test_forward_routes_agree():
     net = MlpJets(AdjointGraph(), params, x, JET_ORDER)
     values = mlp_values(params, x)
     assert values.shape == (3, 9)
-    assert net.value.shape == (3, 9, N_COEFFS)
+    assert net.value.shape == (N_COEFFS, 3, 9)
     for i, t0 in enumerate(x):
         single = _point_jets(params, float(t0))
         plain = oracles.tanh_mlp(params.weights, params.biases, float(t0))
-        assert np.abs(net.value[:, i] - single).max() < 1e-12
-        assert np.abs(net.value[:, i, 0] - values[:, i]).max() < 1e-14
+        assert np.abs(net.value[:, :, i].T - single).max() < 1e-12
+        assert np.abs(net.value[0, :, i] - values[:, i]).max() < 1e-14
         assert np.abs(values[:, i] - plain).max() < 1e-14
 
 
@@ -112,7 +114,7 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
         scalar = oracles.tanh_mlp_jets(params.weights, params.biases, float(t0))
         for row in range(output_dim):
             want = np.array(scalar[row])
-            got = net.value[row, i]
+            got = net.value[:, row, i]
             scale = np.maximum(1.0, np.abs(want))
             assert (np.abs(got - want) / scale).max() < 1e-12
 
@@ -134,18 +136,48 @@ def _jets_and_grad(params: ParamSet, x: np.ndarray, order: int, reads: int):
 def test_truncated_kernel_matches_order3_kernel(output_dim):
     """Each order gives bitwise the leading coefficients and the gradient of order 3.
 
-    Taken at the training shape (the default layout at 200 collocation
-    points), so a formulation trains on the same numbers at its own order.
+    A formulation therefore trains on the same numbers at its own order.
     """
     params = init_mlp(MlpLayout(output_dim=output_dim), seed=output_dim)
     x = np.sort(np.random.default_rng(output_dim).uniform(-1.0, 4.0, 200))
     for order in range(JET_ORDER + 1):
         full, full_grad = _jets_and_grad(params, x, JET_ORDER, order)
         value, grad = _jets_and_grad(params, x, order, order)
-        assert value.shape == (output_dim, x.size, order + 1)
-        assert np.array_equal(value, full[..., :order + 1])
+        assert value.shape == (order + 1, output_dim, x.size)
+        assert np.array_equal(value, full[:order + 1])
         assert np.array_equal(grad, full_grad)
-    assert np.array_equal(mlp_values(params, x), full[..., 0])
+    assert np.array_equal(mlp_values(params, x), full[0])
+
+
+def _formulation_pass(spec, alpha_ic: float, params: ParamSet, points: np.ndarray,
+                      order: int):
+    """The training loss and gradient of one formulation, on jets of `order`."""
+    graph = AdjointGraph()
+    with np.errstate(all="ignore"):
+        net = MlpJets(graph, params, points, order)
+        total, *_ = _loss_nodes(graph, points, net.outputs, spec, alpha_ic, False)
+        graph.backward(total)
+        return float(total.value), net.param_grad()
+
+
+@pytest.mark.parametrize("name,kind", [
+    (name, kind) for name, problem in REGISTRY.items()
+    for kind in ("invariant", "vanilla")
+    if problem.formulation(kind).order < JET_ORDER])
+def test_formulation_loss_is_order_independent(name, kind):
+    """Every pair below order 3 trains on the bits of an order-3 pass, at any batch."""
+    problem = get_problem(name)
+    spec = problem.formulation(kind)
+    for n in (2, 7, 50, 200, 501):
+        for seed in (0, 1):
+            params = init_mlp(MlpLayout(output_dim=spec.output_dim), seed)
+            points = sample_collocation(spec.interval, n, seed)
+            loss, grad = _formulation_pass(spec, problem.alpha_ic, params, points,
+                                           spec.order)
+            full_loss, full_grad = _formulation_pass(spec, problem.alpha_ic, params,
+                                                     points, JET_ORDER)
+            assert loss == full_loss, (n, seed)
+            assert np.array_equal(grad, full_grad), (n, seed)
 
 
 def test_output_jet_caches_extraction_nodes():
@@ -157,7 +189,7 @@ def test_output_jet_caches_extraction_nodes():
     n_nodes = len(graph.nodes)
     out.d(1)
     assert len(graph.nodes) == n_nodes
-    assert np.array_equal(out.d(1).value, net.value[0, :, 1])
+    assert np.array_equal(out.d(1).value, net.value[1, 0])
 
 
 def test_weight_io_roundtrip(tmp_path):
