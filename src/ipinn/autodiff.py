@@ -5,11 +5,12 @@ input variable.  The three coefficient kernels below are the pieces of the
 batched tanh-MLP jet kernel in `network`, which works on (K, rows, batch)
 arrays, coefficient index first as in Taylor-mode AD, and carries only the
 K = order + 1 coefficients that a formulation reads: the tanh derivative
-table, the chain rule that composes it with a jet, and the transpose of jet
-multiplication for the reverse pass.  Coefficient k of a jet is the
-contiguous slice a[k], laid out like row k of a derivative table.  Each
+rows f, f', ..., the chain rule that composes such rows with a jet, and the
+transpose of jet multiplication for the reverse pass.  Coefficient k of a
+jet is the contiguous slice a[k], shaped like one derivative row.  Each
 kernel writes into caller-supplied buffers, so training reuses one set of
-arrays per cell.
+arrays per cell; the rows need not be one array, so the network writes them
+straight into the jets that keep them.
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
@@ -61,14 +62,15 @@ def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.nda
     return out
 
 
-def _tanh_table(x: np.ndarray, count: int, out: np.ndarray, scratch) -> np.ndarray:
-    """The first `count` (2..5) derivatives f, f', ... of tanh at x, stacked.
+def _tanh_table(x: np.ndarray, count: int, out, scratch):
+    """The first `count` (2..5) derivatives f, f', ... of tanh at x, row by row.
 
     The value is computed by exp in the overflow-safe half-domain form; the
     derivative chain is generated from the value itself through 1 - tanh^2.
-    Row k of the (count, *x.shape) result `out` is f^(k).  The temporaries go
-    to `scratch[0]` and `scratch[1]` (each x.shape and contiguous, so exp
-    sees the same operand layout).
+    Row k of `out` (a sequence of at least `count` arrays of x.shape; the
+    rows need not be one array) receives f^(k).  The temporaries go to
+    `scratch[0]` and `scratch[1]` (each x.shape and contiguous, so exp sees
+    the same operand layout).
     """
     s, u = scratch[:2]
     f = out[:count]
@@ -76,11 +78,10 @@ def _tanh_table(x: np.ndarray, count: int, out: np.ndarray, scratch) -> np.ndarr
     np.abs(x, out=u)
     np.multiply(-2.0, u, out=u)
     np.exp(u, out=s)                   # s = exp(-2|x|)
-    np.sign(x, out=t)
     np.subtract(1.0, s, out=u)
-    np.multiply(t, u, out=t)
+    np.copysign(u, x, out=t)
     np.add(1.0, s, out=u)
-    np.divide(t, u, out=t)             # t = sign(x) * (1 - s) / (1 + s)
+    np.divide(t, u, out=t)             # t = copysign(1 - s, x) / (1 + s)
     tt = u
     np.multiply(t, t, out=tt)
     np.subtract(1.0, tt, out=p)        # p = 1 - t^2
@@ -101,14 +102,15 @@ def _tanh_table(x: np.ndarray, count: int, out: np.ndarray, scratch) -> np.ndarr
 
 
 def _kcompose(f, a: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
-    """Chain rule: compose the derivative tables f[0], f[1], ... with the inner jet a.
+    """Chain rule: compose the derivative rows f[0], f[1], ... with the inner jet a.
 
     Computes into `out` the K = len(a) (1..4) coefficients that a carries
-    and reads the tables f[0] .. f[K-1] only.  The temporaries go to
-    `scratch[0..2]` (each a.shape[1:]).
+    and reads the rows f[1] .. f[K-1] only.  Coefficient 0 of the result is
+    f[0] itself, which the caller has already placed in `out[0]` (the tanh
+    table writes its row 0 there), so it is not copied.  The temporaries go
+    to `scratch[0..2]` (each a.shape[1:]).
     """
     n = len(a)
-    out[0] = f[0]
     if n > 1:
         np.multiply(f[1], a[1], out=out[1])
     if n > 2:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from pathlib import Path
 
 from .autodiff import DomainError
@@ -133,9 +132,12 @@ def _run_cells(cells, out: Path, jobs: int):
     A failing cell, or a crashed worker, is reported against its own cell
     and the other cells still run.  The pool is no wider than the number of
     cells, since every worker is started up front; one cell runs in process.
+    The pool's modules are imported only here, so a serial run and every
+    process that merely imports the CLI do not load them.
     """
     jobs = min(jobs, len(cells))
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(run_cell, *cell, out): cell for cell in cells}
             for future in as_completed(futures):

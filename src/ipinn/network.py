@@ -14,7 +14,11 @@ an order-K pass gives the bits of an order-3 pass.
 Every array of a pass lives in a `JetWorkspace`.  Training keeps one per
 cell and each epoch overwrites it; every other caller gets a fresh one.  The
 kernels write into the workspace with the same numpy operations, in the same
-order, as they would into fresh arrays, so the two give the same bits.
+order, as they would into fresh arrays, so the two give the same bits.  Of
+each hidden layer the workspace keeps only the two jets the reverse pass
+reads: the activation and the tanh derivative composed with the
+pre-activation, which the forward pass computes while the layer's tanh rows
+are at hand.
 """
 
 from __future__ import annotations
@@ -115,15 +119,19 @@ class JetWorkspace:
     A workspace belongs to one (layout, collocation points, order): `train`
     builds one per cell and every epoch writes into the same buffers, with
     the same numpy operations in the same order as a pass on fresh arrays, so
-    reusing it moves no bit of any trajectory.  It holds the input jet (built
-    here, once), each hidden layer's pre-activation jets, activation jets and
-    tanh tables f0..fK, the output jets, and one set of (width, batch) scratch
-    arrays that all layers share; jets are (K, rows, batch) and tables (K + 1,
-    width, batch).  The reverse buffers are allocated on the first
-    `param_grad`, so a forward-only pass does not pay for them.  With
-    `with_grad` false every hidden layer writes into the same three buffers,
-    each overwriting what the layer before it no longer needs; such a
-    workspace evaluates the network but cannot differentiate it.
+    reusing it moves no bit of any trajectory.  Jets are (K, rows, batch).
+    Per hidden layer it keeps only what the reverse pass reads: the
+    activation jet `act[i]` and, with `with_grad`, `dcomp[i]`, the tanh
+    derivative composed with the pre-activation jet.  The pre-activation jet
+    (`pre`), the tanh rows above f1 (`higher`) and the (width, batch)
+    scratch arrays are shared by all layers; the tanh table writes f0 into
+    `act[i][0]` and f1 into `dcomp[i][0]`.  The input jet is built here,
+    once.  The reverse buffers are allocated on the first `param_grad`, and
+    the reverse pass reuses `pre` for an activation's adjoint.
+    Without `with_grad` there is no `dcomp`, f1 goes to `higher[0]`, and
+    every hidden layer writes its activation into the same buffer,
+    overwriting the one before it; such a workspace evaluates the network but
+    cannot differentiate it.
     """
 
     def __init__(self, layout: MlpLayout, x_values, order: int, with_grad: bool = True):
@@ -139,15 +147,20 @@ class JetWorkspace:
         if order > 0:
             self.input[1, 0] = 1.0
         width, depth = layout.hidden_width, layout.hidden_layers
-
-        def per_layer(shape):
-            if with_grad:
-                return [np.empty(shape) for _ in range(depth)]
-            return [np.empty(shape)] * depth
-
-        self.pre = per_layer((n, width, batch))
-        self.act = per_layer((n, width, batch))
-        self.tables = per_layer((n + 1, width, batch))
+        jet = (n, width, batch)
+        self.pre = np.empty(jet)
+        # table_rows[i]: where hidden layer i's tanh rows f0..fK go
+        if with_grad:
+            self.act = [np.empty(jet) for _ in range(depth)]
+            self.dcomp = [np.empty(jet) for _ in range(depth)]
+            self.higher = np.empty((n - 1, width, batch))
+            self.table_rows = [[a[0], d[0], *self.higher]
+                               for a, d in zip(self.act, self.dcomp)]
+        else:
+            self.act = [np.empty(jet)] * depth
+            self.dcomp = None
+            self.higher = np.empty(jet)
+            self.table_rows = [[a[0], *self.higher] for a in self.act]
         self.value = np.empty((n, layout.output_dim, batch))
         self.scratch = [np.empty((width, batch)) for _ in range(3)]
 
@@ -166,19 +179,17 @@ class JetWorkspace:
 class _ReverseBuffers:
     """The reverse pass's arrays: adjoint jets, the flat gradient and its views.
 
-    `xbar` takes the adjoint of a hidden activation and `dcomp` the tanh
-    derivative composed with the pre-activation; `g_out` and `g_hidden` hold
+    `xbar` takes the adjoint of a hidden activation; it is the workspace's
+    `pre`, which only the forward pass reads.  `g_out` and `g_hidden` hold
     the adjoint of the output and of a hidden pre-activation.  `term_w[i]`
     holds one coefficient's term of layer i's weight gradient.
     """
 
     def __init__(self, ws: JetWorkspace):
         layout = ws.layout
-        width = (ws.order + 1, layout.hidden_width, ws.points.size)
-        self.xbar = np.empty(width)
-        self.dcomp = np.empty(width)
+        self.xbar = ws.pre
         self.g_out = np.empty(ws.value.shape)
-        self.g_hidden = np.empty(width)
+        self.g_hidden = np.empty(ws.pre.shape)
         self.grad = np.empty(layout.flat_size())
         self.grad_w, self.grad_b = _layer_views(layout, self.grad)
         self.term_w = [np.empty(w.shape) for w in self.grad_w]
@@ -243,15 +254,14 @@ class MlpJets:
         inputs = [ws.input] + ws.act
         for i in reversed(range(len(self.params.weights))):
             x = inputs[i]
-            np.sum(g[0], axis=1, out=rb.grad_b[i])
+            np.add.reduce(g[0], axis=1, out=rb.grad_b[i])
             np.matmul(g[0], x[0].T, out=rb.grad_w[i])
             for k in range(1, len(x)):  # an order-3 pass adds only zeros after these
                 np.matmul(g[k], x[k].T, out=rb.term_w[i])
                 rb.grad_w[i] += rb.term_w[i]
             if i > 0:
                 np.matmul(self.params.weights[i].T, g, out=rb.xbar)
-                _kcompose(ws.tables[i - 1][1:], ws.pre[i - 1], rb.dcomp, ws.scratch)
-                g = _kmul_t(rb.xbar, rb.dcomp, rb.g_hidden, ws.scratch)
+                g = _kmul_t(rb.xbar, ws.dcomp[i - 1], rb.g_hidden, ws.scratch)
         return rb.grad
 
 
@@ -269,19 +279,23 @@ class OutputJet:
 def _jet_layers(params: ParamSet, ws: JetWorkspace) -> np.ndarray:
     """Forward pass on (K, rows, batch) jets, into the buffers of `ws`.
 
-    Fills each hidden layer's pre-activation jets, its tanh derivative tables
-    f0..fK (the reverse pass reads f1..fK) and its activation jets, and
-    returns the output jets.
+    Fills each hidden layer's activation jets and, if `ws` keeps them, the
+    tanh derivative composed with its pre-activation jets (the chain rule
+    applied to the rows f1..fK, which is all the reverse pass reads of the
+    layer), and returns the output jets.
     """
     h = ws.input
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = ws.pre[i] if i < last else ws.value
+        z = ws.pre if i < last else ws.value
         np.matmul(w, h, out=z)
         z[0] += b[:, None]
         if i < last:
-            _tanh_table(z[0], len(z) + 1, ws.tables[i], ws.scratch)
-            h = _kcompose(ws.tables[i], z, ws.act[i], ws.scratch)
+            rows = ws.table_rows[i]
+            _tanh_table(z[0], len(z) + 1, rows, ws.scratch)
+            h = _kcompose(rows, z, ws.act[i], ws.scratch)
+            if ws.with_grad:
+                _kcompose(rows[1:], z, ws.dcomp[i], ws.scratch)
     return ws.value
 
 

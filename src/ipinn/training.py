@@ -1,24 +1,28 @@
 """Loss assembly and full-batch Adam training for both formulations.
 
 `train` keeps one jet workspace per cell (see `network.JetWorkspace`): each
-epoch writes its layer jets, tanh tables, adjoints and gradient into the same
-buffers, so a cell's memory does not grow with its epochs.  The public loss
-functions build a fresh workspace per call, so what they return is never
-overwritten.  Both paths run the same numpy operations in the same order and
-give the same trajectories bit for bit.  Each pass carries the jets of its
-formulation's order (`FormulationSpec.order`) and gives the loss and
-gradient of an order-3 pass bit for bit, at any number of collocation points.
+epoch writes its layer jets, adjoints and gradient into the same buffers and
+its Adam step into one `AdamBuffers`, so no epoch allocates a layer- or
+parameter-sized buffer and a cell's memory does not grow with its epochs.
+The public functions build fresh arrays per call, so what they return is
+never overwritten; the loss functions, which return no gradient, build a
+forward-only workspace.  Both paths run the same numpy operations in the
+same order and give the same trajectories bit for bit.  Each pass carries
+the jets of its formulation's order (`FormulationSpec.order`) and gives the
+loss and gradient of an order-3 pass bit for bit, at any number of
+collocation points.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import AdjointGraph, DomainError, Node
-from .network import JetWorkspace, MlpJets, MlpLayout, ParamSet, init_mlp
+from .network import JetWorkspace, MlpJets, MlpLayout, ParamSet, _layer_views, init_mlp
 from .problems import FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
@@ -49,8 +53,10 @@ class TrainConfig:
             raise ValueError("epochs must be non-negative")
         if self.n_collocation < 2:
             raise ValueError("need at least the two endpoint collocation points")
-        if self.alpha_ic < 0.0:
-            raise ValueError("alpha_ic must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be finite and positive")
+        if not (math.isfinite(self.alpha_ic) and self.alpha_ic >= 0.0):
+            raise ValueError("alpha_ic must be finite and non-negative")
         if self.interval is not None and not self.interval[0] < self.interval[1]:
             raise ValueError("interval must satisfy lo < hi")
         if self.formulation not in ("vanilla", "invariant"):
@@ -156,8 +162,11 @@ def _evaluate(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
               workspace: JetWorkspace | None = None):
     """Loss breakdown and, with_grad, the flat gradient of one pass.
 
-    The gradient lives in the workspace; without one it is a fresh array.
+    The gradient lives in the workspace; without one a fresh workspace is
+    built, with the reverse pass's arrays only if `with_grad`.
     """
+    if workspace is None:
+        workspace = JetWorkspace(params.layout, points, spec.order, with_grad)
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
         net = MlpJets(graph, params, points, spec.order, workspace)
@@ -209,16 +218,57 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
+class AdamBuffers:
+    """Two of every array an Adam step returns, and its one temporary.
+
+    A step given these buffers writes each result (the new vector and both
+    moments) into the one of its two slots that is not the array it reads,
+    so nothing a step reads is overwritten by that step: the vector before
+    a non-finite update survives it.
+    """
+
+    def __init__(self, n: int):
+        self.flat = (np.empty(n), np.empty(n))
+        self.first_moment = (np.empty(n), np.empty(n))
+        self.second_moment = (np.empty(n), np.empty(n))
+        self.scratch = np.empty(n)
+
+
+def _other(pair: tuple[np.ndarray, np.ndarray], current: np.ndarray) -> np.ndarray:
+    return pair[1] if current is pair[0] else pair[0]
+
+
 def adam_step(params_flat: np.ndarray, grad_vector: np.ndarray,
-              state: AdamState, lr: float) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new vector and state."""
+              state: AdamState, lr: float,
+              out: AdamBuffers | None = None) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update; returns the new vector and state.
+
+    Without `out` every array is fresh.  With it the results go to
+    the slots of `out` that `params_flat` and `state` do not occupy, with the
+    same operations in the same order, so the two give the same bits and no
+    vector or state passed in is overwritten.
+    """
+    if out is None:
+        out = AdamBuffers(params_flat.size)
     step = state.step + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad_vector
-    v = (ADAM_BETA2 * state.second_moment
-         + (1.0 - ADAM_BETA2) * grad_vector * grad_vector)
-    m_hat = m / (1.0 - ADAM_BETA1 ** step)
-    v_hat = v / (1.0 - ADAM_BETA2 ** step)
-    updated = params_flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    m = _other(out.first_moment, state.first_moment)
+    v = _other(out.second_moment, state.second_moment)
+    updated = _other(out.flat, params_flat)
+    a, c = updated, out.scratch        # `updated` is the other temporary until the last line
+    np.multiply(ADAM_BETA1, state.first_moment, out=m)
+    np.multiply(1.0 - ADAM_BETA1, grad_vector, out=a)
+    np.add(m, a, out=m)                # m = b1 m + (1 - b1) g
+    np.multiply(ADAM_BETA2, state.second_moment, out=v)
+    np.multiply(1.0 - ADAM_BETA2, grad_vector, out=a)
+    np.multiply(a, grad_vector, out=a)
+    np.add(v, a, out=v)                # v = b2 v + (1 - b2) g g
+    np.divide(m, 1.0 - ADAM_BETA1 ** step, out=a)
+    np.multiply(lr, a, out=a)          # lr m_hat
+    np.divide(v, 1.0 - ADAM_BETA2 ** step, out=c)
+    np.sqrt(c, out=c)
+    np.add(c, ADAM_EPSILON, out=c)     # sqrt(v_hat) + eps
+    np.divide(a, c, out=a)
+    np.subtract(params_flat, a, out=updated)
     return updated, AdamState(m, v, step)
 
 
@@ -228,10 +278,11 @@ def train(problem: ProblemSpec, config: TrainConfig):
     Returns the trained ParamSet, the (epochs_run, 3) per-epoch array of
     (equation_loss, ic_loss, total), and the evaluated RunReport.  A run
     whose loss or update turns non-finite stops early; the report records
-    the abort and keeps the last finite parameters.  The cell's jet arrays
-    are allocated once, in one `JetWorkspace`, and every epoch overwrites
-    them; an epoch computes the same bits as `loss_and_grad` followed by
-    `adam_step`.
+    the abort and keeps the last finite parameters.  An epoch computes the
+    same bits as `loss_and_grad` followed by `adam_step`, on arrays
+    allocated once per cell: the jet arrays in one `JetWorkspace`, the Adam
+    results in one `AdamBuffers`, and the kernel reads the parameters
+    through layer views into the flat vector the last step wrote.
     """
     from .harness import build_report
 
@@ -239,16 +290,17 @@ def train(problem: ProblemSpec, config: TrainConfig):
     interval = config.interval if config.interval is not None else spec.interval
     layout = MlpLayout(output_dim=spec.output_dim)
     start = time.perf_counter()
-    params = init_mlp(layout, config.seed)
+    current = init_mlp(layout, config.seed)
     points = sample_collocation(interval, config.n_collocation, config.seed)
-    flat = params.to_flat()
+    flat = current.to_flat()
     state = AdamState.zeros(flat.size)
     history = np.zeros((config.epochs, 3))
     status, message = "ok", ""
     epochs_run = 0
     workspace = JetWorkspace(layout, points, spec.order)
+    buffers = AdamBuffers(flat.size)
+    views = [ParamSet(layout, *_layer_views(layout, f)) for f in buffers.flat]
     for epoch in range(config.epochs):
-        current = ParamSet.from_flat(layout, flat)
         try:
             breakdown, gvec = _evaluate(current, spec, points, config.alpha_ic,
                                         config.mean_reduction, True, workspace)
@@ -258,11 +310,12 @@ def train(problem: ProblemSpec, config: TrainConfig):
         history[epoch] = (breakdown.equation_loss, breakdown.ic_loss,
                           breakdown.total)
         epochs_run = epoch + 1
-        updated, state = adam_step(flat, gvec, state, config.learning_rate)
+        updated, state = adam_step(flat, gvec, state, config.learning_rate, buffers)
         if not np.all(np.isfinite(updated)):
             status, message = "diverged", f"epoch {epoch}: non-finite parameter update"
             break
         flat = updated
+        current = views[flat is buffers.flat[1]]
     trained = ParamSet.from_flat(layout, flat)
     report = build_report(problem, config, trained, history[:epochs_run],
                           wall_time=time.perf_counter() - start,

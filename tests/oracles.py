@@ -76,6 +76,24 @@ def tanh_mlp_jets(weights, biases, t0: float) -> list[tuple[float, ...]]:
     return h
 
 
+def tanh_table_by_sign(x: np.ndarray, count: int) -> np.ndarray:
+    """The first `count` (2..5) derivatives of tanh at x, in the sign(x) * (1 - s) form.
+
+    The half-domain form the package's tanh table used before it switched
+    to copysign, step for step: s = exp(-2|x|), t = sign(x) * (1 - s) /
+    (1 + s), and the derivative chain from t through 1 - t^2.
+    """
+    s = np.exp(-2.0 * np.abs(x))
+    t = np.sign(x) * (1.0 - s) / (1.0 + s)
+    tt = t * t
+    p = 1.0 - tt
+    rows = [t, p,
+            -2.0 * t * p,
+            p * (6.0 * tt - 2.0),
+            p * (16.0 * t - 24.0 * tt * t)]
+    return np.stack(rows[:count])
+
+
 # ---------------------------------------------------------------------------
 # hand-derived jet tables of the closed-form solutions
 #

@@ -9,7 +9,7 @@ import pytest
 
 import checks
 import oracles
-from ipinn.autodiff import AdjointGraph, JET_ORDER, N_COEFFS
+from ipinn.autodiff import AdjointGraph, JET_ORDER, N_COEFFS, _tanh_table
 from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import Jet3
 
@@ -25,6 +25,29 @@ def test_tanh_jet_at_zero():
                       [np.zeros(1), np.zeros(1)])
     got = MlpJets(AdjointGraph(), params, [0.0], JET_ORDER).value[:, 0, 0]
     assert got.tolist() == [0.0, 1.0, 0.0, -2.0]
+
+
+_TANH_ARGS = [v for a in (0.0, 1e-300, 0.5, 20.0, 400.0, math.inf)
+              for v in (a, -a)] + [math.nan]
+
+
+@pytest.mark.parametrize("count", [2, 3, 4, 5])
+def test_tanh_table_is_bitwise_the_sign_form(count):
+    """copysign(1 - s, x) gives the bits of sign(x) * (1 - s), but at x = -0.0.
+
+    There the sign form loses the sign of zero (sign(-0.0) is +0.0) and
+    copysign keeps it, so rows 0 and 2 become -0.0 and +0.0, the IEEE
+    tanh(-0.0) and its second derivative; the values are still equal.
+    """
+    x = np.array(_TANH_ARGS)
+    got = np.empty((count, x.size))
+    _tanh_table(x, count, got, [np.empty(x.shape), np.empty(x.shape)])
+    want = oracles.tanh_table_by_sign(x, count)
+    negative_zero = (x == 0.0) & np.signbit(x)
+    assert np.array_equal(got[:, ~negative_zero].view(np.uint64),
+                          want[:, ~negative_zero].view(np.uint64))
+    assert np.array_equal(got[:, negative_zero], want[:, negative_zero])
+    assert np.signbit(got[0, negative_zero]).all()
 
 
 def test_from_array_roundtrip_and_shape_guard():

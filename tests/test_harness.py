@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import csv
 import json
 import math
@@ -17,7 +18,6 @@ import numpy as np
 import pytest
 
 import ipinn
-from ipinn import cli
 from ipinn.cli import main, parse_seeds
 from ipinn.harness import (
     EVAL_GRID_POINTS,
@@ -364,6 +364,20 @@ def test_cli_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("option, value", [("--lr", "nan"), ("--lr", "inf"), ("--lr", "0"),
+                                           ("--lr", "-0.001"), ("--alpha", "nan"),
+                                           ("--alpha", "inf")])
+def test_cli_rejects_a_bad_learning_rate_or_weight(tmp_path, capsys, option, value):
+    """A value TrainConfig rejects stops the run before any cell trains."""
+    out = tmp_path / "runs"
+    code = main(["run", "--problem", "logistic", "--seeds", "0", "--epochs", "1",
+                 option, value, "--out", str(out)])
+    assert code == 2
+    name = "learning_rate" if option == "--lr" else "alpha_ic"
+    assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+    assert not out.exists()
+
+
 def _without(data: dict, key: str) -> dict:
     return {k: v for k, v in data.items() if k != key}
 
@@ -439,6 +453,14 @@ def test_import_keeps_a_preset_blas_thread_count():
     assert out.strip() == "2"
 
 
+def test_import_leaves_the_worker_pool_unloaded():
+    """Only `run --jobs` above 1 needs the process pool and multiprocessing."""
+    out = _python(["-c", "import sys, ipinn.cli; "
+                         "print('concurrent.futures.process' in sys.modules, "
+                         "'multiprocessing' in sys.modules)"]).stdout
+    assert out.split() == ["False", "False"]
+
+
 def test_parallel_run_matches_serial_run(tmp_path):
     """ipinn run --jobs 2 and --jobs 1 write the same canonical reports."""
     args = ["-m", "ipinn", "run", "--problem", "logistic", "--formulation", "both",
@@ -460,7 +482,7 @@ def test_worker_pool_is_no_wider_than_the_cells(tmp_path, monkeypatch):
             widths.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     for seeds, cells in (("0", 1), ("0..2", 3)):
         widths.clear()
         assert main(["run", "--problem", "logistic", "--formulation", "invariant",

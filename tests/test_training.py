@@ -16,6 +16,7 @@ from ipinn.network import JetWorkspace, MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import REGISTRY, get_problem
 from ipinn.training import (
     ADAM_EPSILON,
+    AdamBuffers,
     AdamState,
     TrainConfig,
     adam_step,
@@ -76,6 +77,12 @@ def test_config_validation():
         TrainConfig(n_collocation=1)
     with pytest.raises(ValueError):
         TrainConfig(alpha_ic=-0.5)
+    for alpha_ic in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="alpha_ic"):
+            TrainConfig(alpha_ic=alpha_ic)
+    for learning_rate in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError):
         TrainConfig(interval=(1.0, 1.0))
     with pytest.raises(ValueError):
@@ -177,6 +184,22 @@ def test_non_finite_residual_names_a_collocation_point():
         vanilla_loss(_linear_net(-800.0, 0.0), problem, points)
 
 
+@pytest.mark.parametrize("kind", ["invariant", "vanilla"])
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_forward_only_loss_is_bitwise_the_loss_and_grad_loss(name, kind):
+    """The forward-only workspace of vanilla_loss/invariant_loss moves no bit."""
+    problem = get_problem(name)
+    spec = problem.formulation(kind)
+    loss = vanilla_loss if kind == "vanilla" else invariant_loss
+    for seed in (0, 1):
+        params = init_mlp(MlpLayout(output_dim=spec.output_dim), seed)
+        points = sample_collocation(spec.interval, 200, seed)
+        want, _ = loss_and_grad(params, spec, points, problem.alpha_ic)
+        got = loss(params, problem, points, problem.alpha_ic)
+        assert np.array([*vars(got).values()]).tobytes() == \
+            np.array([*vars(want).values()]).tobytes()
+
+
 def test_loss_and_grad_matches_loss_value():
     problem = get_problem("logistic")
     points = sample_collocation(problem.vanilla.interval, 25, seed=1)
@@ -205,6 +228,31 @@ def test_adam_first_step_is_signed_learning_rate():
     updated, _ = adam_step(flat, g, AdamState.zeros(3), lr=1e-3)
     want = -1e-3 * g / (np.abs(g) + ADAM_EPSILON)
     assert np.abs(updated - want).max() < 1e-12
+
+
+def test_adam_buffers_give_the_same_bits_and_keep_what_a_step_reads():
+    """Buffered steps equal fresh ones, and no step overwrites its inputs."""
+    rng = np.random.default_rng(1)
+    grads = [rng.standard_normal(6) for _ in range(4)]
+    flat0, state0 = rng.standard_normal(6), AdamState.zeros(6)
+    fresh = [(flat0, state0)]
+    for g in grads:
+        flat, state = fresh[-1]
+        fresh.append(adam_step(flat, g, state, 1e-2))
+    buffers = AdamBuffers(6)
+    flat, state = flat0.copy(), AdamState.zeros(6)
+    for g, want in zip(grads, fresh[1:]):
+        kept = (flat.copy(), state.first_moment.copy(), state.second_moment.copy())
+        new_flat, new_state = adam_step(flat, g, state, 1e-2, buffers)
+        assert np.array_equal(flat, kept[0])
+        assert np.array_equal(state.first_moment, kept[1])
+        assert np.array_equal(state.second_moment, kept[2])
+        assert new_flat.tobytes() == want[0].tobytes()
+        assert new_state.first_moment.tobytes() == want[1].first_moment.tobytes()
+        assert new_state.second_moment.tobytes() == want[1].second_moment.tobytes()
+        assert new_state.step == want[1].step
+        flat, state = new_flat, new_state
+    assert any(flat is f for f in buffers.flat)
 
 
 def test_adam_is_deterministic():
@@ -374,6 +422,40 @@ def test_workspace_must_fit_the_pass():
     graph.backward(graph.sum(net.leaf(0, 1)))
     with pytest.raises(ValueError):
         net.param_grad()
+
+
+def _allocated(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("order,limit,forward_limit", [(1, 2.2e6, 0.6e6),
+                                                       (3, 3.9e6, 1.0e6)])
+def test_workspace_footprint(order, limit, forward_limit):
+    """A workspace keeps two jets per hidden layer, plus what all layers share.
+
+    The default layout at 200 points: the whole workspace with its reverse
+    buffers, and the forward-only workspace of the loss functions.
+    """
+    layout = MlpLayout()
+    points = np.linspace(0.0, 1.0, 200)
+    assert _allocated(lambda: JetWorkspace(layout, points, order).reverse) <= limit
+    forward_only = _allocated(lambda: JetWorkspace(layout, points, order, with_grad=False))
+    assert forward_only <= forward_limit
+
+
+def test_forward_only_loss_builds_no_reverse_arrays():
+    problem = get_problem("schwarz")
+    spec = problem.vanilla
+    params = init_mlp(MlpLayout(output_dim=spec.output_dim), 0)
+    points = sample_collocation(spec.interval, 200, 0)
+    with_grad = _allocated(lambda: loss_and_grad(params, spec, points))
+    assert _allocated(lambda: vanilla_loss(params, problem, points)) < 0.5 * with_grad
 
 
 @pytest.mark.parametrize("name,kind", [("logistic", "invariant"), ("schwarz", "vanilla")])
