@@ -1,13 +1,17 @@
 """Print SHA-256 fingerprints of the training numbers, to compare two trees bit for bit.
 
 For every (problem, formulation) pair and seeds 0-2 it prints one line with
-two digests:
+four digests:
 
 - `grad`: the `loss_and_grad` breakdown (equation, initial-condition and
   total loss, alpha) and gradient bytes at 200 and then 50 collocation
   points, from the seed's initial network;
+- `loss`: the same breakdowns from `vanilla_loss` or `invariant_loss`, the
+  forward-only pass;
 - `train`: the loss history and the final weights of a 150-epoch `train`
-  at 200 points.
+  at 200 points;
+- `eval`: the squared error of that trained network on the report's
+  evaluation grid, which `mlp_values` computes.
 
 Run it from the root of a source tree, once per tree, and diff the outputs:
 
@@ -25,33 +29,42 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # noqa: E402
-                   loss_and_grad, sample_collocation, train)
+                   invariant_loss, loss_and_grad, sample_collocation, train,
+                   vanilla_loss)
 
 SEEDS = (0, 1, 2)
 POINTS = (200, 50)
 EPOCHS = 150
 
 
-def grad_digest(problem, kind: str, seed: int) -> str:
+def _breakdown_bytes(bd) -> bytes:
+    return np.array([bd.equation_loss, bd.ic_loss, bd.alpha_ic, bd.total]).tobytes()
+
+
+def initial_digests(problem, kind: str, seed: int) -> tuple[str, str]:
+    """The `grad` and `loss` digests of the seed's initial network."""
     spec = problem.formulation(kind)
+    loss = vanilla_loss if kind == "vanilla" else invariant_loss
     params = init_mlp(MlpLayout(output_dim=spec.output_dim), seed)
-    digest = hashlib.sha256()
+    grad_digest, loss_digest = hashlib.sha256(), hashlib.sha256()
     for n in POINTS:
         points = sample_collocation(spec.interval, n, seed)
         bd, gvec = loss_and_grad(params, spec, points, problem.alpha_ic)
-        digest.update(np.array([bd.equation_loss, bd.ic_loss, bd.alpha_ic,
-                                bd.total]).tobytes())
-        digest.update(gvec.tobytes())
-    return digest.hexdigest()
+        grad_digest.update(_breakdown_bytes(bd))
+        grad_digest.update(gvec.tobytes())
+        loss_digest.update(_breakdown_bytes(loss(params, problem, points,
+                                                 problem.alpha_ic)))
+    return grad_digest.hexdigest(), loss_digest.hexdigest()
 
 
-def train_digest(problem, kind: str, seed: int) -> str:
+def train_digests(problem, kind: str, seed: int) -> tuple[str, str]:
+    """The `train` and `eval` digests of a 150-epoch cell."""
     config = TrainConfig(epochs=EPOCHS, seed=seed, formulation=kind,
                          alpha_ic=problem.alpha_ic)
-    trained, history, _ = train(problem, config)
+    trained, history, report = train(problem, config)
     digest = hashlib.sha256(history.tobytes())
     digest.update(trained.to_flat().tobytes())
-    return digest.hexdigest()
+    return digest.hexdigest(), hashlib.sha256(report.squared_error.tobytes()).hexdigest()
 
 
 def main() -> None:
@@ -59,9 +72,10 @@ def main() -> None:
         problem = get_problem(name)
         for kind in ("invariant", "vanilla"):
             for seed in SEEDS:
-                print(f"{name}-{kind} seed={seed} "
-                      f"grad={grad_digest(problem, kind, seed)} "
-                      f"train={train_digest(problem, kind, seed)}", flush=True)
+                grad, loss = initial_digests(problem, kind, seed)
+                trained, evaluated = train_digests(problem, kind, seed)
+                print(f"{name}-{kind} seed={seed} grad={grad} loss={loss} "
+                      f"train={trained} eval={evaluated}", flush=True)
 
 
 if __name__ == "__main__":

@@ -25,9 +25,8 @@ from .reference import Trajectory, erf, exact_eval, rk4_solve
 from .training import (AdamState, LossBreakdown, TrainConfig, adam_step,
                        invariant_loss, loss_and_grad, sample_collocation,
                        train, vanilla_loss)
-from .harness import (RunReport, SummaryTable, emit_error_series,
-                      evaluate_params, load_report, run_cell, summarize,
-                      write_summary_csv)
+from .harness import (RunReport, SummaryRow, emit_error_series, evaluate_params,
+                      load_report, run_cell, summarize, write_summary_csv)
 
 __version__ = "0.1.0"
 
@@ -42,6 +41,6 @@ __all__ = [
     "AdamState", "LossBreakdown", "TrainConfig", "adam_step",
     "invariant_loss", "loss_and_grad", "sample_collocation", "train",
     "vanilla_loss",
-    "RunReport", "SummaryTable", "emit_error_series", "evaluate_params",
+    "RunReport", "SummaryRow", "emit_error_series", "evaluate_params",
     "load_report", "run_cell", "summarize", "write_summary_csv",
 ]

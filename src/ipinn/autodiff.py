@@ -1,139 +1,22 @@
-"""Truncated Taylor-jet kernels and a reverse-mode tape over plain arrays.
-
-A jet carries a value and its first derivatives with respect to the scalar
-input variable.  The three coefficient kernels below are the pieces of the
-batched tanh-MLP jet kernel in `network`, which works on (K, rows, batch)
-arrays, coefficient index first as in Taylor-mode AD, and carries only the
-K = order + 1 coefficients that a formulation reads: the tanh derivative
-rows f, f', ..., the chain rule that composes such rows with a jet, and the
-transpose of jet multiplication for the reverse pass.  Coefficient k of a
-jet is the contiguous slice a[k], shaped like one derivative row.  Each
-kernel writes into caller-supplied buffers, so training reuses one set of
-arrays per cell; the rows need not be one array, so the network writes them
-straight into the jets that keep them.
+"""A reverse-mode tape over plain arrays, and the domain error of the residuals.
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
-and combine them with add, sub, mul, div, exp, pick, sum and scale_shift;
-one backward sweep then leaves an adjoint on every leaf that needs one.
+(see `network.MlpJets`) and combine them with add, sub, mul, div, exp, pick,
+sum and scale_shift; one backward sweep then leaves an adjoint on every leaf
+that needs one.  A node that needs a gradient meets only nodes of its own
+shape or constants, so an adjoint always has the shape of its node.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
-JET_ORDER = 3
-N_COEFFS = JET_ORDER + 1
-
 
 class DomainError(ValueError):
     """A residual, reference or group action was evaluated outside its domain."""
-
-
-# ---------------------------------------------------------------------------
-# raw kernels on coefficient arrays (shape (K, ...), K <= 4)
-# ---------------------------------------------------------------------------
-
-def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
-    """Transpose of jet multiplication by b, applied to an adjoint jet.
-
-    If y = b * a (the Leibniz product of jets) then
-    abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k]; this is the exact
-    coefficient-space transpose of that product, truncated at the
-    K = len(ybar) coefficients carried.  The result goes to `out` and the
-    one temporary to `scratch[0]`.
-    """
-    n = len(ybar)
-    term = scratch[0]
-    for j in range(n):
-        acc = out[j]
-        np.multiply(ybar[j], b[0], out=acc)
-        for k in range(j + 1, n):
-            c = math.comb(k, j)
-            if c == 1:
-                np.multiply(ybar[k], b[k - j], out=term)
-            else:
-                np.multiply(float(c), ybar[k], out=term)
-                np.multiply(term, b[k - j], out=term)
-            acc += term
-    return out
-
-
-def _tanh_table(x: np.ndarray, count: int, out, scratch):
-    """The first `count` (2..5) derivatives f, f', ... of tanh at x, row by row.
-
-    The value is computed by exp in the overflow-safe half-domain form; the
-    derivative chain is generated from the value itself through 1 - tanh^2.
-    Row k of `out` (a sequence of at least `count` arrays of x.shape; the
-    rows need not be one array) receives f^(k).  The temporaries go to
-    `scratch[0]` and `scratch[1]` (each x.shape and contiguous, so exp sees
-    the same operand layout).
-    """
-    s, u = scratch[:2]
-    f = out[:count]
-    t, p = f[0], f[1]
-    np.abs(x, out=u)
-    np.multiply(-2.0, u, out=u)
-    np.exp(u, out=s)                   # s = exp(-2|x|)
-    np.subtract(1.0, s, out=u)
-    np.copysign(u, x, out=t)
-    np.add(1.0, s, out=u)
-    np.divide(t, u, out=t)             # t = copysign(1 - s, x) / (1 + s)
-    tt = u
-    np.multiply(t, t, out=tt)
-    np.subtract(1.0, tt, out=p)        # p = 1 - t^2
-    if count > 2:
-        np.multiply(-2.0, t, out=f[2])
-        np.multiply(f[2], p, out=f[2])
-    if count > 3:
-        np.multiply(6.0, tt, out=f[3])
-        np.subtract(f[3], 2.0, out=f[3])
-        np.multiply(p, f[3], out=f[3])
-    if count > 4:
-        np.multiply(24.0, tt, out=s)
-        np.multiply(s, t, out=s)
-        np.multiply(16.0, t, out=f[4])
-        np.subtract(f[4], s, out=f[4])
-        np.multiply(p, f[4], out=f[4])
-    return out
-
-
-def _kcompose(f, a: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
-    """Chain rule: compose the derivative rows f[0], f[1], ... with the inner jet a.
-
-    Computes into `out` the K = len(a) (1..4) coefficients that a carries
-    and reads the rows f[1] .. f[K-1] only.  Coefficient 0 of the result is
-    f[0] itself, which the caller has already placed in `out[0]` (the tanh
-    table writes its row 0 there), so it is not copied.  The temporaries go
-    to `scratch[0..2]` (each a.shape[1:]).
-    """
-    n = len(a)
-    if n > 1:
-        np.multiply(f[1], a[1], out=out[1])
-    if n > 2:
-        a1sq, lead, mid = scratch[:3]
-        np.multiply(a[1], a[1], out=a1sq)
-        np.multiply(f[2], a1sq, out=lead)
-        np.multiply(f[1], a[2], out=out[2])
-        np.add(lead, out[2], out=out[2])                # f2 a1^2 + f1 a2
-    if n > 3:
-        np.multiply(f[3], a1sq, out=lead)
-        np.multiply(lead, a[1], out=lead)
-        np.multiply(3.0, f[2], out=mid)
-        np.multiply(mid, a[1], out=mid)
-        np.multiply(mid, a[2], out=mid)
-        np.add(lead, mid, out=lead)
-        np.multiply(f[1], a[3], out=out[3])
-        np.add(lead, out[3], out=out[3])                # f3 a1^3 + 3 f2 a1 a2 + f1 a3
-    return out
-
-
-# ---------------------------------------------------------------------------
-# plain-array tape
-# ---------------------------------------------------------------------------
 
 
 class Node:
@@ -194,19 +77,14 @@ class Node:
 
 
 def _acc(arg: Node, contrib: np.ndarray, owned: bool = True) -> None:
-    """Accumulate an adjoint contribution, reducing over broadcast axes."""
+    """Accumulate an adjoint contribution, which has the shape of `arg`."""
     if not arg.needs_grad:
         return
-    target = arg.value.shape
     c = np.asarray(contrib)
-    if c.shape != target:
-        extra = c.ndim - len(target)
-        if extra > 0:
-            c = c.sum(axis=tuple(range(extra)))
-        axes = tuple(i for i, n in enumerate(target) if n == 1 and c.shape[i] != 1)
-        if axes:
-            c = c.sum(axis=axes, keepdims=True)
-        owned = True
+    if c.shape != arg.value.shape:
+        raise ValueError(f"adjoint of shape {c.shape} for a node of shape "
+                         f"{arg.value.shape}: the tape does not reduce over "
+                         "broadcast axes")
     if arg.adjoint is None:
         arg.adjoint = c if owned else c.copy()
     else:

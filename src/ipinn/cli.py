@@ -153,10 +153,10 @@ def _run_cells(cells, out: Path, jobs: int):
 
 
 def _cmd_summarize(args) -> int:
-    table = summarize(args.in_dir)
-    print(format_summary(table))
+    rows = summarize(args.in_dir)
+    print(format_summary(rows))
     if args.csv is not None:
-        write_summary_csv(table, args.csv)
+        write_summary_csv(rows, args.csv)
         print(f"wrote {args.csv}")
     return 0
 

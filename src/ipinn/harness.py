@@ -261,11 +261,6 @@ class SummaryRow:
     n_failed: int
 
 
-@dataclass
-class SummaryTable:
-    rows: list[SummaryRow]
-
-
 def _cell_order(problem: str, formulation: str) -> tuple[int, str, int]:
     names = list(REGISTRY)
     problem_rank = names.index(problem) if problem in names else len(names)
@@ -281,7 +276,7 @@ def collect_reports(report_dir) -> list[RunReport]:
     return reports
 
 
-def summarize(report_dir) -> SummaryTable:
+def summarize(report_dir) -> list[SummaryRow]:
     """Population mean and std of mse per cell, in registry order.
 
     Invariant rows precede vanilla rows for the same problem.  Failed cells
@@ -308,16 +303,16 @@ def summarize(report_dir) -> SummaryTable:
                 std_mse_summary=float(np.std(summaries)),
                 n_failed=sum(r.status != "ok" for r in cell),
             ))
-    return SummaryTable(rows)
+    return rows
 
 
-def write_summary_csv(table: SummaryTable, path) -> None:
+def write_summary_csv(rows: list[SummaryRow], path) -> None:
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["problem", "formulation", "n_seeds", "seeds",
                          "mean_mse", "std_mse", "mean_mse_summary",
                          "std_mse_summary", "n_failed"])
-        for row in table.rows:
+        for row in rows:
             writer.writerow([
                 row.problem, row.formulation, len(row.seeds),
                 " ".join(str(s) for s in row.seeds),
@@ -327,10 +322,10 @@ def write_summary_csv(table: SummaryTable, path) -> None:
             ])
 
 
-def format_summary(table: SummaryTable) -> str:
+def format_summary(rows: list[SummaryRow]) -> str:
     lines = [f"{'problem':<12} {'formulation':<10} {'seeds':<10} "
              f"{'mse (mean ± std)':<26} {'summary mse (mean ± std)':<26} failed"]
-    for row in table.rows:
+    for row in rows:
         seeds = ",".join(str(s) for s in row.seeds)
         lines.append(
             f"{row.problem:<12} {row.formulation:<10} {seeds:<10} "

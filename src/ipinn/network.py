@@ -1,36 +1,133 @@
 """Fully connected tanh networks: a fused order-K jet kernel and flat parameter IO.
 
-`MlpJets` is the only place the network meets the tape.  It propagates the
-jets of all outputs through the layers as (K, rows, batch) arrays, K = order
-+ 1 for the highest derivative the caller reads, hands the residuals plain
-leaves for the coefficients they read, and differentiates the whole network
-by one hand-written reverse pass over the layers.  The same layer loop, at
-order 0, evaluates the network (`mlp_values`).
+This module owns the jet format.  A jet is a (K, rows, batch) array, K =
+order + 1 for the highest derivative the caller reads, coefficient index
+first as in Taylor-mode AD: coefficient k is the contiguous slice [k], shaped
+like one derivative row.  The three kernels below build the tanh derivative
+rows f, f', ..., compose such rows with a jet (the chain rule), and apply
+the transpose of jet multiplication for the reverse pass; each writes into
+caller-supplied buffers.  Every product runs once per coefficient, so the
+operations on coefficient k do not depend on K: an order-K pass gives the
+bits of an order-3 pass.
 
-Coefficient k of a jet is its contiguous slice [k], and every product runs
-once per coefficient, so the operations on coefficient k do not depend on K:
-an order-K pass gives the bits of an order-3 pass.
-
-Every array of a pass lives in a `JetWorkspace`.  Training keeps one per
-cell and each epoch overwrites it; every other caller gets a fresh one.  The
-kernels write into the workspace with the same numpy operations, in the same
-order, as they would into fresh arrays, so the two give the same bits.  Of
-each hidden layer the workspace keeps only the two jets the reverse pass
-reads: the activation and the tanh derivative composed with the
-pre-activation, which the forward pass computes while the layer's tanh rows
-are at hand.
+`MlpJets` is the only place the network meets the tape.  It owns every
+array of one pass, propagates the jets of all outputs through the layers,
+hands the residuals plain leaves for the coefficients they read, and
+differentiates the whole network by one hand-written reverse pass over the
+layers.  The same layer loop, at order 0 and without the reverse arrays,
+evaluates the network (`mlp_values`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import JET_ORDER, AdjointGraph, Node, _kcompose, _kmul_t, _tanh_table
+from .autodiff import AdjointGraph, Node
+
+JET_ORDER = 3
+
+
+# ---------------------------------------------------------------------------
+# jet kernels on coefficient arrays (shape (K, ...), K <= 4)
+# ---------------------------------------------------------------------------
+
+def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+    """Transpose of jet multiplication by b, applied to an adjoint jet.
+
+    If y = b * a (the Leibniz product of jets) then
+    abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k]; this is the exact
+    coefficient-space transpose of that product, truncated at the
+    K = len(ybar) coefficients carried.  The result goes to `out` and the
+    one temporary to `scratch[0]`.
+    """
+    n = len(ybar)
+    term = scratch[0]
+    for j in range(n):
+        acc = out[j]
+        np.multiply(ybar[j], b[0], out=acc)
+        for k in range(j + 1, n):
+            c = math.comb(k, j)
+            if c == 1:
+                np.multiply(ybar[k], b[k - j], out=term)
+            else:
+                np.multiply(float(c), ybar[k], out=term)
+                np.multiply(term, b[k - j], out=term)
+            acc += term
+    return out
+
+
+def _tanh_table(x: np.ndarray, count: int, out, scratch):
+    """The first `count` (2..5) derivatives f, f', ... of tanh at x, row by row.
+
+    The value is computed by exp in the overflow-safe half-domain form; the
+    derivative chain is generated from the value itself through 1 - tanh^2.
+    Row k of `out` (a sequence of at least `count` arrays of x.shape; the
+    rows need not be one array) receives f^(k).  The temporaries go to
+    `scratch[0]` and `scratch[1]` (each x.shape and contiguous, so exp sees
+    the same operand layout).
+    """
+    s, u = scratch[:2]
+    f = out[:count]
+    t, p = f[0], f[1]
+    np.abs(x, out=u)
+    np.multiply(-2.0, u, out=u)
+    np.exp(u, out=s)                   # s = exp(-2|x|)
+    np.subtract(1.0, s, out=u)
+    np.copysign(u, x, out=t)
+    np.add(1.0, s, out=u)
+    np.divide(t, u, out=t)             # t = copysign(1 - s, x) / (1 + s)
+    tt = u
+    np.multiply(t, t, out=tt)
+    np.subtract(1.0, tt, out=p)        # p = 1 - t^2
+    if count > 2:
+        np.multiply(-2.0, t, out=f[2])
+        np.multiply(f[2], p, out=f[2])
+    if count > 3:
+        np.multiply(6.0, tt, out=f[3])
+        np.subtract(f[3], 2.0, out=f[3])
+        np.multiply(p, f[3], out=f[3])
+    if count > 4:
+        np.multiply(24.0, tt, out=s)
+        np.multiply(s, t, out=s)
+        np.multiply(16.0, t, out=f[4])
+        np.subtract(f[4], s, out=f[4])
+        np.multiply(p, f[4], out=f[4])
+    return out
+
+
+def _kcompose(f, a: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+    """Chain rule: compose the derivative rows f[0], f[1], ... with the inner jet a.
+
+    Computes into `out` the K = len(a) (1..4) coefficients that a carries
+    and reads the rows f[1] .. f[K-1] only.  Coefficient 0 of the result is
+    f[0] itself, which the caller has already placed in `out[0]` (the tanh
+    table writes its row 0 there), so it is not copied.  The temporaries go
+    to `scratch[0..2]` (each a.shape[1:]).
+    """
+    n = len(a)
+    if n > 1:
+        np.multiply(f[1], a[1], out=out[1])
+    if n > 2:
+        a1sq, lead, mid = scratch[:3]
+        np.multiply(a[1], a[1], out=a1sq)
+        np.multiply(f[2], a1sq, out=lead)
+        np.multiply(f[1], a[2], out=out[2])
+        np.add(lead, out[2], out=out[2])                # f2 a1^2 + f1 a2
+    if n > 3:
+        np.multiply(f[3], a1sq, out=lead)
+        np.multiply(lead, a[1], out=lead)
+        np.multiply(3.0, f[2], out=mid)
+        np.multiply(mid, a[1], out=mid)
+        np.multiply(mid, a[2], out=mid)
+        np.add(lead, mid, out=lead)
+        np.multiply(f[1], a[3], out=out[3])
+        np.add(lead, out[3], out=out[3])                # f3 a1^3 + 3 f2 a1 a2 + f1 a3
+    return out
 
 
 @dataclass(frozen=True)
@@ -113,24 +210,33 @@ def init_mlp(layout: MlpLayout, seed: int) -> ParamSet:
     return ParamSet(layout, weights, biases)
 
 
-class JetWorkspace:
-    """Every array of one network's jet forward and reverse pass, allocated once.
+class MlpJets:
+    """One tanh-MLP jet pass at a fixed batch of points, with every array it needs.
 
-    A workspace belongs to one (layout, collocation points, order): `train`
-    builds one per cell and every epoch writes into the same buffers, with
-    the same numpy operations in the same order as a pass on fresh arrays, so
-    reusing it moves no bit of any trajectory.  Jets are (K, rows, batch).
-    Per hidden layer it keeps only what the reverse pass reads: the
-    activation jet `act[i]` and, with `with_grad`, `dcomp[i]`, the tanh
-    derivative composed with the pre-activation jet.  The pre-activation jet
-    (`pre`), the tanh rows above f1 (`higher`) and the (width, batch)
-    scratch arrays are shared by all layers; the tanh table writes f0 into
-    `act[i][0]` and f1 into `dcomp[i][0]`.  The input jet is built here,
-    once.  The reverse buffers are allocated on the first `param_grad`, and
-    the reverse pass reuses `pre` for an activation's adjoint.
-    Without `with_grad` there is no `dcomp`, f1 goes to `higher[0]`, and
-    every hidden layer writes its activation into the same buffer,
-    overwriting the one before it; such a workspace evaluates the network but
+    `order` is the highest derivative the caller reads; the jets carry its
+    K = order + 1 coefficients (order 0..3) and nothing above.  The arrays
+    are allocated on construction and every `forward` overwrites them:
+    `train` builds one pass per cell, every other caller one per call.
+
+    `forward(params, graph)` applies each layer's affine map to all K
+    coefficients at once and composes tanh with the chain rule truncated at
+    `order`.  Output coefficient (row, k) enters `graph` as a plain leaf the
+    first time a residual asks for it.  After `graph.backward(loss)`,
+    `param_grad` pulls the leaf adjoints back through the layers by the
+    hand-derived transpose of that forward pass.  Values, loss and gradient
+    equal, bit for bit, those of an order-3 pass whose loss reads the same
+    coefficients: above the order the loss reads, the adjoint coefficients
+    of that pass are exactly zero, so truncation moves no trajectory.
+
+    Of each hidden layer the pass keeps only what the reverse pass reads:
+    the activation jet `act[i]` and `dcomp[i]`, the tanh derivative composed
+    with the pre-activation jet.  The pre-activation jet (`pre`), the tanh
+    rows above f1 (`higher`) and the (width, batch) scratch arrays are
+    shared by all layers; the tanh table writes f0 into `act[i][0]` and f1
+    into `dcomp[i][0]`, and the reverse pass reuses `pre` for an
+    activation's adjoint.  Without `with_grad` there is no `dcomp` and no
+    reverse array, f1 goes to `higher[0]`, and every hidden layer writes its
+    activation into the same buffer: such a pass evaluates the network but
     cannot differentiate it.
     """
 
@@ -149,6 +255,8 @@ class JetWorkspace:
         width, depth = layout.hidden_width, layout.hidden_layers
         jet = (n, width, batch)
         self.pre = np.empty(jet)
+        self.value = np.empty((n, layout.output_dim, batch))
+        self.scratch = [np.empty((width, batch)) for _ in range(3)]
         # table_rows[i]: where hidden layer i's tanh rows f0..fK go
         if with_grad:
             self.act = [np.empty(jet) for _ in range(depth)]
@@ -156,81 +264,46 @@ class JetWorkspace:
             self.higher = np.empty((n - 1, width, batch))
             self.table_rows = [[a[0], d[0], *self.higher]
                                for a, d in zip(self.act, self.dcomp)]
+            # g_out, g_hidden: the adjoints of the output and of a hidden
+            # pre-activation; term_w[i], one coefficient's term of grad_w[i]
+            self.g_out = np.empty(self.value.shape)
+            self.g_hidden = np.empty(jet)
+            self.grad = np.empty(layout.flat_size())
+            self.grad_w, self.grad_b = _layer_views(layout, self.grad)
+            self.term_w = [np.empty(w.shape) for w in self.grad_w]
         else:
             self.act = [np.empty(jet)] * depth
-            self.dcomp = None
             self.higher = np.empty(jet)
             self.table_rows = [[a[0], *self.higher] for a in self.act]
-        self.value = np.empty((n, layout.output_dim, batch))
-        self.scratch = [np.empty((width, batch)) for _ in range(3)]
-
-    def fits(self, layout: MlpLayout, x_values, order: int) -> bool:
-        return (layout == self.layout and order == self.order
-                and np.array_equal(np.ravel(x_values), self.points))
-
-    @cached_property
-    def reverse(self) -> "_ReverseBuffers":
-        if not self.with_grad:
-            raise ValueError("a workspace built without with_grad keeps no "
-                             "layer jets to differentiate")
-        return _ReverseBuffers(self)
-
-
-class _ReverseBuffers:
-    """The reverse pass's arrays: adjoint jets, the flat gradient and its views.
-
-    `xbar` takes the adjoint of a hidden activation; it is the workspace's
-    `pre`, which only the forward pass reads.  `g_out` and `g_hidden` hold
-    the adjoint of the output and of a hidden pre-activation.  `term_w[i]`
-    holds one coefficient's term of layer i's weight gradient.
-    """
-
-    def __init__(self, ws: JetWorkspace):
-        layout = ws.layout
-        self.xbar = ws.pre
-        self.g_out = np.empty(ws.value.shape)
-        self.g_hidden = np.empty(ws.pre.shape)
-        self.grad = np.empty(layout.flat_size())
-        self.grad_w, self.grad_b = _layer_views(layout, self.grad)
-        self.term_w = [np.empty(w.shape) for w in self.grad_w]
-
-
-class MlpJets:
-    """Truncated Taylor jets of every network output at a batch of points.
-
-    `order` is the highest derivative the caller reads; the jets carry its
-    K = order + 1 coefficients (order 0..3) and nothing above.  The forward
-    pass runs once, on construction: each layer applies its affine map to all
-    K coefficients at once and composes tanh with the chain rule truncated at
-    `order`.  Output coefficient (row, k) enters the tape as a plain leaf the
-    first time a residual asks for it.  After `graph.backward(loss)`,
-    `param_grad` pulls the leaf adjoints back through the layers by the
-    hand-derived transpose of that forward pass.  Values, loss and gradient
-    equal, bit for bit, those of an order-3 pass whose loss reads the same
-    coefficients: above the order the loss reads, the adjoint coefficients
-    of that pass are exactly zero, so truncation moves no trajectory.
-
-    All arrays live in `workspace`; without one a fresh workspace is built,
-    so the values and the gradient of this pass are never overwritten.  A
-    shared workspace (one per training cell) is overwritten by the next pass.
-    """
-
-    def __init__(self, graph: AdjointGraph, params: ParamSet, x_values, order: int,
-                 workspace: JetWorkspace | None = None):
-        if workspace is None:
-            workspace = JetWorkspace(params.layout, x_values, order)
-        elif not workspace.fits(params.layout, x_values, order):
-            raise ValueError("workspace was built for another layout, points or order")
-        self.graph = graph
-        self.params = params
-        self.order = order
-        self.workspace = workspace
-        self.value = _jet_layers(params, workspace)
+        self.params = None
+        self.graph = None
         self._leaves: dict[tuple[int, int], Node] = {}
+
+    def forward(self, params: ParamSet, graph: AdjointGraph | None = None) -> np.ndarray:
+        """The output jets of `params`; `leaf` reads their coefficients into `graph`."""
+        if params.layout != self.layout:
+            raise ValueError(f"parameters of layout {params.layout} do not fit a pass "
+                             f"built for {self.layout}")
+        self.params = params
+        self.graph = graph
+        self._leaves = {}
+        h = self.input
+        last = len(params.weights) - 1
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            z = self.pre if i < last else self.value
+            np.matmul(w, h, out=z)
+            z[0] += b[:, None]
+            if i < last:
+                rows = self.table_rows[i]
+                _tanh_table(z[0], len(z) + 1, rows, self.scratch)
+                h = _kcompose(rows, z, self.act[i], self.scratch)
+                if self.with_grad:
+                    _kcompose(rows[1:], z, self.dcomp[i], self.scratch)
+        return self.value
 
     @property
     def outputs(self) -> list["OutputJet"]:
-        return [OutputJet(self, row) for row in range(self.params.layout.output_dim)]
+        return [OutputJet(self, row) for row in range(self.layout.output_dim)]
 
     def leaf(self, row: int, k: int) -> Node:
         """Plain tape leaf holding coefficient k of output row at every point."""
@@ -243,26 +316,30 @@ class MlpJets:
         return self._leaves[key]
 
     def param_grad(self) -> np.ndarray:
-        """d loss / d parameters as one flat vector, read after graph.backward."""
-        ws = self.workspace
-        rb = ws.reverse
-        g = rb.g_out
+        """d loss / d parameters as one flat vector, read after graph.backward.
+
+        The vector is this pass's own buffer, overwritten by its next pass.
+        """
+        if not self.with_grad:
+            raise ValueError("a pass built without with_grad keeps no layer jets "
+                             "to differentiate")
+        g = self.g_out
         g.fill(0.0)
         for (row, k), node in self._leaves.items():
             if node.adjoint is not None:
                 g[k, row] += node.adjoint
-        inputs = [ws.input] + ws.act
+        inputs = [self.input] + self.act
         for i in reversed(range(len(self.params.weights))):
             x = inputs[i]
-            np.add.reduce(g[0], axis=1, out=rb.grad_b[i])
-            np.matmul(g[0], x[0].T, out=rb.grad_w[i])
+            np.add.reduce(g[0], axis=1, out=self.grad_b[i])
+            np.matmul(g[0], x[0].T, out=self.grad_w[i])
             for k in range(1, len(x)):  # an order-3 pass adds only zeros after these
-                np.matmul(g[k], x[k].T, out=rb.term_w[i])
-                rb.grad_w[i] += rb.term_w[i]
+                np.matmul(g[k], x[k].T, out=self.term_w[i])
+                self.grad_w[i] += self.term_w[i]
             if i > 0:
-                np.matmul(self.params.weights[i].T, g, out=rb.xbar)
-                g = _kmul_t(rb.xbar, ws.dcomp[i - 1], rb.g_hidden, ws.scratch)
-        return rb.grad
+                np.matmul(self.params.weights[i].T, g, out=self.pre)
+                g = _kmul_t(self.pre, self.dcomp[i - 1], self.g_hidden, self.scratch)
+        return self.grad
 
 
 class OutputJet:
@@ -276,33 +353,9 @@ class OutputJet:
         return self.jets.leaf(self.row, k)
 
 
-def _jet_layers(params: ParamSet, ws: JetWorkspace) -> np.ndarray:
-    """Forward pass on (K, rows, batch) jets, into the buffers of `ws`.
-
-    Fills each hidden layer's activation jets and, if `ws` keeps them, the
-    tanh derivative composed with its pre-activation jets (the chain rule
-    applied to the rows f1..fK, which is all the reverse pass reads of the
-    layer), and returns the output jets.
-    """
-    h = ws.input
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = ws.pre if i < last else ws.value
-        np.matmul(w, h, out=z)
-        z[0] += b[:, None]
-        if i < last:
-            rows = ws.table_rows[i]
-            _tanh_table(z[0], len(z) + 1, rows, ws.scratch)
-            h = _kcompose(rows, z, ws.act[i], ws.scratch)
-            if ws.with_grad:
-                _kcompose(rows[1:], z, ws.dcomp[i], ws.scratch)
-    return ws.value
-
-
 def mlp_values(params: ParamSet, x_values) -> np.ndarray:
     """Network output values only, as an (output_dim, n) array: the jet kernel at order 0."""
-    ws = JetWorkspace(params.layout, x_values, 0, with_grad=False)
-    return _jet_layers(params, ws)[0]
+    return MlpJets(params.layout, x_values, 0, with_grad=False).forward(params)[0]
 
 
 def save_weights(path, params: ParamSet, seed: int | None = None) -> None:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import reference
-from .autodiff import N_COEFFS, AdjointGraph, DomainError, Node
+from .autodiff import AdjointGraph, DomainError, Node
 
 # ---------------------------------------------------------------------------
 # SL(2, R) acting on the dependent variable by Mobius maps
@@ -71,8 +71,8 @@ class Jet3:
     @classmethod
     def from_array(cls, coeffs) -> "Jet3":
         c = np.asarray(coeffs, dtype=float)
-        if c.shape != (N_COEFFS,):
-            raise ValueError(f"expected {N_COEFFS} coefficients, got shape {c.shape}")
+        if c.shape != (4,):
+            raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
         return cls(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
 
     def as_array(self) -> np.ndarray:

@@ -1,16 +1,17 @@
 """Loss assembly and full-batch Adam training for both formulations.
 
-`train` keeps one jet workspace per cell (see `network.JetWorkspace`): each
-epoch writes its layer jets, adjoints and gradient into the same buffers and
-its Adam step into one `AdamBuffers`, so no epoch allocates a layer- or
+`train` builds one `network.MlpJets` pass per cell and keeps the
+parameters in one flat vector, which the pass reads through layer views;
+each epoch overwrites the pass's jets, adjoints and gradient and updates
+the Adam moments in place, so no epoch allocates a layer- or
 parameter-sized buffer and a cell's memory does not grow with its epochs.
-The public functions build fresh arrays per call, so what they return is
-never overwritten; the loss functions, which return no gradient, build a
-forward-only workspace.  Both paths run the same numpy operations in the
-same order and give the same trajectories bit for bit.  Each pass carries
-the jets of its formulation's order (`FormulationSpec.order`) and gives the
-loss and gradient of an order-3 pass bit for bit, at any number of
-collocation points.
+`loss_and_grad` builds a pass per call, so the gradient it returns is never
+overwritten; the loss functions, which return no gradient, build a
+forward-only one.  Both run the same numpy operations in the same order as
+`train`, which gives the trajectories of a loop of `loss_and_grad` and
+`adam_step` bit for bit.  Each pass carries the jets of its formulation's
+order (`FormulationSpec.order`) and gives the loss and gradient of an
+order-3 pass bit for bit, at any number of collocation points.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import AdjointGraph, DomainError, Node
-from .network import JetWorkspace, MlpJets, MlpLayout, ParamSet, _layer_views, init_mlp
+from .network import MlpJets, MlpLayout, ParamSet, _layer_views, init_mlp
 from .problems import FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
@@ -49,10 +50,17 @@ class TrainConfig:
     mean_reduction: bool = False
 
     def __post_init__(self):
+        for name in ("epochs", "n_collocation", "seed"):  # the report stores them as JSON ints
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {type(value).__name__} "
+                                 f"{value!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
         if self.n_collocation < 2:
             raise ValueError("need at least the two endpoint collocation points")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be finite and positive")
         if not (math.isfinite(self.alpha_ic) and self.alpha_ic >= 0.0):
@@ -73,21 +81,6 @@ class TrainConfig:
             "formulation": self.formulation,
             "mean_reduction": self.mean_reduction,
         }
-
-    @classmethod
-    def from_snapshot(cls, data: dict) -> "TrainConfig":
-        interval = data.get("interval")
-        return cls(
-            epochs=int(data["epochs"]),
-            learning_rate=float(data["learning_rate"]),
-            alpha_ic=float(data["alpha_ic"]),
-            n_collocation=int(data["n_collocation"]),
-            interval=None if interval is None else (float(interval[0]), float(interval[1])),
-            seed=int(data["seed"]),
-            formulation=str(data["formulation"]),
-            mean_reduction=bool(data.get("mean_reduction", False)),
-        )
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -157,23 +150,18 @@ def _require_finite(total_value: float, residuals: list[Node], ic_value: float,
     raise DomainError("non-finite training loss")
 
 
-def _evaluate(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
-              alpha_ic: float, mean_reduction: bool, with_grad: bool,
-              workspace: JetWorkspace | None = None):
-    """Loss breakdown and, with_grad, the flat gradient of one pass.
-
-    The gradient lives in the workspace; without one a fresh workspace is
-    built, with the reverse pass's arrays only if `with_grad`.
-    """
-    if workspace is None:
-        workspace = JetWorkspace(params.layout, points, spec.order, with_grad)
+def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
+              alpha_ic: float, mean_reduction: bool):
+    """Loss breakdown of one pass at the points of `net` and, if `net` was
+    built with_grad, the flat gradient, which is its buffer `net.grad`."""
+    points = net.points
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
-        net = MlpJets(graph, params, points, spec.order, workspace)
+        net.forward(params, graph)
         total, eq, ic, residuals = _loss_nodes(graph, points, net.outputs, spec,
                                                alpha_ic, mean_reduction)
         gvec = None
-        if with_grad:
+        if net.with_grad:
             graph.backward(total)
             gvec = net.param_grad()
     total_value = float(total.value)
@@ -186,90 +174,76 @@ def _evaluate(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
 def loss_and_grad(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
                   alpha_ic: float = 1.0, mean_reduction: bool = False,
                   ) -> tuple[LossBreakdown, np.ndarray]:
-    return _evaluate(params, spec, points, alpha_ic, mean_reduction, True)
+    return _evaluate(MlpJets(params.layout, points, spec.order), params, spec,
+                     alpha_ic, mean_reduction)
+
+
+def _loss(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
+          alpha_ic: float, mean_reduction: bool) -> LossBreakdown:
+    net = MlpJets(params.layout, points, spec.order, with_grad=False)
+    return _evaluate(net, params, spec, alpha_ic, mean_reduction)[0]
 
 
 def vanilla_loss(params: ParamSet, problem: ProblemSpec, points: np.ndarray,
                  alpha_ic: float = 1.0, mean_reduction: bool = False,
                  ) -> LossBreakdown:
     """Loss of the original-equation formulation at fixed parameters."""
-    breakdown, _ = _evaluate(params, problem.vanilla, points, alpha_ic,
-                             mean_reduction, False)
-    return breakdown
+    return _loss(params, problem.vanilla, points, alpha_ic, mean_reduction)
 
 
 def invariant_loss(params: ParamSet, problem: ProblemSpec, points: np.ndarray,
                    alpha_ic: float = 1.0, mean_reduction: bool = False,
                    ) -> LossBreakdown:
     """Loss of the invariantized-plus-reconstruction formulation."""
-    breakdown, _ = _evaluate(params, problem.invariant, points, alpha_ic,
-                             mean_reduction, False)
-    return breakdown
+    return _loss(params, problem.invariant, points, alpha_ic, mean_reduction)
 
 
 @dataclass
 class AdamState:
+    """Adam's moments and step count, which `adam_step` advances in place,
+    and the step's one temporary."""
+
     first_moment: np.ndarray
     second_moment: np.ndarray
     step: int = 0
+
+    def __post_init__(self):
+        self.scratch = np.empty(self.first_moment.shape)
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
         return cls(np.zeros(n), np.zeros(n), 0)
 
 
-class AdamBuffers:
-    """Two of every array an Adam step returns, and its one temporary.
-
-    A step given these buffers writes each result (the new vector and both
-    moments) into the one of its two slots that is not the array it reads,
-    so nothing a step reads is overwritten by that step: the vector before
-    a non-finite update survives it.
-    """
-
-    def __init__(self, n: int):
-        self.flat = (np.empty(n), np.empty(n))
-        self.first_moment = (np.empty(n), np.empty(n))
-        self.second_moment = (np.empty(n), np.empty(n))
-        self.scratch = np.empty(n)
-
-
-def _other(pair: tuple[np.ndarray, np.ndarray], current: np.ndarray) -> np.ndarray:
-    return pair[1] if current is pair[0] else pair[0]
-
-
 def adam_step(params_flat: np.ndarray, grad_vector: np.ndarray,
-              state: AdamState, lr: float,
-              out: AdamBuffers | None = None) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; returns the new vector and state.
+              state: AdamState, lr: float, out: np.ndarray | None = None) -> np.ndarray:
+    """One bias-corrected Adam update; returns the new vector, in `out` if given.
 
-    Without `out` every array is fresh.  With it the results go to
-    the slots of `out` that `params_flat` and `state` do not occupy, with the
-    same operations in the same order, so the two give the same bits and no
-    vector or state passed in is overwritten.
+    `state` advances in place and `params_flat` is only read, so the vector
+    before a non-finite update survives it.  Each line is one elementwise
+    ufunc, in the order of the expression form, so updating in place
+    changes no bit.
     """
     if out is None:
-        out = AdamBuffers(params_flat.size)
-    step = state.step + 1
-    m = _other(out.first_moment, state.first_moment)
-    v = _other(out.second_moment, state.second_moment)
-    updated = _other(out.flat, params_flat)
-    a, c = updated, out.scratch        # `updated` is the other temporary until the last line
-    np.multiply(ADAM_BETA1, state.first_moment, out=m)
+        out = np.empty(params_flat.shape)
+    state.step += 1
+    m, v = state.first_moment, state.second_moment
+    a, c = out, state.scratch          # `out` is the other temporary until the last line
+    np.multiply(ADAM_BETA1, m, out=m)
     np.multiply(1.0 - ADAM_BETA1, grad_vector, out=a)
     np.add(m, a, out=m)                # m = b1 m + (1 - b1) g
-    np.multiply(ADAM_BETA2, state.second_moment, out=v)
+    np.multiply(ADAM_BETA2, v, out=v)
     np.multiply(1.0 - ADAM_BETA2, grad_vector, out=a)
     np.multiply(a, grad_vector, out=a)
     np.add(v, a, out=v)                # v = b2 v + (1 - b2) g g
-    np.divide(m, 1.0 - ADAM_BETA1 ** step, out=a)
+    np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=a)
     np.multiply(lr, a, out=a)          # lr m_hat
-    np.divide(v, 1.0 - ADAM_BETA2 ** step, out=c)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=c)
     np.sqrt(c, out=c)
     np.add(c, ADAM_EPSILON, out=c)     # sqrt(v_hat) + eps
     np.divide(a, c, out=a)
-    np.subtract(params_flat, a, out=updated)
-    return updated, AdamState(m, v, step)
+    np.subtract(params_flat, a, out=out)
+    return out
 
 
 def train(problem: ProblemSpec, config: TrainConfig):
@@ -280,9 +254,8 @@ def train(problem: ProblemSpec, config: TrainConfig):
     whose loss or update turns non-finite stops early; the report records
     the abort and keeps the last finite parameters.  An epoch computes the
     same bits as `loss_and_grad` followed by `adam_step`, on arrays
-    allocated once per cell: the jet arrays in one `JetWorkspace`, the Adam
-    results in one `AdamBuffers`, and the kernel reads the parameters
-    through layer views into the flat vector the last step wrote.
+    allocated once per cell: one `MlpJets` pass, one `AdamState` and one
+    parameter vector, which the pass reads through layer views.
     """
     from .harness import build_report
 
@@ -290,32 +263,30 @@ def train(problem: ProblemSpec, config: TrainConfig):
     interval = config.interval if config.interval is not None else spec.interval
     layout = MlpLayout(output_dim=spec.output_dim)
     start = time.perf_counter()
-    current = init_mlp(layout, config.seed)
-    points = sample_collocation(interval, config.n_collocation, config.seed)
-    flat = current.to_flat()
+    flat = init_mlp(layout, config.seed).to_flat()
+    params = ParamSet(layout, *_layer_views(layout, flat))
+    net = MlpJets(layout, sample_collocation(interval, config.n_collocation, config.seed),
+                  spec.order)
     state = AdamState.zeros(flat.size)
+    updated = np.empty(flat.size)
     history = np.zeros((config.epochs, 3))
     status, message = "ok", ""
     epochs_run = 0
-    workspace = JetWorkspace(layout, points, spec.order)
-    buffers = AdamBuffers(flat.size)
-    views = [ParamSet(layout, *_layer_views(layout, f)) for f in buffers.flat]
     for epoch in range(config.epochs):
         try:
-            breakdown, gvec = _evaluate(current, spec, points, config.alpha_ic,
-                                        config.mean_reduction, True, workspace)
+            breakdown, gvec = _evaluate(net, params, spec, config.alpha_ic,
+                                        config.mean_reduction)
         except DomainError as err:
             status, message = "diverged", f"epoch {epoch}: {err}"
             break
         history[epoch] = (breakdown.equation_loss, breakdown.ic_loss,
                           breakdown.total)
         epochs_run = epoch + 1
-        updated, state = adam_step(flat, gvec, state, config.learning_rate, buffers)
+        adam_step(flat, gvec, state, config.learning_rate, updated)
         if not np.all(np.isfinite(updated)):
             status, message = "diverged", f"epoch {epoch}: non-finite parameter update"
             break
-        flat = updated
-        current = views[flat is buffers.flat[1]]
+        flat[:] = updated
     trained = ParamSet.from_flat(layout, flat)
     report = build_report(problem, config, trained, history[:epochs_run],
                           wall_time=time.perf_counter() - start,

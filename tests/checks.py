@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 import oracles
-from ipinn.autodiff import JET_ORDER, N_COEFFS, AdjointGraph
+from ipinn.autodiff import AdjointGraph
 from ipinn.harness import SCHWARZ_MASK_HALF_WIDTH
-from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
+from ipinn.network import JET_ORDER, MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
@@ -67,7 +67,7 @@ def jet_fd_worst(n_cases: int = 1000, seed: int = 0) -> float:
         scale = np.maximum(1.0, np.abs(want))
         if float((np.abs(want - coarse) / scale).max()) > 1e-7:
             continue
-        got = MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, :, 0].T
+        got = MlpJets(layout, [t0], JET_ORDER).forward(params)[:, :, 0].T
         worst = max(worst, float((np.abs(got - want) / scale).max()))
         done += 1
     return worst
@@ -96,7 +96,7 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
                            output_dim=int(rng.integers(1, 4)))
         params = init_mlp(layout, seed=int(rng.integers(10_000)))
         x = np.sort(rng.uniform(-1.0, 1.0, size=4))
-        mix = rng.standard_normal((layout.output_dim, N_COEFFS))
+        mix = rng.standard_normal((layout.output_dim, JET_ORDER + 1))
         flat = params.to_flat()
         units = []
         for _ in range(directions):
@@ -106,7 +106,8 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
         for order in range(JET_ORDER + 1):
             def build(flat, order=order):
                 graph = AdjointGraph()
-                net = MlpJets(graph, ParamSet.from_flat(layout, flat), x, order)
+                net = MlpJets(layout, x, order)
+                net.forward(ParamSet.from_flat(layout, flat), graph)
                 total = None
                 for row, out in enumerate(net.outputs):
                     for k in range(order + 1):

@@ -94,6 +94,20 @@ def tanh_table_by_sign(x: np.ndarray, count: int) -> np.ndarray:
     return np.stack(rows[:count])
 
 
+def adam_step_fresh(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+                    step: int, lr: float):
+    """One bias-corrected Adam step on fresh arrays: (new flat, new m, new v).
+
+    The expression form of the package's update, with beta1 = 0.9, beta2 =
+    0.999 and eps = 1e-8, written with the same operations in the same
+    order (step is the count after this update).
+    """
+    m = 0.9 * m + (1.0 - 0.9) * grad
+    v = 0.999 * v + (1.0 - 0.999) * grad * grad
+    update = lr * (m / (1.0 - 0.9 ** step)) / (np.sqrt(v / (1.0 - 0.999 ** step)) + 1e-8)
+    return flat - update, m, v
+
+
 # ---------------------------------------------------------------------------
 # hand-derived jet tables of the closed-form solutions
 #

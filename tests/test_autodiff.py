@@ -9,8 +9,8 @@ import pytest
 
 import checks
 import oracles
-from ipinn.autodiff import AdjointGraph, JET_ORDER, N_COEFFS, _tanh_table
-from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
+from ipinn.autodiff import AdjointGraph
+from ipinn.network import JET_ORDER, MlpJets, MlpLayout, ParamSet, _tanh_table, init_mlp
 from ipinn.problems import Jet3
 
 # ---------------------------------------------------------------------------
@@ -23,7 +23,7 @@ def test_tanh_jet_at_zero():
     layout = MlpLayout(hidden_layers=1, hidden_width=1)
     params = ParamSet(layout, [np.ones((1, 1)), np.ones((1, 1))],
                       [np.zeros(1), np.zeros(1)])
-    got = MlpJets(AdjointGraph(), params, [0.0], JET_ORDER).value[:, 0, 0]
+    got = MlpJets(layout, [0.0], JET_ORDER).forward(params)[:, 0, 0]
     assert got.tolist() == [0.0, 1.0, 0.0, -2.0]
 
 
@@ -74,10 +74,11 @@ def test_jets_match_finite_differences():
 def _everything_graph(layout: MlpLayout, flat: np.ndarray, x: np.ndarray):
     """A loss on all four output orders touching every tape operation."""
     graph = AdjointGraph()
-    net = MlpJets(graph, ParamSet.from_flat(layout, flat), x, JET_ORDER)
+    net = MlpJets(layout, x, JET_ORDER)
+    net.forward(ParamSet.from_flat(layout, flat), graph)
     total = None
     for out in net.outputs:
-        u0, u1, u2, u3 = (out.d(k) for k in range(N_COEFFS))
+        u0, u1, u2, u3 = (out.d(k) for k in range(JET_ORDER + 1))
         r = u3 / (2.5 + u1 * u1) - 1.5 * u2 ** 2 + (-u0).exp()
         r = r + (1.0 - u0) * 0.5 + 1.0 / (u0 * u0 + 2.0) + u1 ** 3
         r = r - graph.const(np.cos(x)) * u1
@@ -132,7 +133,8 @@ def test_affine_gradient_is_exact_for_polynomial_loss():
     params = ParamSet(layout, [np.array([[w0]])], [np.array([b0])])
 
     graph = AdjointGraph()
-    net = MlpJets(graph, params, t, 0)
+    net = MlpJets(layout, t, 0)
+    net.forward(params, graph)
     u = net.outputs[0]
     loss = graph.sum(u.d(0) * u.d(0))
     graph.backward(loss)
@@ -155,7 +157,8 @@ def test_gradient_skips_unused_parameters():
     assert unused.adjoint is None
 
     layout = MlpLayout(hidden_layers=1, hidden_width=3)
-    net = MlpJets(graph, init_mlp(layout, seed=0), np.array([0.0, 1.0]), 2)
+    net = MlpJets(layout, np.array([0.0, 1.0]), 2)
+    net.forward(init_mlp(layout, seed=0), graph)
     net.outputs[0].d(2)
     graph.backward(loss)
     assert np.array_equal(net.param_grad(), np.zeros(layout.flat_size()))
@@ -194,17 +197,28 @@ def test_backward_requires_scalar_plain_loss():
 
 def test_extract_coefficient_range_checked():
     """An output's d(k) exists for k = 0..order only, and order for 0..3 only."""
-    params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=4), seed=0)
+    layout = MlpLayout(hidden_layers=1, hidden_width=4)
     for order in range(JET_ORDER + 1):
-        net = MlpJets(AdjointGraph(), params, np.array([1.0]), order)
+        net = MlpJets(layout, np.array([1.0]), order)
+        net.forward(init_mlp(layout, seed=0), AdjointGraph())
         net.outputs[0].d(order)
         with pytest.raises(ValueError):
             net.outputs[0].d(order + 1)
         with pytest.raises(ValueError):
             net.outputs[0].d(-1)
-    for order in (-1, N_COEFFS):
+    for order in (-1, JET_ORDER + 1):
         with pytest.raises(ValueError):
-            MlpJets(AdjointGraph(), params, np.array([1.0]), order)
+            MlpJets(layout, np.array([1.0]), order)
+
+
+def test_broadcast_adjoint_is_an_error():
+    """A gradient node meets only its own shape: a () param times a (3,) param fails."""
+    graph = AdjointGraph()
+    scalar = graph.param(np.array(2.0))
+    vector = graph.param(np.array([1.0, 2.0, 3.0]))
+    loss = graph.sum(scalar * vector)
+    with pytest.raises(ValueError, match=r"shape \(3,\) for a node of shape \(\)"):
+        graph.backward(loss)
 
 
 def test_integer_powers_via_operator():

@@ -24,7 +24,6 @@ from ipinn.harness import (
     PLOT_ERROR_CAP,
     RunReport,
     SummaryRow,
-    SummaryTable,
     build_report,
     cell_dir_name,
     collect_reports,
@@ -225,10 +224,9 @@ def _fail_series_midway(monkeypatch, path):
 
 
 def _fail_summary_midway(monkeypatch, path):
-    table = SummaryTable([
-        SummaryRow("logistic", "invariant", [0], 1.0, 0.0, 1.0, 0.0, 0),
-        SummaryRow("logistic", "vanilla", [0], "not a number", 0.0, 1.0, 0.0, 0)])
-    write_summary_csv(table, path)
+    rows = [SummaryRow("logistic", "invariant", [0], 1.0, 0.0, 1.0, 0.0, 0),
+            SummaryRow("logistic", "vanilla", [0], "not a number", 0.0, 1.0, 0.0, 0)]
+    write_summary_csv(rows, path)
 
 
 @pytest.mark.parametrize("fail", [_fail_report_midway, _fail_weights_midway,
@@ -251,9 +249,9 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, fail):
 def test_summarize_statistics(tmp_path):
     for seed, mse in enumerate((1.0, 2.0, 3.0)):
         _write_report(tmp_path, _fake_report("logistic", "invariant", seed, mse))
-    table = summarize(tmp_path)
-    assert len(table.rows) == 1
-    row = table.rows[0]
+    rows = summarize(tmp_path)
+    assert len(rows) == 1
+    row = rows[0]
     assert row.seeds == [0, 1, 2]
     assert row.mean_mse == 2.0
     assert abs(row.std_mse - math.sqrt(2.0 / 3.0)) < 1e-15
@@ -263,7 +261,7 @@ def test_summarize_statistics(tmp_path):
 def test_summarize_identical_reports_have_zero_std(tmp_path):
     for seed in range(5):
         _write_report(tmp_path, _fake_report("system", "vanilla", seed, 0.125))
-    row = summarize(tmp_path).rows[0]
+    row = summarize(tmp_path)[0]
     assert row.mean_mse == 0.125
     assert row.std_mse == 0.0
 
@@ -274,12 +272,12 @@ def test_summarize_orders_rows_and_counts_failures(tmp_path):
     _write_report(tmp_path, _fake_report("schwarz", "vanilla", 0, math.inf,
                                          status="diverged"))
     _write_report(tmp_path, _fake_report("system", "invariant", 0, 1.0))
-    table = summarize(tmp_path)
-    cells = [(r.problem, r.formulation) for r in table.rows]
+    rows = summarize(tmp_path)
+    cells = [(r.problem, r.formulation) for r in rows]
     assert cells == [("schwarz", "vanilla"), ("logistic", "invariant"),
                      ("logistic", "vanilla"), ("system", "invariant")]
-    assert table.rows[0].n_failed == 1
-    assert table.rows[0].mean_mse == math.inf
+    assert rows[0].n_failed == 1
+    assert rows[0].mean_mse == math.inf
 
 
 def test_summarize_empty_directory_is_an_error(tmp_path):
@@ -289,15 +287,15 @@ def test_summarize_empty_directory_is_an_error(tmp_path):
 
 def test_summary_csv_and_text_render(tmp_path):
     _write_report(tmp_path, _fake_report("logistic", "invariant", 0, 0.5))
-    table = summarize(tmp_path)
+    summary = summarize(tmp_path)
     csv_path = tmp_path / "summary.csv"
-    write_summary_csv(table, csv_path)
+    write_summary_csv(summary, csv_path)
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0][0] == "problem"
     assert rows[1][:4] == ["logistic", "invariant", "1", "0"]
     assert float(rows[1][4]) == 0.5
-    text = format_summary(table)
+    text = format_summary(summary)
     assert "logistic" in text and "invariant" in text
 
 
@@ -375,6 +373,20 @@ def test_cli_rejects_a_bad_learning_rate_or_weight(tmp_path, capsys, option, val
     assert code == 2
     name = "learning_rate" if option == "--lr" else "alpha_ic"
     assert capsys.readouterr().err.startswith(f"error: {name} must be finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", [["--seeds", "-1"], ["--seeds", "0,-2"],
+                                   ["--seeds=-3..-1"]], ids=["-1", "0,-2", "-3..-1"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, seeds):
+    """A negative seed stops the run with one error line, before any cell trains."""
+    out = tmp_path / "runs"
+    code = main(["run", "--problem", "logistic", *seeds, "--epochs", "1",
+                 "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be non-negative\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

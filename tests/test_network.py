@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ipinn.autodiff import JET_ORDER, N_COEFFS, AdjointGraph
+from ipinn.autodiff import AdjointGraph
 from ipinn.network import (
+    JET_ORDER,
     MlpJets,
     MlpLayout,
     ParamSet,
@@ -66,7 +67,7 @@ def test_flat_roundtrip():
 
 def _point_jets(params: ParamSet, t0: float) -> np.ndarray:
     """(output_dim, 4) order-3 jets of the kernel at the single point t0."""
-    return MlpJets(AdjointGraph(), params, [t0], JET_ORDER).value[:, :, 0].T
+    return MlpJets(params.layout, [t0], JET_ORDER).forward(params)[:, :, 0].T
 
 
 def test_network_jets_match_finite_differences():
@@ -87,15 +88,15 @@ def test_forward_routes_agree():
     params = init_mlp(layout, seed=3)
     x = np.linspace(-2.0, 2.0, 9)
 
-    net = MlpJets(AdjointGraph(), params, x, JET_ORDER)
+    jets = MlpJets(layout, x, JET_ORDER).forward(params)
     values = mlp_values(params, x)
     assert values.shape == (3, 9)
-    assert net.value.shape == (N_COEFFS, 3, 9)
+    assert jets.shape == (JET_ORDER + 1, 3, 9)
     for i, t0 in enumerate(x):
         single = _point_jets(params, float(t0))
         plain = oracles.tanh_mlp(params.weights, params.biases, float(t0))
-        assert np.abs(net.value[:, :, i].T - single).max() < 1e-12
-        assert np.abs(net.value[0, :, i] - values[:, i]).max() < 1e-14
+        assert np.abs(jets[:, :, i].T - single).max() < 1e-12
+        assert np.abs(jets[0, :, i] - values[:, i]).max() < 1e-14
         assert np.abs(values[:, i] - plain).max() < 1e-14
 
 
@@ -109,12 +110,12 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
     params = init_mlp(layout, seed=hidden_layers + 10 * hidden_width)
     params.biases = [np.linspace(-0.3, 0.4, b.size) for b in params.biases]
     x = np.linspace(-2.5, 2.5, 7)
-    net = MlpJets(AdjointGraph(), params, x, JET_ORDER)
+    value = MlpJets(layout, x, JET_ORDER).forward(params)
     for i, t0 in enumerate(x):
         scalar = oracles.tanh_mlp_jets(params.weights, params.biases, float(t0))
         for row in range(output_dim):
             want = np.array(scalar[row])
-            got = net.value[:, row, i]
+            got = value[:, row, i]
             scale = np.maximum(1.0, np.abs(want))
             assert (np.abs(got - want) / scale).max() < 1e-12
 
@@ -122,7 +123,8 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
 def _jets_and_grad(params: ParamSet, x: np.ndarray, order: int, reads: int):
     """Kernel coefficients and the gradient of a loss on d(0)..d(reads)."""
     graph = AdjointGraph()
-    net = MlpJets(graph, params, x, order)
+    net = MlpJets(params.layout, x, order)
+    net.forward(params, graph)
     total = None
     for out in net.outputs:
         for k in range(reads + 1):
@@ -154,7 +156,8 @@ def _formulation_pass(spec, alpha_ic: float, params: ParamSet, points: np.ndarra
     """The training loss and gradient of one formulation, on jets of `order`."""
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
-        net = MlpJets(graph, params, points, order)
+        net = MlpJets(params.layout, points, order)
+        net.forward(params, graph)
         total, *_ = _loss_nodes(graph, points, net.outputs, spec, alpha_ic, False)
         graph.backward(total)
         return float(total.value), net.param_grad()
@@ -181,9 +184,10 @@ def test_formulation_loss_is_order_independent(name, kind):
 
 
 def test_output_jet_caches_extraction_nodes():
-    params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=4), seed=0)
+    layout = MlpLayout(hidden_layers=1, hidden_width=4)
     graph = AdjointGraph()
-    net = MlpJets(graph, params, np.array([0.0, 1.0]), 1)
+    net = MlpJets(layout, np.array([0.0, 1.0]), 1)
+    net.forward(init_mlp(layout, seed=0), graph)
     out = net.outputs[0]
     assert out.d(1) is out.d(1)
     n_nodes = len(graph.nodes)

@@ -10,8 +10,8 @@ import scipy.special
 
 import checks
 import oracles
-from ipinn.autodiff import JET_ORDER, AdjointGraph, DomainError
-from ipinn.network import MlpJets, MlpLayout, init_mlp
+from ipinn.autodiff import AdjointGraph, DomainError
+from ipinn.network import JET_ORDER, MlpJets, MlpLayout, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
@@ -347,7 +347,8 @@ def test_declared_order_is_the_highest_derivative_read(name, kind):
     spec = get_problem(name).formulation(kind)
     points = np.linspace(spec.interval[0], spec.interval[1], 20)
     params = init_mlp(MlpLayout(output_dim=spec.output_dim), 0)
-    net = MlpJets(AdjointGraph(), params, points, JET_ORDER)
+    net = MlpJets(params.layout, points, JET_ORDER)
+    net.forward(params, AdjointGraph())
     requested = []
     leaf = net.leaf
     net.leaf = lambda row, k: requested.append(k) or leaf(row, k)

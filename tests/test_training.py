@@ -10,13 +10,13 @@ import weakref
 import numpy as np
 import pytest
 
+import oracles
 from ipinn import training
 from ipinn.autodiff import AdjointGraph, DomainError
-from ipinn.network import JetWorkspace, MlpJets, MlpLayout, ParamSet, init_mlp
+from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import REGISTRY, get_problem
 from ipinn.training import (
     ADAM_EPSILON,
-    AdamBuffers,
     AdamState,
     TrainConfig,
     adam_step,
@@ -87,14 +87,15 @@ def test_config_validation():
         TrainConfig(interval=(1.0, 1.0))
     with pytest.raises(ValueError):
         TrainConfig(formulation="hybrid")
-
-
-def test_config_snapshot_roundtrip():
-    config = TrainConfig(epochs=7, learning_rate=2e-3, alpha_ic=10.0,
-                         n_collocation=12, interval=(0.5, 1.5), seed=4,
-                         formulation="vanilla", mean_reduction=True)
-    assert TrainConfig.from_snapshot(config.snapshot()) == config
-    assert TrainConfig.from_snapshot(TrainConfig().snapshot()) == TrainConfig()
+    for seed in (-1, -2**40):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            TrainConfig(seed=seed)
+    for name, value in (("epochs", 2.5), ("epochs", 3.0), ("epochs", "3"),
+                        ("n_collocation", 200.0), ("n_collocation", True),
+                        ("seed", 0.5), ("seed", None), ("seed", False),
+                        ("seed", np.int64(2))):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            TrainConfig(**{name: value})
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +188,7 @@ def test_non_finite_residual_names_a_collocation_point():
 @pytest.mark.parametrize("kind", ["invariant", "vanilla"])
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_forward_only_loss_is_bitwise_the_loss_and_grad_loss(name, kind):
-    """The forward-only workspace of vanilla_loss/invariant_loss moves no bit."""
+    """The forward-only pass of vanilla_loss/invariant_loss moves no bit."""
     problem = get_problem(name)
     spec = problem.formulation(kind)
     loss = vanilla_loss if kind == "vanilla" else invariant_loss
@@ -217,7 +218,8 @@ def test_loss_and_grad_matches_loss_value():
 
 def test_adam_zero_gradient_is_a_fixed_point():
     flat = np.array([1.0, -2.0, 0.5])
-    updated, state = adam_step(flat, np.zeros(3), AdamState.zeros(3), lr=1e-3)
+    state = AdamState.zeros(3)
+    updated = adam_step(flat, np.zeros(3), state, lr=1e-3)
     assert np.array_equal(updated, flat)
     assert state.step == 1
 
@@ -225,34 +227,42 @@ def test_adam_zero_gradient_is_a_fixed_point():
 def test_adam_first_step_is_signed_learning_rate():
     flat = np.zeros(3)
     g = np.array([2.5, -0.3, 1e-3])
-    updated, _ = adam_step(flat, g, AdamState.zeros(3), lr=1e-3)
+    updated = adam_step(flat, g, AdamState.zeros(3), lr=1e-3)
     want = -1e-3 * g / (np.abs(g) + ADAM_EPSILON)
     assert np.abs(updated - want).max() < 1e-12
 
 
-def test_adam_buffers_give_the_same_bits_and_keep_what_a_step_reads():
-    """Buffered steps equal fresh ones, and no step overwrites its inputs."""
+def test_adam_step_in_place_is_bitwise_the_fresh_array_adam():
+    """In-place moments and an output buffer give the bits of the expression form."""
     rng = np.random.default_rng(1)
-    grads = [rng.standard_normal(6) for _ in range(4)]
-    flat0, state0 = rng.standard_normal(6), AdamState.zeros(6)
-    fresh = [(flat0, state0)]
-    for g in grads:
-        flat, state = fresh[-1]
-        fresh.append(adam_step(flat, g, state, 1e-2))
-    buffers = AdamBuffers(6)
-    flat, state = flat0.copy(), AdamState.zeros(6)
-    for g, want in zip(grads, fresh[1:]):
-        kept = (flat.copy(), state.first_moment.copy(), state.second_moment.copy())
-        new_flat, new_state = adam_step(flat, g, state, 1e-2, buffers)
-        assert np.array_equal(flat, kept[0])
-        assert np.array_equal(state.first_moment, kept[1])
-        assert np.array_equal(state.second_moment, kept[2])
-        assert new_flat.tobytes() == want[0].tobytes()
-        assert new_state.first_moment.tobytes() == want[1].first_moment.tobytes()
-        assert new_state.second_moment.tobytes() == want[1].second_moment.tobytes()
-        assert new_state.step == want[1].step
-        flat, state = new_flat, new_state
-    assert any(flat is f for f in buffers.flat)
+    n = 6681
+    flat = rng.standard_normal(n)
+    m, v = np.zeros(n), np.zeros(n)
+    state = AdamState.zeros(n)
+    out = np.empty(n)
+    for step in range(1, 6):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 3, n)
+        want, m, v = oracles.adam_step_fresh(flat, g, m, v, step, 1e-2)
+        assert adam_step(flat, g, state, 1e-2, out) is out
+        assert state.step == step
+        assert out.tobytes() == want.tobytes()
+        assert state.first_moment.tobytes() == m.tobytes()
+        assert state.second_moment.tobytes() == v.tobytes()
+        flat = out.copy()
+
+
+def test_adam_step_never_writes_params_flat():
+    """The vector a step reads survives it, also when the update is non-finite."""
+    rng = np.random.default_rng(2)
+    flat = rng.standard_normal(6)
+    kept = flat.copy()
+    flat.flags.writeable = False
+    state = AdamState.zeros(6)
+    for g in (rng.standard_normal(6), np.full(6, np.inf)):
+        with np.errstate(all="ignore"):
+            updated = adam_step(flat, g, state, 1e-2, np.empty(6))
+        assert np.array_equal(flat, kept)
+    assert not np.all(np.isfinite(updated))
 
 
 def test_adam_is_deterministic():
@@ -262,7 +272,7 @@ def test_adam_is_deterministic():
     def run():
         flat, state = np.zeros(4), AdamState.zeros(4)
         for g in grads:
-            flat, state = adam_step(flat, g, state, lr=1e-2)
+            flat = adam_step(flat, g, state, lr=1e-2)
         return flat, state
 
     f1, s1 = run()
@@ -342,14 +352,14 @@ def test_config_interval_overrides_formulation_interval():
 
 
 # ---------------------------------------------------------------------------
-# one jet workspace per cell
+# one jet pass per cell
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["invariant", "vanilla"])
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_train_is_bitwise_a_loop_of_loss_and_grad(name, kind):
-    """train, on one reused workspace, against a fresh workspace every epoch."""
+    """train, on one reused pass and parameter vector, against fresh ones every epoch."""
     problem = get_problem(name)
     spec = problem.formulation(kind)
     layout = MlpLayout(output_dim=spec.output_dim)
@@ -365,7 +375,7 @@ def test_train_is_bitwise_a_loop_of_loss_and_grad(name, kind):
             breakdown, gvec = loss_and_grad(ParamSet.from_flat(layout, flat), spec,
                                             points, problem.alpha_ic)
             want.append((breakdown.equation_loss, breakdown.ic_loss, breakdown.total))
-            flat, state = adam_step(flat, gvec, state, config.learning_rate)
+            flat = adam_step(flat, gvec, state, config.learning_rate)
         assert np.array_equal(history, np.array(want))
         assert np.array_equal(trained.to_flat(), flat)
 
@@ -405,22 +415,25 @@ def test_returned_gradients_are_never_overwritten():
     assert not np.array_equal(first, second)
 
 
-def test_workspace_must_fit_the_pass():
+def test_forward_rejects_parameters_of_another_layout():
     layout = MlpLayout(hidden_layers=1, hidden_width=4)
-    params = init_mlp(layout, 0)
     x = np.linspace(0.0, 1.0, 5)
-    workspace = JetWorkspace(layout, x, 1)
-    MlpJets(AdjointGraph(), params, x, 1, workspace)
-    for other_x, order in ((x + 1.0, 1), (x, 2)):
-        with pytest.raises(ValueError):
-            MlpJets(AdjointGraph(), params, other_x, order, workspace)
-    with pytest.raises(ValueError):
-        MlpJets(AdjointGraph(), init_mlp(MlpLayout(hidden_layers=2, hidden_width=4), 0),
-                x, 1, workspace)
+    net = MlpJets(layout, x, 1)
+    net.forward(init_mlp(layout, 0), AdjointGraph())
+    for other in (MlpLayout(hidden_layers=2, hidden_width=4),
+                  MlpLayout(hidden_layers=1, hidden_width=5),
+                  MlpLayout(hidden_layers=1, hidden_width=4, output_dim=2)):
+        with pytest.raises(ValueError, match="layout"):
+            net.forward(init_mlp(other, 0), AdjointGraph())
+
+
+def test_forward_only_pass_refuses_param_grad():
+    layout = MlpLayout(hidden_layers=1, hidden_width=4)
     graph = AdjointGraph()
-    net = MlpJets(graph, params, x, 1, JetWorkspace(layout, x, 1, with_grad=False))
+    net = MlpJets(layout, np.linspace(0.0, 1.0, 5), 1, with_grad=False)
+    net.forward(init_mlp(layout, 0), graph)
     graph.backward(graph.sum(net.leaf(0, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="with_grad"):
         net.param_grad()
 
 
@@ -437,15 +450,15 @@ def _allocated(fn) -> int:
 @pytest.mark.parametrize("order,limit,forward_limit", [(1, 2.2e6, 0.6e6),
                                                        (3, 3.9e6, 1.0e6)])
 def test_workspace_footprint(order, limit, forward_limit):
-    """A workspace keeps two jets per hidden layer, plus what all layers share.
+    """A pass keeps two jets per hidden layer, plus what all layers share.
 
-    The default layout at 200 points: the whole workspace with its reverse
-    buffers, and the forward-only workspace of the loss functions.
+    The default layout at 200 points: the whole pass with its reverse
+    arrays, and the forward-only pass of the loss functions.
     """
     layout = MlpLayout()
     points = np.linspace(0.0, 1.0, 200)
-    assert _allocated(lambda: JetWorkspace(layout, points, order).reverse) <= limit
-    forward_only = _allocated(lambda: JetWorkspace(layout, points, order, with_grad=False))
+    assert _allocated(lambda: MlpJets(layout, points, order)) <= limit
+    forward_only = _allocated(lambda: MlpJets(layout, points, order, with_grad=False))
     assert forward_only <= forward_limit
 
 
