@@ -6,7 +6,7 @@ and evaluation use, and a small plain-array reverse-mode tape with five
 benchmark problems, each solvable two ways: directly on the original
 residual, or on the invariantized equation plus the first-order moving-frame
 reconstruction system.  The SL(2, R) group action behind the Schwarzian
-problem works on single third-order jets (`problems.Jet3`).
+problem works on single third-order jets (u, u_t, u_tt, u_ttt).
 """
 
 import os
@@ -18,9 +18,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .autodiff import AdjointGraph, DomainError
 from .network import (MlpJets, MlpLayout, ParamSet, init_mlp, load_weights,
                       mlp_values, save_weights)
-from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, Jet3, Jet3Point,
-                       ProblemSpec, get_problem, schwarzian, sl2_moving_frame,
-                       sl2_prolong)
+from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, ProblemSpec,
+                       get_problem, schwarzian, sl2_moving_frame, sl2_prolong)
 from .reference import Trajectory, erf, exact_eval, rk4_solve
 from .training import (AdamState, LossBreakdown, TrainConfig, adam_step,
                        invariant_loss, loss_and_grad, sample_collocation,
@@ -34,9 +33,8 @@ __all__ = [
     "AdjointGraph", "DomainError",
     "MlpJets", "MlpLayout", "ParamSet", "init_mlp", "load_weights", "mlp_values",
     "save_weights",
-    "REGISTRY", "FormulationSpec", "GroupElementSL2", "Jet3", "Jet3Point",
-    "ProblemSpec", "get_problem", "schwarzian", "sl2_moving_frame",
-    "sl2_prolong",
+    "REGISTRY", "FormulationSpec", "GroupElementSL2", "ProblemSpec",
+    "get_problem", "schwarzian", "sl2_moving_frame", "sl2_prolong",
     "Trajectory", "erf", "exact_eval", "rk4_solve",
     "AdamState", "LossBreakdown", "TrainConfig", "adam_step",
     "invariant_loss", "loss_and_grad", "sample_collocation", "train",

@@ -3,7 +3,7 @@
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
 (see `network.MlpJets`) and combine them with add, sub, mul, div, exp, pick,
-sum and scale_shift; one backward sweep then leaves an adjoint on every leaf
+sum and scale; one backward sweep then leaves an adjoint on every leaf
 that needs one.  A node that needs a gradient meets only nodes of its own
 shape or constants, so an adjoint always has the shape of its node.
 """
@@ -59,7 +59,7 @@ class Node:
         return self.graph.div(self.graph.lift(other), self)
 
     def __neg__(self):
-        return self.graph.scale_shift(self, -1.0, 0.0)
+        return self.graph.scale(self, -1.0)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 1 or n > 4:
@@ -115,8 +115,8 @@ def _vjp_div(node):
     _acc(b, -node.adjoint * node.value / b.value)
 
 
-def _vjp_scale_shift(node):
-    _acc(node.args[0], node.adjoint * node.aux[0])
+def _vjp_scale(node):
+    _acc(node.args[0], node.adjoint * node.aux)
 
 
 def _vjp_exp(node):
@@ -144,7 +144,7 @@ _VJPS: dict[str, Callable[[Node], None]] = {
     "sub": _vjp_sub,
     "mul": _vjp_mul,
     "div": _vjp_div,
-    "scale_shift": _vjp_scale_shift,
+    "scale": _vjp_scale,
     "exp": _vjp_exp,
     "pick": _vjp_pick,
     "sum": _vjp_sum,
@@ -199,12 +199,9 @@ class AdjointGraph:
     def div(self, a: Node, b: Node) -> Node:
         return self._record("div", (a, b), None, a.value / b.value)
 
-    def scale_shift(self, a: Node, scale: float, shift: float) -> Node:
-        scale, shift = float(scale), float(shift)
-        value = a.value * scale
-        if shift != 0.0:
-            value = value + shift
-        return self._record("scale_shift", (a,), (scale, shift), value)
+    def scale(self, a: Node, c: float) -> Node:
+        c = float(c)
+        return self._record("scale", (a,), c, a.value * c)
 
     def exp(self, a: Node) -> Node:
         return self._record("exp", (a,), None, np.exp(a.value))

@@ -10,12 +10,12 @@ caller-supplied buffers.  Every product runs once per coefficient, so the
 operations on coefficient k do not depend on K: an order-K pass gives the
 bits of an order-3 pass.
 
-`MlpJets` is the only place the network meets the tape.  It owns every
-array of one pass, propagates the jets of all outputs through the layers,
-hands the residuals plain leaves for the coefficients they read, and
+`MlpJets` owns every array of one pass.  It propagates the jets of all
+outputs through the layers, and given the adjoint of those output jets it
 differentiates the whole network by one hand-written reverse pass over the
-layers.  The same layer loop, at order 0 and without the reverse arrays,
-evaluates the network (`mlp_values`).
+layers.  It takes and returns plain arrays: which coefficients a loss reads
+is the caller's business.  The same layer loop, at order 0 and without the
+reverse arrays, evaluates the network (`mlp_values`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import AdjointGraph, Node
 
 JET_ORDER = 3
 
@@ -134,13 +133,19 @@ def _kcompose(f, a: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
 class MlpLayout:
     """Shape of a scalar-input multilayer perceptron.
 
-    hidden_layers counts the tanh layers; the output layer is linear.
+    hidden_layers counts the tanh layers; the output layer is linear.  The
+    input is the scalar t, so input_dim is always 1.
     """
 
     input_dim: int = 1
     hidden_layers: int = 5
     hidden_width: int = 40
     output_dim: int = 1
+
+    def __post_init__(self):
+        if self.input_dim != 1:
+            raise ValueError(f"input_dim must be 1 (a scalar input), "
+                             f"got {self.input_dim!r}")
 
     def dims(self) -> list[int]:
         return ([self.input_dim]
@@ -156,25 +161,34 @@ class MlpLayout:
 
 
 class ParamSet:
-    """Structured layer parameters with a lossless flat-vector view."""
+    """Layer parameters stored in one flat vector.
+
+    `flat` holds every layer's weights (row-major) then bias, layer after
+    layer; `weights` and `biases` are views into it, so writing into a view
+    writes the vector.  None of the three can be rebound.  The constructor,
+    `to_flat` and `from_flat` copy.
+    """
 
     def __init__(self, layout: MlpLayout, weights, biases):
         expected = layout.layer_shapes()
         if len(weights) != len(expected) or len(biases) != len(expected):
             raise ValueError("wrong number of layers for layout")
         self.layout = layout
-        self.weights = [np.asarray(w, dtype=float) for w in weights]
-        self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for (wsh, bsh), w, b in zip(expected, self.weights, self.biases):
-            if w.shape != wsh or b.shape != bsh:
-                raise ValueError(f"layer shape mismatch: {w.shape} vs {wsh}")
+        self._flat = np.empty(layout.flat_size())
+        self._weights, self._biases = _layer_views(layout, self._flat)
+        for view, given in zip(self._weights + self._biases, [*weights, *biases]):
+            given = np.asarray(given, dtype=float)
+            if given.shape != view.shape:
+                raise ValueError(f"layer shape mismatch: {given.shape} vs {view.shape}")
+            view[...] = given
+
+    # read-only, so that rebinding cannot part a view from the vector
+    flat = property(lambda self: self._flat)
+    weights = property(lambda self: self._weights)
+    biases = property(lambda self: self._biases)
 
     def to_flat(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
+        return self._flat.copy()
 
     @classmethod
     def from_flat(cls, layout: MlpLayout, flat) -> "ParamSet":
@@ -182,8 +196,7 @@ class ParamSet:
         if flat.shape != (layout.flat_size(),):
             raise ValueError(f"flat vector of length {flat.shape} does not fit layout "
                              f"({layout.flat_size()} expected)")
-        weights, biases = _layer_views(layout, flat)
-        return cls(layout, [w.copy() for w in weights], [b.copy() for b in biases])
+        return cls(layout, *_layer_views(layout, flat))
 
 
 def _layer_views(layout: MlpLayout, flat: np.ndarray):
@@ -196,7 +209,7 @@ def _layer_views(layout: MlpLayout, flat: np.ndarray):
         pos += n
         biases.append(flat[pos:pos + bsh[0]])
         pos += bsh[0]
-    return weights, biases
+    return tuple(weights), tuple(biases)
 
 
 def init_mlp(layout: MlpLayout, seed: int) -> ParamSet:
@@ -218,15 +231,15 @@ class MlpJets:
     are allocated on construction and every `forward` overwrites them:
     `train` builds one pass per cell, every other caller one per call.
 
-    `forward(params, graph)` applies each layer's affine map to all K
-    coefficients at once and composes tanh with the chain rule truncated at
-    `order`.  Output coefficient (row, k) enters `graph` as a plain leaf the
-    first time a residual asks for it.  After `graph.backward(loss)`,
-    `param_grad` pulls the leaf adjoints back through the layers by the
-    hand-derived transpose of that forward pass.  Values, loss and gradient
-    equal, bit for bit, those of an order-3 pass whose loss reads the same
-    coefficients: above the order the loss reads, the adjoint coefficients
-    of that pass are exactly zero, so truncation moves no trajectory.
+    `forward(params)` applies each layer's affine map to all K coefficients
+    at once, composes tanh with the chain rule truncated at `order`, and
+    returns the output jets, shaped (K, output_dim, batch).  Given
+    `value_bar`, the adjoint of the loss with respect to those jets,
+    `param_grad` pulls it back through the layers by the hand-derived
+    transpose of the forward pass.  Values and gradient equal, bit for bit,
+    those of an order-3 pass whose loss reads the same coefficients: above
+    the order the loss reads, the adjoint coefficients of that pass are
+    exactly zero, so truncation moves no trajectory.
 
     Of each hidden layer the pass keeps only what the reverse pass reads:
     the activation jet `act[i]` and `dcomp[i]`, the tanh derivative composed
@@ -234,8 +247,10 @@ class MlpJets:
     rows above f1 (`higher`) and the (width, batch) scratch arrays are
     shared by all layers; the tanh table writes f0 into `act[i][0]` and f1
     into `dcomp[i][0]`, and the reverse pass reuses `pre` for an
-    activation's adjoint.  Without `with_grad` there is no `dcomp` and no
-    reverse array, f1 goes to `higher[0]`, and every hidden layer writes its
+    activation's adjoint.  `value_bar` is a buffer of the output shape for
+    the caller to gather its adjoint in, and `grad` the `ParamSet` that
+    receives the gradient.  Without `with_grad` there is none of these and
+    no `dcomp`, f1 goes to `higher[0]`, and every hidden layer writes its
     activation into the same buffer: such a pass evaluates the network but
     cannot differentiate it.
     """
@@ -264,29 +279,27 @@ class MlpJets:
             self.higher = np.empty((n - 1, width, batch))
             self.table_rows = [[a[0], d[0], *self.higher]
                                for a, d in zip(self.act, self.dcomp)]
-            # g_out, g_hidden: the adjoints of the output and of a hidden
-            # pre-activation; term_w[i], one coefficient's term of grad_w[i]
-            self.g_out = np.empty(self.value.shape)
+            # g_hidden: the adjoint of a hidden pre-activation; term_w[i],
+            # one coefficient's term of the weight gradient of layer i
+            self.value_bar = np.empty(self.value.shape)
             self.g_hidden = np.empty(jet)
-            self.grad = np.empty(layout.flat_size())
-            self.grad_w, self.grad_b = _layer_views(layout, self.grad)
-            self.term_w = [np.empty(w.shape) for w in self.grad_w]
+            self.grad = ParamSet.from_flat(layout, np.zeros(layout.flat_size()))
+            self.term_w = [np.empty(w.shape) for w in self.grad.weights]
         else:
             self.act = [np.empty(jet)] * depth
             self.higher = np.empty(jet)
             self.table_rows = [[a[0], *self.higher] for a in self.act]
         self.params = None
-        self.graph = None
-        self._leaves: dict[tuple[int, int], Node] = {}
 
-    def forward(self, params: ParamSet, graph: AdjointGraph | None = None) -> np.ndarray:
-        """The output jets of `params`; `leaf` reads their coefficients into `graph`."""
+    def forward(self, params: ParamSet) -> np.ndarray:
+        """The output jets of `params`, shaped (K, output_dim, batch).
+
+        The array is this pass's own buffer, overwritten by its next pass.
+        """
         if params.layout != self.layout:
             raise ValueError(f"parameters of layout {params.layout} do not fit a pass "
                              f"built for {self.layout}")
         self.params = params
-        self.graph = graph
-        self._leaves = {}
         h = self.input
         last = len(params.weights) - 1
         for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -301,56 +314,33 @@ class MlpJets:
                     _kcompose(rows[1:], z, self.dcomp[i], self.scratch)
         return self.value
 
-    @property
-    def outputs(self) -> list["OutputJet"]:
-        return [OutputJet(self, row) for row in range(self.layout.output_dim)]
+    def param_grad(self, value_bar: np.ndarray) -> np.ndarray:
+        """d loss / d parameters as one flat vector, from value_bar = d loss / d jets.
 
-    def leaf(self, row: int, k: int) -> Node:
-        """Plain tape leaf holding coefficient k of output row at every point."""
-        if not 0 <= k <= self.order:
-            raise ValueError(f"coefficient index {k} out of range for a jet "
-                             f"of order {self.order}")
-        key = (row, k)
-        if key not in self._leaves:
-            self._leaves[key] = self.graph.param(self.value[k, row])
-        return self._leaves[key]
-
-    def param_grad(self) -> np.ndarray:
-        """d loss / d parameters as one flat vector, read after graph.backward.
-
-        The vector is this pass's own buffer, overwritten by its next pass.
+        `value_bar` has the shape of the output jets of the last `forward`
+        and is only read.  The vector is `grad.flat`, this pass's own
+        buffer, overwritten by its next pass.
         """
         if not self.with_grad:
             raise ValueError("a pass built without with_grad keeps no layer jets "
                              "to differentiate")
-        g = self.g_out
-        g.fill(0.0)
-        for (row, k), node in self._leaves.items():
-            if node.adjoint is not None:
-                g[k, row] += node.adjoint
+        if value_bar.shape != self.value.shape:
+            raise ValueError(f"adjoint of shape {value_bar.shape} for output jets "
+                             f"of shape {self.value.shape}")
+        g = value_bar
+        grad_w, grad_b = self.grad.weights, self.grad.biases
         inputs = [self.input] + self.act
         for i in reversed(range(len(self.params.weights))):
-            x = inputs[i]
-            np.add.reduce(g[0], axis=1, out=self.grad_b[i])
-            np.matmul(g[0], x[0].T, out=self.grad_w[i])
+            x, gw, term = inputs[i], grad_w[i], self.term_w[i]
+            np.add.reduce(g[0], axis=1, out=grad_b[i])
+            np.matmul(g[0], x[0].T, out=gw)
             for k in range(1, len(x)):  # an order-3 pass adds only zeros after these
-                np.matmul(g[k], x[k].T, out=self.term_w[i])
-                self.grad_w[i] += self.term_w[i]
+                np.matmul(g[k], x[k].T, out=term)
+                gw += term
             if i > 0:
                 np.matmul(self.params.weights[i].T, g, out=self.pre)
                 g = _kmul_t(self.pre, self.dcomp[i - 1], self.g_hidden, self.scratch)
-        return self.grad
-
-
-class OutputJet:
-    """One network output row; d(k) is its k-th derivative per point."""
-
-    def __init__(self, jets: MlpJets, row: int):
-        self.jets = jets
-        self.row = row
-
-    def d(self, k: int) -> Node:
-        return self.jets.leaf(self.row, k)
+        return self.grad.flat
 
 
 def mlp_values(params: ParamSet, x_values) -> np.ndarray:
@@ -402,9 +392,16 @@ def load_weights(path) -> tuple[ParamSet, int | None]:
         raise ValueError(f"{path}: the layout needs exactly the keys {sorted(keys)}")
     if not all(type(v) is int and v >= 0 for v in sizes.values()):
         raise ValueError(f"{path}: layout sizes must be non-negative integers")
-    layout = MlpLayout(**sizes)
+    try:
+        layout = MlpLayout(**sizes)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
+    seed = header["seed"]
+    if seed is not None and not (type(seed) is int and seed >= 0):
+        raise ValueError(f"{path}: the seed must be null or a non-negative integer, "
+                         f"got {seed!r}")
     size = layout.flat_size()
     if len(body) != 8 * size:
         raise ValueError(f"{path}: body holds {len(body)} bytes; the layout needs "
                          f"{size} float64 values ({8 * size} bytes)")
-    return ParamSet.from_flat(layout, np.frombuffer(body, dtype="<f8")), header["seed"]
+    return ParamSet.from_flat(layout, np.frombuffer(body, dtype="<f8")), seed

@@ -59,37 +59,9 @@ class GroupElementSL2:
         return np.array([[self.a, self.b], [self.c, self.d]])
 
 
-@dataclass(frozen=True)
-class Jet3:
-    """Value and first three derivatives with respect to the input variable."""
-
-    c0: float
-    c1: float
-    c2: float
-    c3: float
-
-    @classmethod
-    def from_array(cls, coeffs) -> "Jet3":
-        c = np.asarray(coeffs, dtype=float)
-        if c.shape != (4,):
-            raise ValueError(f"expected 4 coefficients, got shape {c.shape}")
-        return cls(float(c[0]), float(c[1]), float(c[2]), float(c[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.c0, self.c1, self.c2, self.c3])
-
-
-@dataclass(frozen=True)
-class Jet3Point:
-    """A point (t; u, u_t, u_tt, u_ttt) of third-order jet space."""
-
-    t: float
-    u: Jet3
-
-
-def sl2_prolong(g: GroupElementSL2, z: Jet3Point) -> Jet3Point:
-    """Prolonged Mobius action on a third-order jet; t is untouched."""
-    u, u1, u2, u3 = z.u.c0, z.u.c1, z.u.c2, z.u.c3
+def sl2_prolong(g: GroupElementSL2, jet) -> tuple[float, float, float, float]:
+    """Prolonged Mobius action on a third-order jet (u, u_t, u_tt, u_ttt)."""
+    u, u1, u2, u3 = (float(c) for c in jet)
     w = g.c * u + g.d
     if w == 0.0:
         raise DomainError("Mobius image undefined where c*u + d = 0")
@@ -99,15 +71,17 @@ def sl2_prolong(g: GroupElementSL2, z: Jet3Point) -> Jet3Point:
     U3 = (u3 / w ** 2
           - 6.0 * g.c * u1 * u2 / w ** 3
           + 6.0 * g.c ** 2 * u1 ** 3 / w ** 4)
-    return Jet3Point(z.t, Jet3(U, U1, U2, U3))
+    return U, U1, U2, U3
 
 
-def schwarzian(u: Jet3) -> float:
-    """u_ttt/u_t - 1.5 (u_tt/u_t)^2, the Mobius-invariant combination."""
-    if u.c1 == 0.0:
+def schwarzian(jet) -> float:
+    """u_ttt/u_t - 1.5 (u_tt/u_t)^2 of the jet (u, u_t, u_tt, u_ttt): the Mobius
+    invariant."""
+    _, u1, u2, u3 = (float(c) for c in jet)
+    if u1 == 0.0:
         raise DomainError("Schwarzian undefined where u_t = 0")
-    r = u.c2 / u.c1
-    return u.c3 / u.c1 - 1.5 * r * r
+    r = u2 / u1
+    return u3 / u1 - 1.5 * r * r
 
 
 def sl2_moving_frame(u: float, ut: float, utt: float) -> GroupElementSL2:
@@ -138,12 +112,13 @@ ResidualFn = Callable[[AdjointGraph, np.ndarray, list], list[Node]]
 class FormulationSpec:
     """Everything the trainer and harness need for one formulation.
 
-    order is the highest derivative of any network output that the residual
-    and the initial conditions read; the trainer propagates jets of exactly
-    that order.
+    residual(graph, points, outs) reads coefficient k of output row r, the
+    k-th derivative at every point, as the tape leaf outs[r][k].  order is
+    the highest derivative of any network output that the residual and the
+    initial conditions read; the trainer propagates jets of exactly that
+    order.
     """
 
-    kind: str
     output_dim: int
     interval: tuple[float, float]
     x_name: str
@@ -164,8 +139,6 @@ class ProblemSpec:
     """
 
     name: str
-    n_components: int
-    constants: dict
     vanilla: FormulationSpec
     invariant: FormulationSpec
     exact: Callable[[np.ndarray], np.ndarray]
@@ -195,15 +168,15 @@ def schwarz_spec() -> ProblemSpec:
 
     def vanilla_residual(graph, t, outs):
         u = outs[0]
-        ut, utt, uttt = u.d(1), u.d(2), u.d(3)
+        ut, utt, uttt = u[1], u[2], u[3]
         return [uttt / ut - 1.5 * (utt / ut) ** 2 - curvature]
 
     def invariant_residual(graph, t, outs):
         a, b, c, d = outs
-        return [a.d(1) + b.d(0),
-                b.d(1) - a.d(0),
-                c.d(1) + d.d(0),
-                d.d(1) - c.d(0)]
+        return [a[1] + b[0],
+                b[1] - a[0],
+                c[1] + d[0],
+                d[1] - c[0]]
 
     def invariant_rhs(t, y):
         return np.array([-y[1], y[0], -y[3], y[2]])
@@ -223,17 +196,15 @@ def schwarz_spec() -> ProblemSpec:
     interval = (0.0, math.pi)
     return ProblemSpec(
         name="schwarz",
-        n_components=1,
-        constants={"sigma": 1.0, "curvature": curvature},
         vanilla=FormulationSpec(
-            kind="vanilla", output_dim=1, interval=interval, x_name="t",
+            output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=vanilla_ics,
             order=3,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
-            kind="invariant", output_dim=4, interval=interval, x_name="t",
+            output_dim=4, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=invariant_ics,
             order=1,
@@ -255,10 +226,10 @@ def logistic_spec() -> ProblemSpec:
 
     def vanilla_residual(graph, t, outs):
         u = outs[0]
-        return [u.d(1) - u.d(0) * (1.0 - u.d(0))]
+        return [u[1] - u[0] * (1.0 - u[0])]
 
     def invariant_residual(graph, t, outs):
-        return [outs[0].d(1)]
+        return [outs[0][1]]
 
     def invariant_rhs(t, y):
         return np.zeros(1)
@@ -272,17 +243,15 @@ def logistic_spec() -> ProblemSpec:
     interval = (0.0, math.pi)
     return ProblemSpec(
         name="logistic",
-        n_components=1,
-        constants={},
         vanilla=FormulationSpec(
-            kind="vanilla", output_dim=1, interval=interval, x_name="t",
+            output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, 0.5),),
             order=1,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
-            kind="invariant", output_dim=1, interval=interval, x_name="t",
+            output_dim=1, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=((0, 0, 1.0),),
             order=1,
@@ -308,13 +277,13 @@ def oscillator_spec() -> ProblemSpec:
 
     def vanilla_residual(graph, t, outs):
         u = outs[0]
-        return [u.d(2) + u.d(0) - graph.const(forcing(t))]
+        return [u[2] + u[0] - graph.const(forcing(t))]
 
     def invariant_residual(graph, t, outs):
         al, be = outs
         f = forcing(t)
-        return [al.d(1) - graph.const(f * np.cos(t)),
-                be.d(1) + graph.const(f * np.sin(t))]
+        return [al[1] - graph.const(f * np.cos(t)),
+                be[1] + graph.const(f * np.sin(t))]
 
     def invariant_rhs(t, y):
         f = math.sin(t ** a)
@@ -327,17 +296,15 @@ def oscillator_spec() -> ProblemSpec:
     interval = reference.OSCILLATOR_INTERVAL
     return ProblemSpec(
         name="oscillator",
-        n_components=1,
-        constants={"forcing_exponent": a},
         vanilla=FormulationSpec(
-            kind="vanilla", output_dim=1, interval=interval, x_name="t",
+            output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, 1.0), (0, 1, 1.0)),
             order=2,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
-            kind="invariant", output_dim=2, interval=interval, x_name="t",
+            output_dim=2, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=((0, 0, 1.0), (1, 0, 1.0)),
             order=1,
@@ -361,12 +328,12 @@ def exponential_spec() -> ProblemSpec:
 
     def vanilla_residual(graph, t, outs):
         u = outs[0]
-        return [u.d(2) - (-u.d(1)).exp()]
+        return [u[2] - (-u[1]).exp()]
 
     def invariant_residual(graph, h, outs):
         inv, eps = outs
-        return [inv.d(1) + inv.d(0) - graph.const(np.exp(-h) - 1.0),
-                eps.d(1) - 1.0]
+        return [inv[1] + inv[0] - graph.const(np.exp(-h) - 1.0),
+                eps[1] - 1.0]
 
     def invariant_rhs(h, y):
         return np.array([math.exp(-h) - 1.0 - y[0], 1.0])
@@ -384,17 +351,15 @@ def exponential_spec() -> ProblemSpec:
 
     return ProblemSpec(
         name="exponential",
-        n_components=1,
-        constants={"c1": c1, "h_final": h_final},
         vanilla=FormulationSpec(
-            kind="vanilla", output_dim=1, interval=(0.0, 2.0), x_name="t",
+            output_dim=1, interval=(0.0, 2.0), x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, -5.0 * c1), (0, 1, -5.0)),
             order=2,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
-            kind="invariant", output_dim=2, interval=(0.0, h_final), x_name="H",
+            output_dim=2, interval=(0.0, h_final), x_name="H",
             residual=invariant_residual,
             ics=((0, 0, -5.0), (1, 0, -5.0)),
             order=1,
@@ -422,13 +387,13 @@ def system_spec() -> ProblemSpec:
 
     def vanilla_residual(graph, t, outs):
         u, v = outs
-        return [u.d(1) + u.d(0) - graph.const(t + 1.0) * v.d(0),
-                v.d(1) - u.d(0) + graph.const(t) * v.d(0)]
+        return [u[1] + u[0] - graph.const(t + 1.0) * v[0],
+                v[1] - u[0] + graph.const(t) * v[0]]
 
     def invariant_residual(graph, t, outs):
         al, be = outs
-        return [al.d(1) + graph.const(t + 1.0) * al.d(0),
-                be.d(1) - al.d(0)]
+        return [al[1] + graph.const(t + 1.0) * al[0],
+                be[1] - al[0]]
 
     def invariant_rhs(t, y):
         return np.array([-(1.0 + t) * y[0], y[0]])
@@ -447,18 +412,15 @@ def system_spec() -> ProblemSpec:
     interval = (0.0, 2.0)
     return ProblemSpec(
         name="system",
-        n_components=2,
-        constants={"gauss_scale": reference.SYSTEM_GAUSS_SCALE,
-                   "drift": reference.SYSTEM_DRIFT},
         vanilla=FormulationSpec(
-            kind="vanilla", output_dim=2, interval=interval, x_name="t",
+            output_dim=2, interval=interval, x_name="t",
             residual=vanilla_residual,
             ics=((0, 0, 1.0), (1, 0, 1.0)),
             order=1,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
-            kind="invariant", output_dim=2, interval=interval, x_name="t",
+            output_dim=2, interval=interval, x_name="t",
             residual=invariant_residual,
             ics=((0, 0, 1.0), (1, 0, 1.0)),
             order=1,

@@ -1,9 +1,11 @@
 """Loss assembly and full-batch Adam training for both formulations.
 
-`train` builds one `network.MlpJets` pass per cell and keeps the
-parameters in one flat vector, which the pass reads through layer views;
-each epoch overwrites the pass's jets, adjoints and gradient and updates
-the Adam moments in place, so no epoch allocates a layer- or
+The residuals read the network's output coefficients as plain tape leaves;
+`_evaluate` is the one place that makes those leaves from the jets a
+`network.MlpJets` pass returns and hands their adjoints back to it.
+`train` builds one pass and one `ParamSet` per cell; each epoch overwrites
+the pass's jets, adjoints and gradient and updates the parameters' flat
+vector and the Adam moments in place, so no epoch allocates a layer- or
 parameter-sized buffer and a cell's memory does not grow with its epochs.
 `loss_and_grad` builds a pass per call, so the gradient it returns is never
 overwritten; the loss functions, which return no gradient, build a
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import AdjointGraph, DomainError, Node
-from .network import MlpJets, MlpLayout, ParamSet, _layer_views, init_mlp
+from .network import MlpJets, MlpLayout, ParamSet, init_mlp
 from .problems import FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
@@ -124,13 +126,13 @@ def _loss_nodes(graph: AdjointGraph, points: np.ndarray, outs,
         term = graph.sum(r * r)
         eq = term if eq is None else eq + term
     if mean_reduction:
-        eq = graph.scale_shift(eq, 1.0 / points.size, 0.0)
+        eq = graph.scale(eq, 1.0 / points.size)
     ic = None
     for row, order, target in spec.ics:
-        diff = outs[row].d(order).pick(0) - target
+        diff = outs[row][order].pick(0) - target
         term = diff * diff
         ic = term if ic is None else ic + term
-    total = eq + graph.scale_shift(ic, alpha_ic, 0.0)
+    total = eq + graph.scale(ic, alpha_ic)
     return total, eq, ic, residuals
 
 
@@ -150,20 +152,42 @@ def _require_finite(total_value: float, residuals: list[Node], ic_value: float,
     raise DomainError("non-finite training loss")
 
 
+def _output_leaves(graph: AdjointGraph, value: np.ndarray) -> list[list[Node]]:
+    """One tape leaf per output coefficient: leaves[row][k] holds value[k, row]."""
+    return [[graph.param(value[k, row]) for k in range(len(value))]
+            for row in range(value.shape[1])]
+
+
+def _gather_adjoints(leaves: list[list[Node]], value_bar: np.ndarray) -> np.ndarray:
+    """The leaf adjoints of a backward sweep, written into `value_bar` as the
+    adjoint of the output jets; a leaf that nothing read adds nothing."""
+    value_bar.fill(0.0)
+    for row, jet in enumerate(leaves):
+        for k, leaf in enumerate(jet):
+            if leaf.adjoint is not None:
+                value_bar[k, row] += leaf.adjoint
+    return value_bar
+
+
 def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
               alpha_ic: float, mean_reduction: bool):
     """Loss breakdown of one pass at the points of `net` and, if `net` was
-    built with_grad, the flat gradient, which is its buffer `net.grad`."""
+    built with_grad, the flat gradient, which is its buffer `net.grad.flat`.
+
+    This is where the tape meets the network: the residuals read the output
+    jets through `_output_leaves`, and after the backward sweep
+    `param_grad` pulls back the leaf adjoints, gathered in `net.value_bar`.
+    """
     points = net.points
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
-        net.forward(params, graph)
-        total, eq, ic, residuals = _loss_nodes(graph, points, net.outputs, spec,
+        leaves = _output_leaves(graph, net.forward(params))
+        total, eq, ic, residuals = _loss_nodes(graph, points, leaves, spec,
                                                alpha_ic, mean_reduction)
         gvec = None
         if net.with_grad:
             graph.backward(total)
-            gvec = net.param_grad()
+            gvec = net.param_grad(_gather_adjoints(leaves, net.value_bar))
     total_value = float(total.value)
     _require_finite(total_value, residuals, float(ic.value), points)
     if gvec is not None and not np.all(np.isfinite(gvec)):
@@ -222,10 +246,13 @@ def adam_step(params_flat: np.ndarray, grad_vector: np.ndarray,
     `state` advances in place and `params_flat` is only read, so the vector
     before a non-finite update survives it.  Each line is one elementwise
     ufunc, in the order of the expression form, so updating in place
-    changes no bit.
+    changes no bit.  `out` serves as a temporary before the last line, so
+    it must not share memory with `params_flat` or `grad_vector`.
     """
     if out is None:
         out = np.empty(params_flat.shape)
+    elif np.may_share_memory(out, params_flat) or np.may_share_memory(out, grad_vector):
+        raise ValueError("adam_step's out must not share memory with its inputs")
     state.step += 1
     m, v = state.first_moment, state.second_moment
     a, c = out, state.scratch          # `out` is the other temporary until the last line
@@ -254,8 +281,8 @@ def train(problem: ProblemSpec, config: TrainConfig):
     whose loss or update turns non-finite stops early; the report records
     the abort and keeps the last finite parameters.  An epoch computes the
     same bits as `loss_and_grad` followed by `adam_step`, on arrays
-    allocated once per cell: one `MlpJets` pass, one `AdamState` and one
-    parameter vector, which the pass reads through layer views.
+    allocated once per cell: one `MlpJets` pass, one `AdamState`, one
+    `ParamSet`, whose flat vector Adam updates, and the update buffer.
     """
     from .harness import build_report
 
@@ -263,12 +290,11 @@ def train(problem: ProblemSpec, config: TrainConfig):
     interval = config.interval if config.interval is not None else spec.interval
     layout = MlpLayout(output_dim=spec.output_dim)
     start = time.perf_counter()
-    flat = init_mlp(layout, config.seed).to_flat()
-    params = ParamSet(layout, *_layer_views(layout, flat))
+    params = init_mlp(layout, config.seed)
     net = MlpJets(layout, sample_collocation(interval, config.n_collocation, config.seed),
                   spec.order)
-    state = AdamState.zeros(flat.size)
-    updated = np.empty(flat.size)
+    state = AdamState.zeros(layout.flat_size())
+    updated = np.empty(layout.flat_size())
     history = np.zeros((config.epochs, 3))
     status, message = "ok", ""
     epochs_run = 0
@@ -282,13 +308,12 @@ def train(problem: ProblemSpec, config: TrainConfig):
         history[epoch] = (breakdown.equation_loss, breakdown.ic_loss,
                           breakdown.total)
         epochs_run = epoch + 1
-        adam_step(flat, gvec, state, config.learning_rate, updated)
+        adam_step(params.flat, gvec, state, config.learning_rate, updated)
         if not np.all(np.isfinite(updated)):
             status, message = "diverged", f"epoch {epoch}: non-finite parameter update"
             break
-        flat[:] = updated
-    trained = ParamSet.from_flat(layout, flat)
-    report = build_report(problem, config, trained, history[:epochs_run],
+        params.flat[:] = updated
+    report = build_report(problem, config, params, history[:epochs_run],
                           wall_time=time.perf_counter() - start,
                           status=status, message=message)
-    return trained, history[:epochs_run], report
+    return params, history[:epochs_run], report

@@ -19,14 +19,13 @@ from ipinn.network import JET_ORDER, MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
-    Jet3,
-    Jet3Point,
     get_problem,
     schwarzian,
     sl2_moving_frame,
     sl2_prolong,
 )
 from ipinn.reference import rk4_solve
+from ipinn.training import _gather_adjoints, _output_leaves
 
 # ---------------------------------------------------------------------------
 # network jets against finite differences
@@ -56,7 +55,8 @@ def jet_fd_worst(n_cases: int = 1000, seed: int = 0) -> float:
                            hidden_width=int(rng.integers(3, 41)),
                            output_dim=int(rng.integers(1, 5)))
         params = init_mlp(layout, seed=int(rng.integers(10_000)))
-        params.biases = [rng.uniform(-1.0, 1.0, b.size) for b in params.biases]
+        for b in params.biases:
+            b[:] = rng.uniform(-1.0, 1.0, b.size)
         t0 = float(rng.uniform(-1.5, 1.5))
 
         def f(s, _params=params):
@@ -107,21 +107,21 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
             def build(flat, order=order):
                 graph = AdjointGraph()
                 net = MlpJets(layout, x, order)
-                net.forward(ParamSet.from_flat(layout, flat), graph)
+                value = net.forward(ParamSet.from_flat(layout, flat))
+                leaves = _output_leaves(graph, value)
                 total = None
-                for row, out in enumerate(net.outputs):
-                    for k in range(order + 1):
-                        term = graph.sum(out.d(k) * out.d(k))
-                        term = graph.scale_shift(term, float(mix[row, k]), 0.0)
+                for row, jet in enumerate(leaves):
+                    for k, u in enumerate(jet):
+                        term = graph.scale(graph.sum(u * u), float(mix[row, k]))
                         total = term if total is None else total + term
-                return graph, net, total
+                return graph, net, leaves, total
 
-            graph, net, loss = build(flat)
+            graph, net, leaves, loss = build(flat)
             graph.backward(loss)
-            gvec = net.param_grad()
+            gvec = net.param_grad(_gather_adjoints(leaves, net.value_bar))
 
             def value(v, build=build):
-                return float(build(v)[2].value)
+                return float(build(v)[3].value)
 
             for v in units:
                 want = oracles.directional_derivative(value, flat, v)
@@ -142,12 +142,13 @@ def random_sl2(rng: np.random.Generator) -> GroupElementSL2:
     return GroupElementSL2(a, b, c, (1.0 + b * c) / a)
 
 
-def random_jet(rng: np.random.Generator) -> Jet3:
+def random_jet(rng: np.random.Generator) -> tuple[float, float, float, float]:
+    """A third-order jet (u, u_t, u_tt, u_ttt) with |u_t| >= 0.3."""
     sign = 1.0 if rng.random() < 0.5 else -1.0
-    return Jet3(float(rng.uniform(-2.0, 2.0)),
-                sign * float(rng.uniform(0.3, 2.0)),
-                float(rng.uniform(-2.0, 2.0)),
-                float(rng.uniform(-2.0, 2.0)))
+    return (float(rng.uniform(-2.0, 2.0)),
+            sign * float(rng.uniform(0.3, 2.0)),
+            float(rng.uniform(-2.0, 2.0)),
+            float(rng.uniform(-2.0, 2.0)))
 
 
 def _admissible(g: GroupElementSL2, u: float) -> bool:
@@ -162,10 +163,10 @@ def schwarzian_invariance_worst(n: int = 100, seed: int = 0) -> float:
     while done < n:
         g = random_sl2(rng)
         z = random_jet(rng)
-        if not _admissible(g, z.c0):
+        if not _admissible(g, z[0]):
             continue
-        moved = sl2_prolong(g, Jet3Point(0.0, z))
-        worst = max(worst, abs(schwarzian(moved.u) - schwarzian(z)))
+        moved = sl2_prolong(g, z)
+        worst = max(worst, abs(schwarzian(moved) - schwarzian(z)))
         done += 1
     return worst
 
@@ -177,11 +178,11 @@ def frame_normalization_worst(n: int = 100, seed: int = 1) -> tuple[float, float
     worst_det = 0.0
     for _ in range(n):
         z = random_jet(rng)
-        rho = sl2_moving_frame(z.c0, z.c1, z.c2)
-        moved = sl2_prolong(rho, Jet3Point(0.0, z)).u
-        sigma = math.copysign(1.0, z.c1)
-        worst_norm = max(worst_norm, abs(moved.c0),
-                         abs(moved.c1 - sigma), abs(moved.c2))
+        rho = sl2_moving_frame(*z[:3])
+        moved = sl2_prolong(rho, z)
+        sigma = math.copysign(1.0, z[1])
+        worst_norm = max(worst_norm, abs(moved[0]),
+                         abs(moved[1] - sigma), abs(moved[2]))
         worst_det = max(worst_det, abs(rho.det() - 1.0))
     return worst_norm, worst_det
 
@@ -194,11 +195,11 @@ def frame_equivariance_worst(n: int = 100, seed: int = 2) -> float:
     while done < n:
         g = random_sl2(rng)
         z = random_jet(rng)
-        if not _admissible(g, z.c0):
+        if not _admissible(g, z[0]):
             continue
-        moved = sl2_prolong(g, Jet3Point(0.0, z)).u
-        left = sl2_moving_frame(moved.c0, moved.c1, moved.c2).as_matrix()
-        base = sl2_moving_frame(z.c0, z.c1, z.c2).as_matrix()
+        moved = sl2_prolong(g, z)
+        left = sl2_moving_frame(*moved[:3]).as_matrix()
+        base = sl2_moving_frame(*z[:3]).as_matrix()
         right = base @ g.inverse().as_matrix()
         diff = min(float(np.abs(left - right).max()),
                    float(np.abs(left + right).max()))

@@ -11,7 +11,7 @@ import checks
 import oracles
 from ipinn.autodiff import AdjointGraph
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, ParamSet, _tanh_table, init_mlp
-from ipinn.problems import Jet3
+from ipinn.training import _gather_adjoints, _output_leaves
 
 # ---------------------------------------------------------------------------
 # frozen jet values
@@ -50,13 +50,6 @@ def test_tanh_table_is_bitwise_the_sign_form(count):
     assert np.signbit(got[0, negative_zero]).all()
 
 
-def test_from_array_roundtrip_and_shape_guard():
-    j = Jet3.from_array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(j.as_array(), [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        Jet3.from_array([1.0, 2.0])
-
-
 # ---------------------------------------------------------------------------
 # jets against the finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -75,29 +68,26 @@ def _everything_graph(layout: MlpLayout, flat: np.ndarray, x: np.ndarray):
     """A loss on all four output orders touching every tape operation."""
     graph = AdjointGraph()
     net = MlpJets(layout, x, JET_ORDER)
-    net.forward(ParamSet.from_flat(layout, flat), graph)
+    leaves = _output_leaves(graph, net.forward(ParamSet.from_flat(layout, flat)))
     total = None
-    for out in net.outputs:
-        u0, u1, u2, u3 = (out.d(k) for k in range(JET_ORDER + 1))
+    for u0, u1, u2, u3 in leaves:
         r = u3 / (2.5 + u1 * u1) - 1.5 * u2 ** 2 + (-u0).exp()
         r = r + (1.0 - u0) * 0.5 + 1.0 / (u0 * u0 + 2.0) + u1 ** 3
         r = r - graph.const(np.cos(x)) * u1
         term = graph.sum(r * r)
         total = term if total is None else total + term
-    p0 = net.outputs[0].d(1).pick(0)
-    total = total + p0 * p0 + graph.exp(graph.scale_shift(p0, 0.25, -0.5))
-    return graph, net, total
+    p0 = leaves[0][1].pick(0)
+    total = total + p0 * p0 + graph.exp(graph.scale(p0, 0.25) - 0.5)
+    return graph, net, leaves, total
 
 
 def test_everything_graph_uses_every_tape_operation():
     layout = MlpLayout(hidden_layers=2, hidden_width=5, output_dim=2)
-    graph, _, _ = _everything_graph(layout, init_mlp(layout, seed=3).to_flat(),
-                                    np.linspace(-1.0, 1.0, 5))
+    graph, *_ = _everything_graph(layout, init_mlp(layout, seed=3).to_flat(),
+                                  np.linspace(-1.0, 1.0, 5))
     ops = {node.op for node in graph.nodes}
-    assert ops == {"const", "param", "add", "sub", "mul", "div", "scale_shift",
+    assert ops == {"const", "param", "add", "sub", "mul", "div", "scale",
                    "exp", "pick", "sum"}
-    shifts = [node.aux[1] for node in graph.nodes if node.op == "scale_shift"]
-    assert -0.5 in shifts
 
 
 def test_gradient_of_everything_graph_matches_fd():
@@ -105,13 +95,13 @@ def test_gradient_of_everything_graph_matches_fd():
     flat = init_mlp(layout, seed=3).to_flat()
     x = np.linspace(-1.0, 1.0, 5)
 
-    graph, net, loss = _everything_graph(layout, flat, x)
+    graph, net, leaves, loss = _everything_graph(layout, flat, x)
     graph.backward(loss)
-    gvec = net.param_grad()
+    gvec = net.param_grad(_gather_adjoints(leaves, net.value_bar))
     assert math.isfinite(float(loss.value))
 
     def f(v):
-        return float(_everything_graph(layout, v, x)[2].value)
+        return float(_everything_graph(layout, v, x)[3].value)
 
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -134,11 +124,11 @@ def test_affine_gradient_is_exact_for_polynomial_loss():
 
     graph = AdjointGraph()
     net = MlpJets(layout, t, 0)
-    net.forward(params, graph)
-    u = net.outputs[0]
-    loss = graph.sum(u.d(0) * u.d(0))
+    leaves = _output_leaves(graph, net.forward(params))
+    u0 = leaves[0][0]
+    loss = graph.sum(u0 * u0)
     graph.backward(loss)
-    gvec = net.param_grad()
+    gvec = net.param_grad(_gather_adjoints(leaves, net.value_bar))
 
     r = w0 * t + b0
     assert abs(float(loss.value) - (r * r).sum()) < 1e-14
@@ -158,18 +148,19 @@ def test_gradient_skips_unused_parameters():
 
     layout = MlpLayout(hidden_layers=1, hidden_width=3)
     net = MlpJets(layout, np.array([0.0, 1.0]), 2)
-    net.forward(init_mlp(layout, seed=0), graph)
-    net.outputs[0].d(2)
+    leaves = _output_leaves(graph, net.forward(init_mlp(layout, seed=0)))
     graph.backward(loss)
-    assert np.array_equal(net.param_grad(), np.zeros(layout.flat_size()))
+    assert all(leaf.adjoint is None for leaf in leaves[0])
+    value_bar = _gather_adjoints(leaves, net.value_bar)
+    assert np.array_equal(net.param_grad(value_bar), np.zeros(layout.flat_size()))
 
 
 def test_forward_pass_is_deterministic():
     layout = MlpLayout(hidden_layers=2, hidden_width=5, output_dim=2)
     flat = init_mlp(layout, seed=9).to_flat()
     x = np.linspace(-1.0, 1.0, 5)
-    _, _, l1 = _everything_graph(layout, flat, x)
-    _, _, l2 = _everything_graph(layout, flat, x)
+    *_, l1 = _everything_graph(layout, flat, x)
+    *_, l2 = _everything_graph(layout, flat, x)
     assert float(l1.value) == float(l2.value)
 
 
@@ -196,16 +187,13 @@ def test_backward_requires_scalar_plain_loss():
 
 
 def test_extract_coefficient_range_checked():
-    """An output's d(k) exists for k = 0..order only, and order for 0..3 only."""
+    """A pass of order 0..3 carries, and the tape reads, coefficients 0..order only."""
     layout = MlpLayout(hidden_layers=1, hidden_width=4)
     for order in range(JET_ORDER + 1):
         net = MlpJets(layout, np.array([1.0]), order)
-        net.forward(init_mlp(layout, seed=0), AdjointGraph())
-        net.outputs[0].d(order)
-        with pytest.raises(ValueError):
-            net.outputs[0].d(order + 1)
-        with pytest.raises(ValueError):
-            net.outputs[0].d(-1)
+        value = net.forward(init_mlp(layout, seed=0))
+        assert value.shape == (order + 1, 1, 1)
+        assert len(_output_leaves(AdjointGraph(), value)[0]) == order + 1
     for order in (-1, JET_ORDER + 1):
         with pytest.raises(ValueError):
             MlpJets(layout, np.array([1.0]), order)

@@ -20,7 +20,8 @@ from ipinn.network import (
     save_weights,
 )
 from ipinn.problems import REGISTRY, get_problem
-from ipinn.training import _loss_nodes, sample_collocation
+from ipinn.training import (_gather_adjoints, _loss_nodes, _output_leaves, loss_and_grad,
+                            sample_collocation)
 
 
 def test_default_layout_flat_size():
@@ -108,7 +109,8 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
     layout = MlpLayout(hidden_layers=hidden_layers, hidden_width=hidden_width,
                        output_dim=output_dim)
     params = init_mlp(layout, seed=hidden_layers + 10 * hidden_width)
-    params.biases = [np.linspace(-0.3, 0.4, b.size) for b in params.biases]
+    for b in params.biases:
+        b[:] = np.linspace(-0.3, 0.4, b.size)
     x = np.linspace(-2.5, 2.5, 7)
     value = MlpJets(layout, x, JET_ORDER).forward(params)
     for i, t0 in enumerate(x):
@@ -121,17 +123,17 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
 
 
 def _jets_and_grad(params: ParamSet, x: np.ndarray, order: int, reads: int):
-    """Kernel coefficients and the gradient of a loss on d(0)..d(reads)."""
+    """Kernel coefficients and the gradient of a loss on coefficients 0..reads."""
     graph = AdjointGraph()
     net = MlpJets(params.layout, x, order)
-    net.forward(params, graph)
+    leaves = _output_leaves(graph, net.forward(params))
     total = None
-    for out in net.outputs:
-        for k in range(reads + 1):
-            term = graph.sum(out.d(k) * out.d(k))
+    for jet in leaves:
+        for u in jet[:reads + 1]:
+            term = graph.sum(u * u)
             total = term if total is None else total + term
     graph.backward(total)
-    return net.value, net.param_grad()
+    return net.value, net.param_grad(_gather_adjoints(leaves, net.value_bar))
 
 
 @pytest.mark.parametrize("output_dim", [1, 2, 4])
@@ -157,10 +159,10 @@ def _formulation_pass(spec, alpha_ic: float, params: ParamSet, points: np.ndarra
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
         net = MlpJets(params.layout, points, order)
-        net.forward(params, graph)
-        total, *_ = _loss_nodes(graph, points, net.outputs, spec, alpha_ic, False)
+        leaves = _output_leaves(graph, net.forward(params))
+        total, *_ = _loss_nodes(graph, points, leaves, spec, alpha_ic, False)
         graph.backward(total)
-        return float(total.value), net.param_grad()
+        return float(total.value), net.param_grad(_gather_adjoints(leaves, net.value_bar))
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -183,17 +185,51 @@ def test_formulation_loss_is_order_independent(name, kind):
             assert np.array_equal(grad, full_grad), (n, seed)
 
 
-def test_output_jet_caches_extraction_nodes():
-    layout = MlpLayout(hidden_layers=1, hidden_width=4)
-    graph = AdjointGraph()
-    net = MlpJets(layout, np.array([0.0, 1.0]), 1)
-    net.forward(init_mlp(layout, seed=0), graph)
-    out = net.outputs[0]
-    assert out.d(1) is out.d(1)
-    n_nodes = len(graph.nodes)
-    out.d(1)
-    assert len(graph.nodes) == n_nodes
-    assert np.array_equal(out.d(1).value, net.value[1, 0])
+def test_evaluate_hands_the_network_the_adjoint_of_its_outputs():
+    """Logistic invariant: loss = sum u_t^2 + alpha (u(t0) - 1)^2, so the adjoint
+    of the output jets is 2 u_t on coefficient 1 and 2 alpha (u(t0) - 1) at
+    (0, t0); the tape's gradient is param_grad of exactly that."""
+    spec = get_problem("logistic").invariant
+    params = init_mlp(MlpLayout(output_dim=1), seed=4)
+    points = sample_collocation(spec.interval, 30, seed=4)
+    alpha = 1.0
+    _, gvec = loss_and_grad(params, spec, points, alpha)
+    net = MlpJets(params.layout, points, spec.order)
+    value = net.forward(params)
+    value_bar = np.zeros(value.shape)
+    value_bar[1, 0] = 2.0 * value[1, 0]
+    value_bar[0, 0, 0] = 2.0 * alpha * (value[0, 0, 0] - spec.ics[0][2])
+    assert np.array_equal(net.param_grad(value_bar), gvec)
+
+
+def test_param_grad_is_the_transpose_of_forward():
+    """Without the tape: at each order, param_grad(value_bar) @ v against a
+    central difference of sum(value_bar * forward(params + h v)), and
+    value_bar is only read."""
+    layout = MlpLayout(hidden_layers=2, hidden_width=6, output_dim=3)
+    rng = np.random.default_rng(7)
+    params = init_mlp(layout, seed=7)
+    for b in params.biases:
+        b[:] = rng.uniform(-1.0, 1.0, b.size)
+    x = np.sort(rng.uniform(-1.0, 1.0, 5))
+    for order in range(JET_ORDER + 1):
+        net = MlpJets(layout, x, order)
+        value_bar = rng.standard_normal(net.value.shape)
+        kept = value_bar.copy()
+        net.forward(params)
+        grad = net.param_grad(value_bar).copy()
+        assert np.array_equal(value_bar, kept)
+
+        def f(flat, net=net, value_bar=value_bar):
+            return float(np.sum(value_bar * net.forward(ParamSet.from_flat(layout, flat))))
+
+        for _ in range(3):
+            v = rng.standard_normal(layout.flat_size())
+            v /= np.linalg.norm(v)
+            want = oracles.directional_derivative(f, params.flat, v)
+            assert abs(float(grad @ v) - want) < 1e-6 * max(1.0, abs(want)), order
+        with pytest.raises(ValueError, match="shape"):
+            net.param_grad(value_bar[:, :1])
 
 
 def test_weight_io_roundtrip(tmp_path):
@@ -242,10 +278,13 @@ def _encode(header):
     (lambda h, b: _encode(_with_layout(h, output_dim=None)) + b, "layout needs"),
     (lambda h, b: _encode(_with_layout(h, depth=3)) + b, "layout needs"),
     (lambda h, b: _encode(_with_layout(h, hidden_width="3")) + b, "non-negative"),
+    (lambda h, b: _encode(_with_layout(h, input_dim=2)) + b, "input_dim must be 1"),
+    (lambda h, b: _encode({**h, "seed": "abc"}) + b, "seed must be null"),
+    (lambda h, b: _encode({**h, "seed": -1}) + b, "seed must be null"),
     (lambda h, b: b"", "empty weights file"),
 ], ids=["truncated-body", "one-value-short", "one-value-extra", "no-header-line",
         "no-layout", "missing-layout-key", "unknown-layout-key", "non-integer-size",
-        "empty-file"])
+        "two-inputs", "string-seed", "negative-seed", "empty-file"])
 def test_load_weights_names_file_and_fault(tmp_path, corrupt, fault):
     path, header, body = _weight_file_parts(tmp_path)
     path.write_bytes(corrupt(header, body))
@@ -253,6 +292,22 @@ def test_load_weights_names_file_and_fault(tmp_path, corrupt, fault):
         load_weights(path)
     assert str(path) in str(info.value)
     assert fault in str(info.value)
+
+
+def test_paramset_is_one_flat_vector():
+    """weights and biases are views of flat; none of the three can be rebound."""
+    layout = MlpLayout(hidden_layers=1, hidden_width=3, output_dim=2)
+    params = init_mlp(layout, seed=0)
+    params.weights[1][1, 2] = 5.0
+    params.biases[1][:] = [6.0, 7.0]
+    assert params.flat[6 + 5] == 5.0  # after layer 0's 3 weights and 3 biases
+    assert params.flat[-2:].tolist() == [6.0, 7.0]
+    for name in ("flat", "weights", "biases"):
+        with pytest.raises(AttributeError):
+            setattr(params, name, getattr(params, name))
+    again, copy = ParamSet.from_flat(layout, params.flat), params.to_flat()
+    params.flat[0] = 9.0
+    assert again.flat[0] == copy[0] != 9.0
 
 
 def test_paramset_validates_shapes():

@@ -10,19 +10,18 @@ import scipy.special
 
 import checks
 import oracles
+from ipinn import reference
 from ipinn.autodiff import AdjointGraph, DomainError
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, init_mlp
 from ipinn.problems import (
     REGISTRY,
     GroupElementSL2,
-    Jet3,
-    Jet3Point,
     get_problem,
     schwarzian,
     sl2_moving_frame,
     sl2_prolong,
 )
-from ipinn.training import _loss_nodes
+from ipinn.training import _loss_nodes, _output_leaves
 
 # ---------------------------------------------------------------------------
 # group elements
@@ -55,7 +54,7 @@ def test_group_inverse_and_compose():
 
 
 def test_identity_fixes_jets():
-    z = Jet3Point(0.3, Jet3(1.1, -0.7, 0.2, 0.9))
+    z = (1.1, -0.7, 0.2, 0.9)
     moved = sl2_prolong(GroupElementSL2.identity(), z)
     assert moved == z
 
@@ -66,15 +65,14 @@ def test_prolongation_matches_transformed_function():
     # of the tangent's own asymptote so the stencil sees a smooth function
     g = GroupElementSL2(1.2, 0.4, -0.3, (1.0 + 0.4 * -0.3) / 1.2)
     for t0 in (0.3, 0.7, 2.0):
-        z = Jet3Point(t0, Jet3.from_array(oracles.tan_jets(np.array(t0))))
-        moved = sl2_prolong(g, z)
+        moved = sl2_prolong(g, oracles.tan_jets(np.array(t0)))
 
         def transformed(s):
             u = math.tan(s)
             return (g.a * u + g.b) / (g.c * u + g.d)
 
         want = oracles.fd_derivatives(transformed, t0, h=0.002)
-        rel = np.abs(moved.u.as_array() - want) / np.maximum(1.0, np.abs(want))
+        rel = np.abs(np.array(moved) - want) / np.maximum(1.0, np.abs(want))
         assert rel.max() < 1e-7
 
 
@@ -83,13 +81,13 @@ def test_prolongation_is_a_group_action():
     for _ in range(30):
         g1 = checks.random_sl2(rng)
         g2 = checks.random_sl2(rng)
-        z = Jet3Point(0.0, checks.random_jet(rng))
-        if not (checks._admissible(g1, z.u.c0)
-                and checks._admissible(g2, sl2_prolong(g1, z).u.c0)
-                and checks._admissible(g2.compose(g1), z.u.c0)):
+        z = checks.random_jet(rng)
+        if not (checks._admissible(g1, z[0])
+                and checks._admissible(g2, sl2_prolong(g1, z)[0])
+                and checks._admissible(g2.compose(g1), z[0])):
             continue
-        twice = sl2_prolong(g2, sl2_prolong(g1, z)).u.as_array()
-        once = sl2_prolong(g2.compose(g1), z).u.as_array()
+        twice = np.array(sl2_prolong(g2, sl2_prolong(g1, z)))
+        once = np.array(sl2_prolong(g2.compose(g1), z))
         scale = 1.0 + np.abs(once).max()
         assert np.abs(twice - once).max() < 1e-9 * scale
 
@@ -97,7 +95,7 @@ def test_prolongation_is_a_group_action():
 def test_prolongation_rejects_singular_points():
     g = GroupElementSL2(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(DomainError):
-        sl2_prolong(g, Jet3Point(0.0, Jet3(-1.0, 1.0, 0.0, 0.0)))
+        sl2_prolong(g, (-1.0, 1.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +105,7 @@ def test_prolongation_rejects_singular_points():
 
 def test_schwarzian_of_tangent_is_two():
     for t0 in (0.2, 0.8, 1.2, 2.5):
-        jets = Jet3.from_array(oracles.tan_jets(np.array(t0)))
-        assert abs(schwarzian(jets) - 2.0) < 1e-11
+        assert abs(schwarzian(oracles.tan_jets(np.array(t0))) - 2.0) < 1e-11
 
 
 def test_schwarzian_of_mobius_curve_vanishes():
@@ -116,8 +113,7 @@ def test_schwarzian_of_mobius_curve_vanishes():
         return (2.0 * s + 1.0) / (s + 3.0)
 
     for t0 in (0.0, 0.7, 2.0):
-        jets = Jet3.from_array(oracles.fd_derivatives(mobius, t0, h=0.005))
-        assert abs(schwarzian(jets)) < 1e-6
+        assert abs(schwarzian(oracles.fd_derivatives(mobius, t0, h=0.005))) < 1e-6
 
 
 def test_schwarzian_is_group_invariant():
@@ -126,7 +122,7 @@ def test_schwarzian_is_group_invariant():
 
 def test_schwarzian_rejects_critical_points():
     with pytest.raises(DomainError):
-        schwarzian(Jet3(1.0, 0.0, 1.0, 1.0))
+        schwarzian((1.0, 0.0, 1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +164,17 @@ def test_frame_rejects_critical_points():
 # ---------------------------------------------------------------------------
 # residual annihilation on closed-form solutions
 #
-# An OracleOutput stands in for a trained network row, exposing hand-derived
-# jet coefficients; every residual must vanish on its own exact solution.
+# Constant leaves of hand-derived jet coefficients stand in for the network
+# outputs; every residual must vanish on its own exact solution.
 # ---------------------------------------------------------------------------
-
-
-class OracleOutput:
-    def __init__(self, graph: AdjointGraph, table: np.ndarray):
-        self.graph = graph
-        self.table = np.asarray(table, dtype=float)
-
-    def d(self, k: int):
-        return self.graph.const(self.table[:, k])
 
 
 def _residual_max(spec, t: np.ndarray, tables: list[np.ndarray]) -> float:
     graph = AdjointGraph()
-    outs = [OracleOutput(graph, table) for table in tables]
+    outs = [[graph.const(table[:, k]) for k in range(table.shape[1])]
+            for table in tables]
     residuals = spec.residual(graph, t, outs)
-    assert len(residuals) == len(spec.ics) or spec.kind == "vanilla"
+    assert spec.order > 1 or len(residuals) == len(spec.ics)
     return max(float(np.abs(r.value).max()) for r in residuals)
 
 
@@ -226,7 +214,7 @@ def test_schwarz_residuals_vanish_on_solution():
 def test_oscillator_residuals_vanish_on_solution():
     prob = get_problem("oscillator")
     t = np.linspace(0.0, 10.0, 60)
-    f = np.sin(t ** prob.constants["forcing_exponent"])
+    f = np.sin(t ** reference.OSCILLATOR_FORCING_EXPONENT)
     coeffs = [
         _pad([np.zeros_like(t), f * np.cos(t)]),
         _pad([np.zeros_like(t), -f * np.sin(t)]),
@@ -240,7 +228,7 @@ def test_exponential_residuals_vanish_on_solution():
     assert _residual_max(prob.vanilla, t,
                          [oracles.exponential_solution_jets(t)]) < 1e-12
 
-    h = np.linspace(0.0, prob.constants["h_final"], 40)
+    h = np.linspace(0.0, prob.invariant.interval[1], 40)
     decay = np.exp(-h)
     inv = _pad([(h - 4.0) * decay - 1.0, (5.0 - h) * decay])
     eps = _pad([h - 5.0, np.ones_like(h)])
@@ -252,9 +240,9 @@ def test_system_residuals_vanish_on_solution():
     t = np.linspace(0.0, 2.0, 40)
     al = np.exp(-t - 0.5 * t * t)
     al1 = -(1.0 + t) * al
-    be = (prob.constants["gauss_scale"]
+    be = (reference.SYSTEM_GAUSS_SCALE
           * scipy.special.erf((t + 1.0) / math.sqrt(2.0))
-          + prob.constants["drift"])
+          + reference.SYSTEM_DRIFT)
 
     u = al + t * be
     u1 = al1 + be + t * al
@@ -334,7 +322,7 @@ def test_intervals_and_initial_conditions():
         math.log(1.0 + 2.0 * math.exp(5.0)))
 
     system = get_problem("system")
-    assert system.n_components == 2
+    assert system.exact(np.linspace(0.0, 2.0, 3)).shape == (3, 2)
     assert system.alpha_ic == 10.0
     for name in ("schwarz", "logistic", "oscillator", "exponential"):
         assert get_problem(name).alpha_ic == 1.0
@@ -347,13 +335,18 @@ def test_declared_order_is_the_highest_derivative_read(name, kind):
     spec = get_problem(name).formulation(kind)
     points = np.linspace(spec.interval[0], spec.interval[1], 20)
     params = init_mlp(MlpLayout(output_dim=spec.output_dim), 0)
-    net = MlpJets(params.layout, points, JET_ORDER)
-    net.forward(params, AdjointGraph())
     requested = []
-    leaf = net.leaf
-    net.leaf = lambda row, k: requested.append(k) or leaf(row, k)
+
+    class Recorded(list):
+        def __getitem__(self, k):
+            requested.append(k)
+            return super().__getitem__(k)
+
+    graph = AdjointGraph()
+    value = MlpJets(params.layout, points, JET_ORDER).forward(params)
+    leaves = [Recorded(jet) for jet in _output_leaves(graph, value)]
     with np.errstate(all="ignore"):
-        _loss_nodes(net.graph, points, net.outputs, spec, 1.0, False)
+        _loss_nodes(graph, points, leaves, spec, 1.0, False)
     assert spec.order == max(requested)
     if kind == "invariant":
         assert spec.order == 1

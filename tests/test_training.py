@@ -12,7 +12,7 @@ import pytest
 
 import oracles
 from ipinn import training
-from ipinn.autodiff import AdjointGraph, DomainError
+from ipinn.autodiff import DomainError
 from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import REGISTRY, get_problem
 from ipinn.training import (
@@ -265,6 +265,17 @@ def test_adam_step_never_writes_params_flat():
     assert not np.all(np.isfinite(updated))
 
 
+def test_adam_step_rejects_an_out_that_aliases_an_input():
+    """`out` is a temporary before the last line, so an alias would corrupt the step."""
+    p, g = np.array([1.0, -2.0, 3.0]), np.array([0.5, -0.5, 0.5])
+    state = AdamState.zeros(3)
+    for out in (p, g, p[::-1]):
+        with pytest.raises(ValueError, match="share memory"):
+            adam_step(p, g, state, 1e-3, out)
+    assert state.step == 0
+    assert p.tolist() == [1.0, -2.0, 3.0] and g.tolist() == [0.5, -0.5, 0.5]
+
+
 def test_adam_is_deterministic():
     rng = np.random.default_rng(0)
     grads = [rng.standard_normal(4) for _ in range(5)]
@@ -419,22 +430,20 @@ def test_forward_rejects_parameters_of_another_layout():
     layout = MlpLayout(hidden_layers=1, hidden_width=4)
     x = np.linspace(0.0, 1.0, 5)
     net = MlpJets(layout, x, 1)
-    net.forward(init_mlp(layout, 0), AdjointGraph())
+    net.forward(init_mlp(layout, 0))
     for other in (MlpLayout(hidden_layers=2, hidden_width=4),
                   MlpLayout(hidden_layers=1, hidden_width=5),
                   MlpLayout(hidden_layers=1, hidden_width=4, output_dim=2)):
         with pytest.raises(ValueError, match="layout"):
-            net.forward(init_mlp(other, 0), AdjointGraph())
+            net.forward(init_mlp(other, 0))
 
 
 def test_forward_only_pass_refuses_param_grad():
     layout = MlpLayout(hidden_layers=1, hidden_width=4)
-    graph = AdjointGraph()
     net = MlpJets(layout, np.linspace(0.0, 1.0, 5), 1, with_grad=False)
-    net.forward(init_mlp(layout, 0), graph)
-    graph.backward(graph.sum(net.leaf(0, 1)))
+    value = net.forward(init_mlp(layout, 0))
     with pytest.raises(ValueError, match="with_grad"):
-        net.param_grad()
+        net.param_grad(np.ones(value.shape))
 
 
 def _allocated(fn) -> int:
