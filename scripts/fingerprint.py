@@ -1,17 +1,21 @@
 """Print SHA-256 fingerprints of the training numbers, to compare two trees bit for bit.
 
 For every (problem, formulation) pair and seeds 0-2 it prints one line with
-four digests:
+five digests:
 
 - `grad`: the `loss_and_grad` breakdown (equation, initial-condition and
   total loss, alpha) and gradient bytes at 200 and then 50 collocation
   points, from the seed's initial network;
 - `loss`: the same breakdowns from `vanilla_loss` or `invariant_loss`, the
   forward-only pass;
-- `train`: the loss history and the final weights of a 150-epoch `train`
-  at 200 points;
+- `train`: the loss history and the final weights of a 150-epoch cell at
+  200 points, as `run_cell` trains it;
 - `eval`: the squared error of that trained network on the report's
-  evaluation grid, which `mlp_values` computes.
+  evaluation grid, which `mlp_values` computes;
+- `artifacts`: the bytes of the `weights.bin`, `error_series.csv` and
+  `error_series_plot.csv` that `run_cell` writes for that cell.  Its
+  `report.json` is left out, since the config snapshot it holds may change
+  without any number moving.
 
 Run it from the root of a source tree, once per tree, and diff the outputs:
 
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -29,12 +34,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # noqa: E402
-                   invariant_loss, loss_and_grad, sample_collocation, train,
-                   vanilla_loss)
+                   invariant_loss, load_weights, loss_and_grad, run_cell,
+                   sample_collocation, vanilla_loss)
 
 SEEDS = (0, 1, 2)
 POINTS = (200, 50)
 EPOCHS = 150
+ARTIFACTS = ("weights.bin", "error_series.csv", "error_series_plot.csv")
 
 
 def _breakdown_bytes(bd) -> bytes:
@@ -57,14 +63,20 @@ def initial_digests(problem, kind: str, seed: int) -> tuple[str, str]:
     return grad_digest.hexdigest(), loss_digest.hexdigest()
 
 
-def train_digests(problem, kind: str, seed: int) -> tuple[str, str]:
-    """The `train` and `eval` digests of a 150-epoch cell."""
-    config = TrainConfig(epochs=EPOCHS, seed=seed, formulation=kind,
-                         alpha_ic=problem.alpha_ic)
-    trained, history, report = train(problem, config)
-    digest = hashlib.sha256(history.tobytes())
-    digest.update(trained.to_flat().tobytes())
-    return digest.hexdigest(), hashlib.sha256(report.squared_error.tobytes()).hexdigest()
+def train_digests(problem, kind: str, seed: int) -> tuple[str, str, str]:
+    """The `train`, `eval` and `artifacts` digests of a 150-epoch cell."""
+    config = TrainConfig(epochs=EPOCHS, seed=seed, alpha_ic=problem.alpha_ic)
+    with tempfile.TemporaryDirectory() as out:
+        report = run_cell(problem.name, kind, config, out)
+        cell = next(Path(out).iterdir())
+        trained, _ = load_weights(cell / "weights.bin")
+        digest = hashlib.sha256(report.loss_history.tobytes())
+        digest.update(trained.to_flat().tobytes())
+        artifacts = hashlib.sha256()
+        for name in ARTIFACTS:
+            artifacts.update((cell / name).read_bytes())
+    return (digest.hexdigest(), hashlib.sha256(report.squared_error.tobytes()).hexdigest(),
+            artifacts.hexdigest())
 
 
 def main() -> None:
@@ -73,9 +85,10 @@ def main() -> None:
         for kind in ("invariant", "vanilla"):
             for seed in SEEDS:
                 grad, loss = initial_digests(problem, kind, seed)
-                trained, evaluated = train_digests(problem, kind, seed)
+                trained, evaluated, artifacts = train_digests(problem, kind, seed)
                 print(f"{name}-{kind} seed={seed} grad={grad} loss={loss} "
-                      f"train={trained} eval={evaluated}", flush=True)
+                      f"train={trained} eval={evaluated} artifacts={artifacts}",
+                      flush=True)
 
 
 if __name__ == "__main__":

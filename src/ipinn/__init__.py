@@ -5,8 +5,8 @@ derivative orders a formulation reads and computes every jet that training
 and evaluation use, and a small plain-array reverse-mode tape with five
 benchmark problems, each solvable two ways: directly on the original
 residual, or on the invariantized equation plus the first-order moving-frame
-reconstruction system.  The SL(2, R) group action behind the Schwarzian
-problem works on single third-order jets (u, u_t, u_tt, u_ttt).
+reconstruction system.  The SL(2, R) moving frame behind the Schwarzian
+problem's invariant initial conditions works on single jets (u, u_t, u_tt).
 """
 
 import os
@@ -19,8 +19,8 @@ from .autodiff import AdjointGraph, DomainError
 from .network import (MlpJets, MlpLayout, ParamSet, init_mlp, load_weights,
                       mlp_values, save_weights)
 from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, ProblemSpec,
-                       get_problem, schwarzian, sl2_moving_frame, sl2_prolong)
-from .reference import Trajectory, erf, exact_eval, rk4_solve
+                       get_problem, sl2_moving_frame)
+from .reference import Trajectory, erf, exact_eval
 from .training import (AdamState, LossBreakdown, TrainConfig, adam_step,
                        invariant_loss, loss_and_grad, sample_collocation,
                        train, vanilla_loss)
@@ -34,8 +34,8 @@ __all__ = [
     "MlpJets", "MlpLayout", "ParamSet", "init_mlp", "load_weights", "mlp_values",
     "save_weights",
     "REGISTRY", "FormulationSpec", "GroupElementSL2", "ProblemSpec",
-    "get_problem", "schwarzian", "sl2_moving_frame", "sl2_prolong",
-    "Trajectory", "erf", "exact_eval", "rk4_solve",
+    "get_problem", "sl2_moving_frame",
+    "Trajectory", "erf", "exact_eval",
     "AdamState", "LossBreakdown", "TrainConfig", "adam_step",
     "invariant_loss", "loss_and_grad", "sample_collocation", "train",
     "vanilla_loss",

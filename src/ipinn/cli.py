@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from collections import Counter
 from pathlib import Path
 
 from .autodiff import DomainError
@@ -15,7 +16,11 @@ from .training import TrainConfig
 
 
 def parse_seeds(text: str) -> list[int]:
-    """Seed lists: "3", "0,2,4", or the inclusive range form "0..4"."""
+    """Seed lists: "3", "0,2,4", or the inclusive range form "0..4".
+
+    A seed may appear once: two cells of one seed would train into the same
+    directory.
+    """
     seeds: list[int] = []
     try:
         for part in text.split(","):
@@ -34,6 +39,10 @@ def parse_seeds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad seed spec {text!r}") from None
     if not seeds:
         raise argparse.ArgumentTypeError("no seeds given")
+    repeated = sorted(seed for seed, n in Counter(seeds).items() if n > 1)
+    if repeated:
+        raise argparse.ArgumentTypeError(
+            f"seed spec {text!r} repeats {', '.join(map(str, repeated))}")
     return seeds
 
 

@@ -242,11 +242,12 @@ def emit_error_series(report: RunReport, path, cap: float | None = None) -> None
     err = report.squared_error
     if cap is not None:
         err = np.minimum(err, cap)
+    xs = ["%.17g" % x for x in np.asarray(report.grid).tolist()]
+    es = ["%.17g" % e for e in np.asarray(err).tolist()]
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([report.metadata.get("x_name", "t"), "squared_error"])
-        for x, e in zip(report.grid, err):
-            writer.writerow(["%.17g" % x, "%.17g" % e])
+        writer.writerows(zip(xs, es))
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Benchmark problems: group operations, residual builders, reconstructions.
+"""Benchmark problems: the SL(2) moving frame, residual builders, reconstructions.
 
 Each problem carries two trainable formulations.  The vanilla one puts the
 original equation residual on the network outputs.  The invariant one trains
@@ -39,49 +39,8 @@ class GroupElementSL2:
     def det(self) -> float:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def identity(cls) -> "GroupElementSL2":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
     def inverse(self) -> "GroupElementSL2":
         return GroupElementSL2(self.d, -self.b, -self.c, self.a)
-
-    def compose(self, other: "GroupElementSL2") -> "GroupElementSL2":
-        """Matrix product self @ other."""
-        return GroupElementSL2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def as_matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-
-def sl2_prolong(g: GroupElementSL2, jet) -> tuple[float, float, float, float]:
-    """Prolonged Mobius action on a third-order jet (u, u_t, u_tt, u_ttt)."""
-    u, u1, u2, u3 = (float(c) for c in jet)
-    w = g.c * u + g.d
-    if w == 0.0:
-        raise DomainError("Mobius image undefined where c*u + d = 0")
-    U = (g.a * u + g.b) / w
-    U1 = u1 / w ** 2
-    U2 = u2 / w ** 2 - 2.0 * g.c * u1 ** 2 / w ** 3
-    U3 = (u3 / w ** 2
-          - 6.0 * g.c * u1 * u2 / w ** 3
-          + 6.0 * g.c ** 2 * u1 ** 3 / w ** 4)
-    return U, U1, U2, U3
-
-
-def schwarzian(jet) -> float:
-    """u_ttt/u_t - 1.5 (u_tt/u_t)^2 of the jet (u, u_t, u_tt, u_ttt): the Mobius
-    invariant."""
-    _, u1, u2, u3 = (float(c) for c in jet)
-    if u1 == 0.0:
-        raise DomainError("Schwarzian undefined where u_t = 0")
-    r = u2 / u1
-    return u3 / u1 - 1.5 * r * r
 
 
 def sl2_moving_frame(u: float, ut: float, utt: float) -> GroupElementSL2:
@@ -126,8 +85,6 @@ class FormulationSpec:
     ics: tuple[tuple[int, int, float], ...]
     order: int
     reconstruct: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
-    ode_rhs: Callable | None = None
-    exact_outputs: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -178,14 +135,8 @@ def schwarz_spec() -> ProblemSpec:
                 c[1] + d[0],
                 d[1] - c[0]]
 
-    def invariant_rhs(t, y):
-        return np.array([-y[1], y[0], -y[3], y[2]])
-
     def reconstruct(x, outputs):
         return x, (outputs[:, 1] / outputs[:, 3])[:, None]
-
-    def invariant_exact(x):
-        return np.stack([np.cos(x), np.sin(x), -np.sin(x), np.cos(x)], axis=-1)
 
     # The invariant ICs are the left frame (a, b, c, d) at the vanilla initial
     # jet (u, u_t, u_tt)(0); "+ 0.0" turns the frame's -0.0 entries into 0.0.
@@ -209,8 +160,6 @@ def schwarz_spec() -> ProblemSpec:
             ics=invariant_ics,
             order=1,
             reconstruct=reconstruct,
-            ode_rhs=invariant_rhs,
-            exact_outputs=invariant_exact,
         ),
         exact=lambda t: reference.exact_eval("schwarz", t),
     )
@@ -231,14 +180,8 @@ def logistic_spec() -> ProblemSpec:
     def invariant_residual(graph, t, outs):
         return [outs[0][1]]
 
-    def invariant_rhs(t, y):
-        return np.zeros(1)
-
     def reconstruct(x, outputs):
         return x, (1.0 / (1.0 + outputs[:, 0] * np.exp(-x)))[:, None]
-
-    def invariant_exact(x):
-        return np.ones((np.asarray(x).size, 1))
 
     interval = (0.0, math.pi)
     return ProblemSpec(
@@ -256,8 +199,6 @@ def logistic_spec() -> ProblemSpec:
             ics=((0, 0, 1.0),),
             order=1,
             reconstruct=reconstruct,
-            ode_rhs=invariant_rhs,
-            exact_outputs=invariant_exact,
         ),
         exact=lambda t: reference.exact_eval("logistic", t),
     )
@@ -285,10 +226,6 @@ def oscillator_spec() -> ProblemSpec:
         return [al[1] - graph.const(f * np.cos(t)),
                 be[1] + graph.const(f * np.sin(t))]
 
-    def invariant_rhs(t, y):
-        f = math.sin(t ** a)
-        return np.array([f * math.cos(t), -f * math.sin(t)])
-
     def reconstruct(x, outputs):
         u = outputs[:, 0] * np.sin(x) + outputs[:, 1] * np.cos(x)
         return x, u[:, None]
@@ -309,7 +246,6 @@ def oscillator_spec() -> ProblemSpec:
             ics=((0, 0, 1.0), (1, 0, 1.0)),
             order=1,
             reconstruct=reconstruct,
-            ode_rhs=invariant_rhs,
         ),
         exact=lambda t: reference.exact_eval("oscillator", t),
     )
@@ -335,19 +271,12 @@ def exponential_spec() -> ProblemSpec:
         return [inv[1] + inv[0] - graph.const(np.exp(-h) - 1.0),
                 eps[1] - 1.0]
 
-    def invariant_rhs(h, y):
-        return np.array([math.exp(-h) - 1.0 - y[0], 1.0])
-
     def reconstruct(h, outputs):
         growth = np.exp(outputs[:, 1])
         spread = 1.0 - np.exp(-np.asarray(h, dtype=float))
         t = growth * spread
         u = growth * (outputs[:, 0] + outputs[:, 1] * spread)
         return t, u[:, None]
-
-    def invariant_exact(h):
-        h = np.asarray(h, dtype=float)
-        return np.stack([(h - 4.0) * np.exp(-h) - 1.0, h - 5.0], axis=-1)
 
     return ProblemSpec(
         name="exponential",
@@ -364,8 +293,6 @@ def exponential_spec() -> ProblemSpec:
             ics=((0, 0, -5.0), (1, 0, -5.0)),
             order=1,
             reconstruct=reconstruct,
-            ode_rhs=invariant_rhs,
-            exact_outputs=invariant_exact,
         ),
         exact=lambda t: reference.exact_eval("exponential", t),
     )
@@ -395,19 +322,9 @@ def system_spec() -> ProblemSpec:
         return [al[1] + graph.const(t + 1.0) * al[0],
                 be[1] - al[0]]
 
-    def invariant_rhs(t, y):
-        return np.array([-(1.0 + t) * y[0], y[0]])
-
     def reconstruct(x, outputs):
         u = outputs[:, 0] + x * outputs[:, 1]
         return x, np.stack([u, outputs[:, 1]], axis=-1)
-
-    def invariant_exact(t):
-        t = np.asarray(t, dtype=float)
-        al = np.exp(-t - 0.5 * t * t)
-        be = (reference.SYSTEM_GAUSS_SCALE * reference.erf((t + 1.0) / np.sqrt(2.0))
-              + reference.SYSTEM_DRIFT)
-        return np.stack([al, np.broadcast_to(be, t.shape)], axis=-1)
 
     interval = (0.0, 2.0)
     return ProblemSpec(
@@ -425,8 +342,6 @@ def system_spec() -> ProblemSpec:
             ics=((0, 0, 1.0), (1, 0, 1.0)),
             order=1,
             reconstruct=reconstruct,
-            ode_rhs=invariant_rhs,
-            exact_outputs=invariant_exact,
         ),
         exact=lambda t: reference.exact_eval("system", t),
         alpha_ic=10.0,

@@ -1,9 +1,9 @@
-"""Reference machinery: fixed-step RK4, the error function, exact solutions.
+"""Reference machinery: the oscillator's RK4 trajectory, the error function,
+exact solutions.
 
-The driven-oscillator reference is the generic `rk4_solve` applied to
-`_oscillator_rhs`, computed on Python floats by `_oscillator_rk4`: the same
-float operations in the same order, so the trajectory is the same bit for bit
-(the tests check it against `rk4_solve`), at about a fifteenth of the cost.
+The driven-oscillator reference is classical fixed-step RK4, computed on
+Python floats by `_oscillator_rk4`; the tests check it bit for bit against a
+generic array integrator applied to the same right-hand side.
 """
 
 from __future__ import annotations
@@ -35,32 +35,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
 
-    def component(self, j: int) -> np.ndarray:
-        return self.states[:, j]
-
-
-def rk4_solve(f: Callable, y0, interval, n_steps: int) -> Trajectory:
-    """Classical fourth-order Runge-Kutta with a fixed step."""
-    lo, hi = float(interval[0]), float(interval[1])
-    if n_steps < 1:
-        raise ValueError("n_steps must be positive")
-    if not hi > lo:
-        raise ValueError("interval must have positive length")
-    y = np.asarray(y0, dtype=float).ravel().copy()
-    times = np.linspace(lo, hi, n_steps + 1)
-    states = np.empty((n_steps + 1, y.size))
-    states[0] = y
-    h = (hi - lo) / n_steps
-    for i in range(n_steps):
-        t = times[i]
-        k1 = np.asarray(f(t, y))
-        k2 = np.asarray(f(t + 0.5 * h, y + (0.5 * h) * k1))
-        k3 = np.asarray(f(t + 0.5 * h, y + (0.5 * h) * k2))
-        k4 = np.asarray(f(t + h, y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = y
-    return Trajectory(times, states)
-
 
 _erf_scalar = np.frompyfunc(math.erf, 1, 1)
 
@@ -74,18 +48,15 @@ def erf(x):
     return out
 
 
-def _oscillator_rhs(t: float, y: np.ndarray) -> np.ndarray:
-    return np.array([y[1], -y[0] + math.sin(t ** OSCILLATOR_FORCING_EXPONENT)])
-
-
 def _oscillator_rk4(n_steps: int) -> Trajectory:
-    """`rk4_solve(_oscillator_rhs, [1.0, 1.0], OSCILLATOR_INTERVAL, n_steps)`.
+    """Classical RK4 for u'' + u = sin(t^a), (u, u')(0) = (1, 1), on
+    `OSCILLATOR_INTERVAL` with `n_steps` fixed steps.
 
-    Each step does the generic integrator's float operations in its order,
-    on Python floats instead of 2-element arrays, so the result is the same
-    bit for bit.  The forcing uses float `**` and `math.sin` (libm), as
-    `_oscillator_rhs` does: numpy's vectorized power and sine round
-    differently at some points.  Times are read and states written in blocks
+    Each step does the float operations of a generic RK4 on the state vector
+    (u, u'), in its order, on Python floats instead of 2-element arrays, so
+    the result is the same bit for bit.  The forcing uses float `**` and
+    `math.sin` (libm): numpy's vectorized power and sine round differently
+    at some points.  Times are read and states written in blocks
     of `_OSCILLATOR_BLOCK` steps, so no Python object per step outlives its
     block.
     """
@@ -125,9 +96,7 @@ def _oscillator_rk4(n_steps: int) -> Trajectory:
 def oscillator_reference() -> Trajectory:
     """Dense RK4 trajectory used as the reference for the driven oscillator.
 
-    The classical RK4 of `rk4_solve` with `OSCILLATOR_REFERENCE_STEPS` steps,
-    computed on floats by `_oscillator_rk4`; equal to the generic
-    integrator's trajectory bit for bit.
+    `_oscillator_rk4` with `OSCILLATOR_REFERENCE_STEPS` steps.
     """
     return _oscillator_rk4(OSCILLATOR_REFERENCE_STEPS)
 

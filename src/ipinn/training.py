@@ -37,16 +37,16 @@ ADAM_EPSILON = 1e-8
 class TrainConfig:
     """One experiment cell: optimizer, sampling, and weighting knobs.
 
-    interval None means the formulation's own interval.  mean_reduction
-    switches the equation term from a sum over collocation points to a mean;
-    off by default.
+    Training samples its collocation points on the formulation's own
+    interval, which is also where `build_report` evaluates the result.
+    mean_reduction switches the equation term from a sum over collocation
+    points to a mean; off by default.
     """
 
     epochs: int = 3000
     learning_rate: float = 1e-3
     alpha_ic: float = 1.0
     n_collocation: int = 200
-    interval: tuple[float, float] | None = None
     seed: int = 0
     formulation: str = "invariant"
     mean_reduction: bool = False
@@ -67,8 +67,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and positive")
         if not (math.isfinite(self.alpha_ic) and self.alpha_ic >= 0.0):
             raise ValueError("alpha_ic must be finite and non-negative")
-        if self.interval is not None and not self.interval[0] < self.interval[1]:
-            raise ValueError("interval must satisfy lo < hi")
         if self.formulation not in ("vanilla", "invariant"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
 
@@ -78,7 +76,6 @@ class TrainConfig:
             "learning_rate": self.learning_rate,
             "alpha_ic": self.alpha_ic,
             "n_collocation": self.n_collocation,
-            "interval": None if self.interval is None else list(self.interval),
             "seed": self.seed,
             "formulation": self.formulation,
             "mean_reduction": self.mean_reduction,
@@ -287,11 +284,10 @@ def train(problem: ProblemSpec, config: TrainConfig):
     from .harness import build_report
 
     spec = problem.formulation(config.formulation)
-    interval = config.interval if config.interval is not None else spec.interval
     layout = MlpLayout(output_dim=spec.output_dim)
     start = time.perf_counter()
     params = init_mlp(layout, config.seed)
-    net = MlpJets(layout, sample_collocation(interval, config.n_collocation, config.seed),
+    net = MlpJets(layout, sample_collocation(spec.interval, config.n_collocation, config.seed),
                   spec.order)
     state = AdamState.zeros(layout.flat_size())
     updated = np.empty(layout.flat_size())

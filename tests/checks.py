@@ -16,15 +16,7 @@ import oracles
 from ipinn.autodiff import AdjointGraph
 from ipinn.harness import SCHWARZ_MASK_HALF_WIDTH
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, ParamSet, init_mlp
-from ipinn.problems import (
-    REGISTRY,
-    GroupElementSL2,
-    get_problem,
-    schwarzian,
-    sl2_moving_frame,
-    sl2_prolong,
-)
-from ipinn.reference import rk4_solve
+from ipinn.problems import REGISTRY, GroupElementSL2, get_problem, sl2_moving_frame
 from ipinn.training import _gather_adjoints, _output_leaves
 
 # ---------------------------------------------------------------------------
@@ -156,19 +148,35 @@ def _admissible(g: GroupElementSL2, u: float) -> bool:
     return abs(g.c * u + g.d) > 0.2
 
 
+def residual_values(spec, points: np.ndarray, jets) -> list[np.ndarray]:
+    """`spec.residual` at `points`, its outputs read from constant tape leaves.
+
+    jets[row][k] holds coefficient k of output row `row` at every point, as
+    the network's output jets would.
+    """
+    graph = AdjointGraph()
+    outs = [[graph.const(np.asarray(c, dtype=float)) for c in row] for row in jets]
+    return [np.asarray(r.value) for r in spec.residual(graph, points, outs)]
+
+
 def schwarzian_invariance_worst(n: int = 100, seed: int = 0) -> float:
+    """Worst change of the Schwarz vanilla residual that trains, on random jets
+    z and their Mobius images: the residual is the Schwarzian minus a
+    constant, so it must not move."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    done = 0
-    while done < n:
+    jets, moved = [], []
+    while len(jets) < n:
         g = random_sl2(rng)
         z = random_jet(rng)
         if not _admissible(g, z[0]):
             continue
-        moved = sl2_prolong(g, z)
-        worst = max(worst, abs(schwarzian(moved) - schwarzian(z)))
-        done += 1
-    return worst
+        jets.append(z)
+        moved.append(oracles.sl2_prolong(g, z))
+    spec = get_problem("schwarz").vanilla
+    points = np.zeros(n)
+    before, = residual_values(spec, points, [np.array(jets).T])
+    after, = residual_values(spec, points, [np.array(moved).T])
+    return float(np.abs(after - before).max())
 
 
 def frame_normalization_worst(n: int = 100, seed: int = 1) -> tuple[float, float]:
@@ -179,7 +187,7 @@ def frame_normalization_worst(n: int = 100, seed: int = 1) -> tuple[float, float
     for _ in range(n):
         z = random_jet(rng)
         rho = sl2_moving_frame(*z[:3])
-        moved = sl2_prolong(rho, z)
+        moved = oracles.sl2_prolong(rho, z)
         sigma = math.copysign(1.0, z[1])
         worst_norm = max(worst_norm, abs(moved[0]),
                          abs(moved[1] - sigma), abs(moved[2]))
@@ -197,15 +205,52 @@ def frame_equivariance_worst(n: int = 100, seed: int = 2) -> float:
         z = random_jet(rng)
         if not _admissible(g, z[0]):
             continue
-        moved = sl2_prolong(g, z)
-        left = sl2_moving_frame(*moved[:3]).as_matrix()
-        base = sl2_moving_frame(*z[:3]).as_matrix()
-        right = base @ g.inverse().as_matrix()
+        moved = oracles.sl2_prolong(g, z)
+        left = oracles.sl2_matrix(sl2_moving_frame(*moved[:3]))
+        base = oracles.sl2_matrix(sl2_moving_frame(*z[:3]))
+        right = base @ oracles.sl2_matrix(g.inverse())
         diff = min(float(np.abs(left - right).max()),
                    float(np.abs(left + right).max()))
         worst = max(worst, diff)
         done += 1
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the invariant residuals against the oracle right-hand sides
+# ---------------------------------------------------------------------------
+
+RESIDUAL_ORACLE_TOLERANCE = 1e-12
+
+
+def residual_oracle_worst(n: int = 100, seed: int = 3,
+                          rhs: dict | None = None) -> dict[str, float]:
+    """Worst relative gap, per problem, between the invariant residual that
+    trains and y' - rhs(t, y) of the oracle right-hand side.
+
+    Every invariant formulation is first order, so its residual reads the
+    values y and the derivatives y' of its outputs.  Both are drawn at random
+    and independently at n random points of the formulation's interval, so
+    the residual must equal y' - rhs(t, y) as an identity, not only along a
+    solution.  This ties the oracle systems that the reconstruction and
+    determinant checks integrate to the residuals that train.  rhs replaces
+    entries of `oracles.INVARIANT_RHS` by problem name.
+    """
+    rhs = {**oracles.INVARIANT_RHS, **(rhs or {})}
+    rng = np.random.default_rng(seed)
+    out = {}
+    for name in REGISTRY:
+        spec = get_problem(name).invariant
+        points = rng.uniform(*spec.interval, size=n)
+        y = rng.uniform(-2.0, 2.0, size=(spec.output_dim, n))
+        y_t = rng.uniform(-2.0, 2.0, size=(spec.output_dim, n))
+        got = np.array(residual_values(spec, points, list(zip(y, y_t))))
+        f = np.array([rhs[name](t, y[:, j]) for j, t in enumerate(points)]).T
+        if got.shape != f.shape:
+            raise ValueError(f"{name}: {len(got)} residuals for {len(f)} equations")
+        scale = np.maximum(1.0, np.maximum(np.abs(y_t), np.abs(f)))
+        out[name] = float((np.abs(got - (y_t - f)) / scale).max())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -226,20 +271,21 @@ def ics_vector(spec) -> np.ndarray:
 def det_conservation_worst(n_steps: int = 20_000) -> float:
     """|ad - bc - 1| along the integrated frame-reconstruction system."""
     spec = get_problem("schwarz").invariant
-    traj = rk4_solve(spec.ode_rhs, ics_vector(spec), spec.interval, n_steps)
-    a, b = traj.component(0), traj.component(1)
-    c, d = traj.component(2), traj.component(3)
+    traj = oracles.rk4_solve(oracles.INVARIANT_RHS["schwarz"], ics_vector(spec),
+                             spec.interval, n_steps)
+    a, b, c, d = traj.states.T
     return float(np.abs(a * d - b * c - 1.0).max())
 
 
 def reconstruction_errors(n_steps: int = 20_000) -> dict[str, float]:
     """Max |reconstructed - exact| per problem, integrating each invariant
-    system with RK4 and mapping it back through its reconstruction."""
+    oracle system with RK4 and mapping it back through its reconstruction."""
     out = {}
     for name in REGISTRY:
         prob = get_problem(name)
         spec = prob.invariant
-        traj = rk4_solve(spec.ode_rhs, ics_vector(spec), spec.interval, n_steps)
+        traj = oracles.rk4_solve(oracles.INVARIANT_RHS[name], ics_vector(spec),
+                                 spec.interval, n_steps)
         times, states = traj.times, traj.states
         if name == "schwarz":
             keep = np.abs(times - math.pi / 2.0) > SCHWARZ_MASK_HALF_WIDTH
@@ -254,8 +300,8 @@ def rk4_convergence_order() -> float:
     exact = math.exp(math.sin(2.0))
     hs, errs = [], []
     for n in (40, 80, 160, 320):
-        traj = rk4_solve(lambda t, y: y * math.cos(t), [1.0], (0.0, 2.0), n)
+        traj = oracles.rk4_solve(lambda t, y: y * math.cos(t), [1.0], (0.0, 2.0), n)
         hs.append(2.0 / n)
-        errs.append(abs(float(traj.component(0)[-1]) - exact))
+        errs.append(abs(float(traj.states[-1, 0]) - exact))
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     return float(slope)

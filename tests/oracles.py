@@ -1,8 +1,11 @@
 """Independent numerical oracles shared across the test suite.
 
-Nothing here imports the package's autodiff kernels; derivative values come
+Nothing here calls the package's jet kernel or tape; derivative values come
 from finite-difference stencils and hand-written scalar math so the two
-routes stay independent.
+routes stay independent.  The invariant right-hand sides, the prolonged
+Mobius action and the Schwarzian are the same physics written a second
+time, by hand and on scalars; the checks compare them with the residuals
+that train.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ipinn.reference import (OSCILLATOR_FORCING_EXPONENT, SYSTEM_DRIFT,
+                             SYSTEM_GAUSS_SCALE, Trajectory, erf)
 
 FD_STEP = 0.01
 
@@ -145,3 +151,145 @@ def exponential_solution_jets(t: np.ndarray) -> np.ndarray:
     u2 = 1.0 / base
     u3 = -1.0 / (base * base)
     return np.stack([u, u1, u2, u3], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# the generic fixed-step integrator
+# ---------------------------------------------------------------------------
+
+
+def rk4_solve(f, y0, interval, n_steps: int) -> Trajectory:
+    """Classical fourth-order Runge-Kutta with a fixed step, on arrays."""
+    lo, hi = float(interval[0]), float(interval[1])
+    if n_steps < 1:
+        raise ValueError("n_steps must be positive")
+    if not hi > lo:
+        raise ValueError("interval must have positive length")
+    y = np.asarray(y0, dtype=float).ravel().copy()
+    times = np.linspace(lo, hi, n_steps + 1)
+    states = np.empty((n_steps + 1, y.size))
+    states[0] = y
+    h = (hi - lo) / n_steps
+    for i in range(n_steps):
+        t = times[i]
+        k1 = np.asarray(f(t, y))
+        k2 = np.asarray(f(t + 0.5 * h, y + (0.5 * h) * k1))
+        k3 = np.asarray(f(t + 0.5 * h, y + (0.5 * h) * k2))
+        k4 = np.asarray(f(t + h, y + h * k3))
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states[i + 1] = y
+    return Trajectory(times, states)
+
+
+def oscillator_rhs(t: float, y: np.ndarray) -> np.ndarray:
+    """u'' + u = sin(t^a) as the first-order system for (u, u')."""
+    return np.array([y[1], -y[0] + math.sin(t ** OSCILLATOR_FORCING_EXPONENT)])
+
+
+# ---------------------------------------------------------------------------
+# the invariant formulations as first-order systems y' = rhs(t, y)
+#
+# Each invariant residual is y' - rhs(t, y) for one of these; the exact
+# invariant outputs are the closed-form solutions of four of them.
+# ---------------------------------------------------------------------------
+
+
+def _schwarz_rhs(t, y):
+    return np.array([-y[1], y[0], -y[3], y[2]])
+
+
+def _logistic_rhs(t, y):
+    return np.zeros(1)
+
+
+def _oscillator_invariant_rhs(t, y):
+    f = math.sin(t ** OSCILLATOR_FORCING_EXPONENT)
+    return np.array([f * math.cos(t), -f * math.sin(t)])
+
+
+def _exponential_rhs(h, y):
+    return np.array([math.exp(-h) - 1.0 - y[0], 1.0])
+
+
+def _system_rhs(t, y):
+    return np.array([-(1.0 + t) * y[0], y[0]])
+
+
+INVARIANT_RHS = {
+    "schwarz": _schwarz_rhs,
+    "logistic": _logistic_rhs,
+    "oscillator": _oscillator_invariant_rhs,
+    "exponential": _exponential_rhs,
+    "system": _system_rhs,
+}
+
+
+def _schwarz_exact(x):
+    return np.stack([np.cos(x), np.sin(x), -np.sin(x), np.cos(x)], axis=-1)
+
+
+def _logistic_exact(x):
+    return np.ones((np.asarray(x).size, 1))
+
+
+def _exponential_exact(h):
+    h = np.asarray(h, dtype=float)
+    return np.stack([(h - 4.0) * np.exp(-h) - 1.0, h - 5.0], axis=-1)
+
+
+def _system_exact(t):
+    t = np.asarray(t, dtype=float)
+    al = np.exp(-t - 0.5 * t * t)
+    be = SYSTEM_GAUSS_SCALE * erf((t + 1.0) / np.sqrt(2.0)) + SYSTEM_DRIFT
+    return np.stack([al, np.broadcast_to(be, t.shape)], axis=-1)
+
+
+INVARIANT_EXACT = {
+    "schwarz": _schwarz_exact,
+    "logistic": _logistic_exact,
+    "exponential": _exponential_exact,
+    "system": _system_exact,
+}
+
+
+# ---------------------------------------------------------------------------
+# SL(2, R) on scalar jets
+#
+# A group element is anything with the entries a, b, c, d of its matrix.
+# ---------------------------------------------------------------------------
+
+
+def sl2_matrix(g) -> np.ndarray:
+    return np.array([[g.a, g.b], [g.c, g.d]])
+
+
+def sl2_compose(g, h):
+    """The element of the matrix product g @ h, of g's type."""
+    return type(g)(g.a * h.a + g.b * h.c,
+                   g.a * h.b + g.b * h.d,
+                   g.c * h.a + g.d * h.c,
+                   g.c * h.b + g.d * h.d)
+
+
+def sl2_prolong(g, jet) -> tuple[float, float, float, float]:
+    """Prolonged Mobius action on a third-order jet (u, u_t, u_tt, u_ttt).
+
+    Undefined where c u + d = 0, which raises ZeroDivisionError.
+    """
+    u, u1, u2, u3 = (float(c) for c in jet)
+    w = g.c * u + g.d
+    U = (g.a * u + g.b) / w
+    U1 = u1 / w ** 2
+    U2 = u2 / w ** 2 - 2.0 * g.c * u1 ** 2 / w ** 3
+    U3 = (u3 / w ** 2
+          - 6.0 * g.c * u1 * u2 / w ** 3
+          + 6.0 * g.c ** 2 * u1 ** 3 / w ** 4)
+    return U, U1, U2, U3
+
+
+def schwarzian(jet) -> float:
+    """u_ttt/u_t - 1.5 (u_tt/u_t)^2 of the jet (u, u_t, u_tt, u_ttt): the Mobius
+    invariant.  Undefined where u_t = 0, which raises ZeroDivisionError."""
+    _, u1, u2, u3 = (float(c) for c in jet)
+    r = u2 / u1
+    return u3 / u1 - 1.5 * r * r

@@ -79,6 +79,7 @@ def test_criterion_7_property_suite():
     jets = checks.jet_fd_worst(n_cases=1000, seed=0)
     grads = checks.param_grad_worst(n_networks=100, seed=0)
     schwarzian = checks.schwarzian_invariance_worst(n=100, seed=0)
+    residual_rhs = checks.residual_oracle_worst(n=100, seed=3)
     norm, _ = checks.frame_normalization_worst(n=100, seed=1)
     equiv = checks.frame_equivariance_worst(n=100, seed=2)
     conservation = checks.det_conservation_worst()
@@ -90,8 +91,12 @@ def test_criterion_7_property_suite():
           jets < 1e-5)
     _line("7", f"parameter gradients vs finite differences {grads:.2e} < 1e-4",
           grads < 1e-4)
-    _line("7", f"Schwarzian group invariance {schwarzian:.2e} < 1e-8",
+    _line("7", f"Schwarz vanilla residual group invariance {schwarzian:.2e} < 1e-8",
           schwarzian < 1e-8)
+    worst_rhs = max(residual_rhs.values())
+    _line("7", f"invariant residuals vs oracle right-hand sides {worst_rhs:.2e} "
+               f"< {checks.RESIDUAL_ORACLE_TOLERANCE:.0e}",
+          worst_rhs < checks.RESIDUAL_ORACLE_TOLERANCE)
     _line("7", f"frame normalization {norm:.2e} < 1e-10 and "
                f"equivariance {equiv:.2e} < 1e-8",
           norm < 1e-10 and equiv < 1e-8)

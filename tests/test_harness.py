@@ -299,6 +299,24 @@ def test_summary_csv_and_text_render(tmp_path):
     assert "logistic" in text and "invariant" in text
 
 
+def test_report_with_an_interval_key_still_loads(tmp_path, capsys):
+    """Reports written while TrainConfig had an interval field hold
+    "interval": null in their config; new ones lack the key."""
+    report = _fake_report("logistic", "invariant", 0, 1e-3)
+    assert "interval" not in report.config
+    report.config = {**report.config, "interval": None}
+    _write_report(tmp_path, report)
+    path = tmp_path / cell_dir_name("logistic", "invariant", 0) / "report.json"
+    loaded = load_report(path)
+    assert loaded.config["interval"] is None
+    assert loaded.canonical() == report.canonical()
+    [row] = summarize(tmp_path)
+    assert (row.problem, row.seeds, row.mean_mse) == ("logistic", [0], 1e-3)
+    csv_path = tmp_path / "series.csv"
+    assert main(["series", "--report", str(path), "--csv", str(csv_path)]) == 0
+    assert csv_path.read_bytes() == b"t,squared_error\r\n0,0.001\r\n1,0.001\r\n"
+
+
 def test_collect_reports_roundtrip(tmp_path):
     _write_report(tmp_path, _fake_report("logistic", "invariant", 0, 1.0))
     _write_report(tmp_path, _fake_report("logistic", "invariant", 1, 2.0))
@@ -319,6 +337,8 @@ def test_parse_seeds_forms():
         parse_seeds("4..0")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_seeds("one")
+    with pytest.raises(argparse.ArgumentTypeError, match="repeats 1, 2"):
+        parse_seeds("2,0..2,1")
 
 
 def test_cli_run_summarize_series(tmp_path, capsys):
@@ -359,6 +379,18 @@ def test_cli_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
         main(["run", "--jobs", jobs, "--out", str(out)])
     assert exc.value.code == 2
     assert "argument --jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0,0,1", "0..2,1", "3,3"])
+def test_cli_rejects_a_repeated_seed(tmp_path, capsys, seeds):
+    """Two cells of one seed would train into one directory."""
+    out = tmp_path / "runs"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "logistic", "--formulation", "invariant",
+              "--seeds", seeds, "--epochs", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --seeds" in capsys.readouterr().err
     assert not out.exists()
 
 

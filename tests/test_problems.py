@@ -13,15 +13,11 @@ import oracles
 from ipinn import reference
 from ipinn.autodiff import AdjointGraph, DomainError
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, init_mlp
-from ipinn.problems import (
-    REGISTRY,
-    GroupElementSL2,
-    get_problem,
-    schwarzian,
-    sl2_moving_frame,
-    sl2_prolong,
-)
+from ipinn.problems import REGISTRY, GroupElementSL2, get_problem, sl2_moving_frame
 from ipinn.training import _loss_nodes, _output_leaves
+from oracles import schwarzian, sl2_compose, sl2_matrix, sl2_prolong
+
+IDENTITY = GroupElementSL2(1.0, 0.0, 0.0, 1.0)
 
 # ---------------------------------------------------------------------------
 # group elements
@@ -39,13 +35,12 @@ def test_group_element_validates_determinant():
 def test_group_inverse_and_compose():
     g = GroupElementSL2(2.0, 3.0, 1.0, 2.0)
     ginv = g.inverse()
-    eye = g.compose(ginv).as_matrix()
+    eye = sl2_matrix(sl2_compose(g, ginv))
     assert np.abs(eye - np.eye(2)).max() < 1e-12
     h = GroupElementSL2(1.0, -0.5, 0.0, 1.0)
-    assert np.abs(g.compose(h).as_matrix()
-                  - g.as_matrix() @ h.as_matrix()).max() < 1e-12
-    assert GroupElementSL2.identity().as_matrix().tolist() == [[1.0, 0.0],
-                                                               [0.0, 1.0]]
+    assert np.abs(sl2_matrix(sl2_compose(g, h))
+                  - sl2_matrix(g) @ sl2_matrix(h)).max() < 1e-12
+    assert sl2_matrix(IDENTITY).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +50,7 @@ def test_group_inverse_and_compose():
 
 def test_identity_fixes_jets():
     z = (1.1, -0.7, 0.2, 0.9)
-    moved = sl2_prolong(GroupElementSL2.identity(), z)
+    moved = sl2_prolong(IDENTITY, z)
     assert moved == z
 
 
@@ -84,17 +79,17 @@ def test_prolongation_is_a_group_action():
         z = checks.random_jet(rng)
         if not (checks._admissible(g1, z[0])
                 and checks._admissible(g2, sl2_prolong(g1, z)[0])
-                and checks._admissible(g2.compose(g1), z[0])):
+                and checks._admissible(sl2_compose(g2, g1), z[0])):
             continue
         twice = np.array(sl2_prolong(g2, sl2_prolong(g1, z)))
-        once = np.array(sl2_prolong(g2.compose(g1), z))
+        once = np.array(sl2_prolong(sl2_compose(g2, g1), z))
         scale = 1.0 + np.abs(once).max()
         assert np.abs(twice - once).max() < 1e-9 * scale
 
 
 def test_prolongation_rejects_singular_points():
     g = GroupElementSL2(1.0, 0.0, 1.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(ZeroDivisionError):
         sl2_prolong(g, (-1.0, 1.0, 0.0, 0.0))
 
 
@@ -120,8 +115,17 @@ def test_schwarzian_is_group_invariant():
     assert checks.schwarzian_invariance_worst(n=100, seed=0) < 1e-8
 
 
+def test_schwarz_vanilla_residual_is_the_schwarzian_minus_two():
+    rng = np.random.default_rng(4)
+    jets = [checks.random_jet(rng) for _ in range(100)]
+    spec = get_problem("schwarz").vanilla
+    got, = checks.residual_values(spec, np.zeros(len(jets)), [np.array(jets).T])
+    want = np.array([schwarzian(z) - 2.0 for z in jets])
+    assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+
+
 def test_schwarzian_rejects_critical_points():
-    with pytest.raises(DomainError):
+    with pytest.raises(ZeroDivisionError):
         schwarzian((1.0, 0.0, 1.0, 1.0))
 
 
@@ -142,7 +146,7 @@ def test_frame_is_equivariant():
 
 def test_frame_of_cross_section_point_is_identity():
     rho = sl2_moving_frame(0.0, 1.0, 0.0)
-    assert np.array_equal(rho.as_matrix(), np.eye(2))
+    assert np.array_equal(sl2_matrix(rho), np.eye(2))
 
 
 def test_schwarz_invariant_ics_are_the_left_frame_of_the_vanilla_ics():
@@ -170,12 +174,9 @@ def test_frame_rejects_critical_points():
 
 
 def _residual_max(spec, t: np.ndarray, tables: list[np.ndarray]) -> float:
-    graph = AdjointGraph()
-    outs = [[graph.const(table[:, k]) for k in range(table.shape[1])]
-            for table in tables]
-    residuals = spec.residual(graph, t, outs)
+    residuals = checks.residual_values(spec, t, [table.T for table in tables])
     assert spec.order > 1 or len(residuals) == len(spec.ics)
-    return max(float(np.abs(r.value).max()) for r in residuals)
+    return max(float(np.abs(r).max()) for r in residuals)
 
 
 def _pad(columns: list[np.ndarray]) -> np.ndarray:
@@ -254,6 +255,43 @@ def test_system_residuals_vanish_on_solution():
 
 
 # ---------------------------------------------------------------------------
+# invariant residuals against the oracle right-hand sides
+# ---------------------------------------------------------------------------
+
+
+def test_invariant_residuals_are_the_oracle_systems():
+    worst = checks.residual_oracle_worst(n=100, seed=3)
+    assert set(worst) == set(REGISTRY)
+    for name, err in worst.items():
+        assert err < checks.RESIDUAL_ORACLE_TOLERANCE, f"{name}: {err}"
+
+
+def _flipped_oscillator_rhs(t, y):
+    f = math.sin(t ** reference.OSCILLATOR_FORCING_EXPONENT)
+    return np.array([f * math.cos(t), f * math.sin(t)])
+
+
+# One sign flipped or one term dropped.  Logistic's right-hand side is 0,
+# which has neither, so its mutant puts back the term u (1 - u) that the
+# invariant form removes.
+WRONG_RHS = {
+    "schwarz": lambda t, y: np.array([y[1], y[0], -y[3], y[2]]),
+    "logistic": lambda t, y: y * (1.0 - y),
+    "oscillator": _flipped_oscillator_rhs,
+    "exponential": lambda h, y: np.array([math.exp(-h) - 1.0, 1.0]),
+    "system": lambda t, y: np.array([-y[0], y[0]]),
+}
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_residual_oracle_check_catches_a_wrong_rhs(name):
+    worst = checks.residual_oracle_worst(n=100, seed=3, rhs={name: WRONG_RHS[name]})
+    assert worst[name] > checks.RESIDUAL_ORACLE_TOLERANCE
+    assert all(err < checks.RESIDUAL_ORACLE_TOLERANCE
+               for other, err in worst.items() if other != name)
+
+
+# ---------------------------------------------------------------------------
 # integrated reconstruction
 # ---------------------------------------------------------------------------
 
@@ -269,10 +307,21 @@ def test_reconstructions_reproduce_exact_solutions():
         assert err < 1e-6, f"{name}: {err}"
 
 
+@pytest.mark.parametrize("name", list(oracles.INVARIANT_EXACT))
+def test_reconstruct_maps_exact_invariant_outputs_to_the_exact_solution(name):
+    prob = get_problem(name)
+    spec = prob.invariant
+    x = np.linspace(*spec.interval, 200)
+    x = x[np.abs(x - math.pi / 2.0) > 0.05] if name == "schwarz" else x
+    t, u = spec.reconstruct(x, oracles.INVARIANT_EXACT[name](x))
+    exact = prob.exact(t)
+    assert np.abs(u - exact).max() < 1e-14 * max(1.0, np.abs(exact).max())
+
+
 def test_exponential_horizontal_coordinate_is_monotonic():
     spec = get_problem("exponential").invariant
     h = np.linspace(*spec.interval, 200)
-    t, _ = spec.reconstruct(h, spec.exact_outputs(h))
+    t, _ = spec.reconstruct(h, oracles.INVARIANT_EXACT["exponential"](h))
     assert np.all(np.diff(t) > 0.0)
     assert abs(t[0]) < 1e-12
     assert abs(t[-1] - 2.0) < 1e-9

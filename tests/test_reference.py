@@ -19,13 +19,12 @@ from ipinn.reference import (
     OSCILLATOR_FORCING_EXPONENT,
     OSCILLATOR_INTERVAL,
     OSCILLATOR_REFERENCE_STEPS,
-    _oscillator_rhs,
     _oscillator_rk4,
     erf,
     exact_eval,
     oscillator_reference,
-    rk4_solve,
 )
+from oracles import oscillator_rhs, rk4_solve
 
 # ---------------------------------------------------------------------------
 # RK4
@@ -34,7 +33,7 @@ from ipinn.reference import (
 
 def test_rk4_exponential_growth():
     traj = rk4_solve(lambda t, y: y, [1.0], (0.0, 1.0), 1000)
-    assert abs(float(traj.component(0)[-1]) - math.e) < 1e-12
+    assert abs(float(traj.states[-1, 0]) - math.e) < 1e-12
 
 
 def test_rk4_trajectory_shape_and_endpoints():
@@ -44,7 +43,6 @@ def test_rk4_trajectory_shape_and_endpoints():
     assert traj.states.shape == (51, 2)
     assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
     assert np.array_equal(traj.states[0], [1.0, 0.0])
-    assert np.array_equal(traj.component(1), traj.states[:, 1])
 
 
 def test_rk4_convergence_order():
@@ -64,7 +62,7 @@ def test_rk4_input_validation():
 
 
 def _generic_oscillator(n_steps: int):
-    return rk4_solve(_oscillator_rhs, [1.0, 1.0], OSCILLATOR_INTERVAL, n_steps)
+    return rk4_solve(oscillator_rhs, [1.0, 1.0], OSCILLATOR_INTERVAL, n_steps)
 
 
 @pytest.mark.parametrize("n_steps", [

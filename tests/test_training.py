@@ -84,8 +84,6 @@ def test_config_validation():
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError):
-        TrainConfig(interval=(1.0, 1.0))
-    with pytest.raises(ValueError):
         TrainConfig(formulation="hybrid")
     for seed in (-1, -2**40):
         with pytest.raises(ValueError, match="seed must be non-negative"):
@@ -353,13 +351,6 @@ def test_exploding_run_is_reported_not_raised():
     assert "epoch" in report.message
     assert history.shape[0] < config.epochs
     assert np.all(np.isfinite(params.to_flat()))
-
-
-def test_config_interval_overrides_formulation_interval():
-    problem = get_problem("logistic")
-    config = TrainConfig(epochs=0, interval=(0.0, 1.0), n_collocation=10)
-    _, _, report = train(problem, config)
-    assert report.config["interval"] == [0.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
