@@ -6,6 +6,12 @@ The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 sum and scale; one backward sweep then leaves an adjoint on every leaf
 that needs one.  A node that needs a gradient meets only nodes of its own
 shape or constants, so an adjoint always has the shape of its node.
+
+A number or an array may stand on either side of a `Node`: the node's
+operators lift it to a `const` leaf.  `Node.__array_ufunc__ = None` makes
+numpy arrays and scalars on the left return NotImplemented, so Python calls
+the node's reflected operator; without it, `array * node` would broadcast
+into an object array of one node per element.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ class Node:
     """One recorded plain array in an AdjointGraph; its value is computed on record."""
 
     __slots__ = ("graph", "op", "args", "aux", "value", "needs_grad", "adjoint")
+    __array_ufunc__ = None
 
     def __init__(self, graph, op, args, aux, value, needs_grad):
         self.graph = graph

@@ -75,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="initial-condition loss weight; defaults to each "
                             "problem's benchmark value")
     run_p.add_argument("--lr", type=float, default=1e-3, help="Adam step size")
-    run_p.add_argument("--mean-reduction", action="store_true",
-                       help="average the equation loss over points instead of summing")
     run_p.add_argument("--jobs", type=positive_int, default=1,
                        help="cells to train in parallel")
     run_p.add_argument("--out", required=True, help="output directory")
@@ -111,8 +109,7 @@ def _cmd_run(args) -> int:
                      alpha_ic=(get_problem(name).alpha_ic
                                if args.alpha is None else args.alpha),
                      n_collocation=args.collocation,
-                     seed=seed, formulation=form,
-                     mean_reduction=args.mean_reduction))
+                     seed=seed, formulation=form))
         for name in problems
         for form in formulations
         for seed in args.seeds

@@ -324,6 +324,9 @@ class MlpJets:
         if not self.with_grad:
             raise ValueError("a pass built without with_grad keeps no layer jets "
                              "to differentiate")
+        if self.params is None:
+            raise ValueError("no forward pass has run, so there are no layer jets "
+                             "to differentiate")
         if value_bar.shape != self.value.shape:
             raise ValueError(f"adjoint of shape {value_bar.shape} for output jets "
                              f"of shape {self.value.shape}")

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import reference
-from .autodiff import AdjointGraph, DomainError, Node
+from .autodiff import DomainError, Node
 
 # ---------------------------------------------------------------------------
 # SL(2, R) acting on the dependent variable by Mobius maps
@@ -64,18 +64,20 @@ def sl2_moving_frame(u: float, ut: float, utt: float) -> GroupElementSL2:
 # problem specifications
 # ---------------------------------------------------------------------------
 
-ResidualFn = Callable[[AdjointGraph, np.ndarray, list], list[Node]]
+ResidualFn = Callable[[np.ndarray, list], list[Node]]
 
 
 @dataclass(frozen=True)
 class FormulationSpec:
     """Everything the trainer and harness need for one formulation.
 
-    residual(graph, points, outs) reads coefficient k of output row r, the
-    k-th derivative at every point, as the tape leaf outs[r][k].  order is
-    the highest derivative of any network output that the residual and the
-    initial conditions read; the trainer propagates jets of exactly that
-    order.
+    residual(points, outs) reads coefficient k of output row r, the k-th
+    derivative at every point, as the tape leaf outs[r][k], and returns the
+    residual components as tape nodes.  It is a plain expression: arrays of
+    the points' shape and floats may stand on either side of a leaf, and the
+    leaf's operators record them as constants.  order is the highest
+    derivative of any network output that the residual and the initial
+    conditions read; the trainer propagates jets of exactly that order.
     """
 
     output_dim: int
@@ -123,12 +125,12 @@ def schwarz_spec() -> ProblemSpec:
     """
     curvature = 2.0
 
-    def vanilla_residual(graph, t, outs):
+    def vanilla_residual(t, outs):
         u = outs[0]
         ut, utt, uttt = u[1], u[2], u[3]
         return [uttt / ut - 1.5 * (utt / ut) ** 2 - curvature]
 
-    def invariant_residual(graph, t, outs):
+    def invariant_residual(t, outs):
         a, b, c, d = outs
         return [a[1] + b[0],
                 b[1] - a[0],
@@ -173,11 +175,11 @@ def logistic_spec() -> ProblemSpec:
     returns as u = 1/(1 + eps e^{-t}).
     """
 
-    def vanilla_residual(graph, t, outs):
+    def vanilla_residual(t, outs):
         u = outs[0]
         return [u[1] - u[0] * (1.0 - u[0])]
 
-    def invariant_residual(graph, t, outs):
+    def invariant_residual(t, outs):
         return [outs[0][1]]
 
     def reconstruct(x, outputs):
@@ -216,15 +218,15 @@ def oscillator_spec() -> ProblemSpec:
     def forcing(t):
         return np.sin(np.asarray(t, dtype=float) ** a)
 
-    def vanilla_residual(graph, t, outs):
+    def vanilla_residual(t, outs):
         u = outs[0]
-        return [u[2] + u[0] - graph.const(forcing(t))]
+        return [u[2] + u[0] - forcing(t)]
 
-    def invariant_residual(graph, t, outs):
+    def invariant_residual(t, outs):
         al, be = outs
         f = forcing(t)
-        return [al[1] - graph.const(f * np.cos(t)),
-                be[1] + graph.const(f * np.sin(t))]
+        return [al[1] - f * np.cos(t),
+                be[1] + f * np.sin(t)]
 
     def reconstruct(x, outputs):
         u = outputs[:, 0] * np.sin(x) + outputs[:, 1] * np.cos(x)
@@ -262,13 +264,13 @@ def exponential_spec() -> ProblemSpec:
     c1 = reference.EXPONENTIAL_SHIFT
     h_final = math.log(1.0 + 2.0 * math.exp(5.0))
 
-    def vanilla_residual(graph, t, outs):
+    def vanilla_residual(t, outs):
         u = outs[0]
         return [u[2] - (-u[1]).exp()]
 
-    def invariant_residual(graph, h, outs):
+    def invariant_residual(h, outs):
         inv, eps = outs
-        return [inv[1] + inv[0] - graph.const(np.exp(-h) - 1.0),
+        return [inv[1] + inv[0] - (np.exp(-h) - 1.0),
                 eps[1] - 1.0]
 
     def reconstruct(h, outputs):
@@ -312,14 +314,14 @@ def system_spec() -> ProblemSpec:
     touching any other problem.
     """
 
-    def vanilla_residual(graph, t, outs):
+    def vanilla_residual(t, outs):
         u, v = outs
-        return [u[1] + u[0] - graph.const(t + 1.0) * v[0],
-                v[1] - u[0] + graph.const(t) * v[0]]
+        return [u[1] + u[0] - (t + 1.0) * v[0],
+                v[1] - u[0] + t * v[0]]
 
-    def invariant_residual(graph, t, outs):
+    def invariant_residual(t, outs):
         al, be = outs
-        return [al[1] + graph.const(t + 1.0) * al[0],
+        return [al[1] + (t + 1.0) * al[0],
                 be[1] - al[0]]
 
     def reconstruct(x, outputs):

@@ -1,8 +1,10 @@
 """Loss assembly and full-batch Adam training for both formulations.
 
-The residuals read the network's output coefficients as plain tape leaves;
-`_evaluate` is the one place that makes those leaves from the jets a
-`network.MlpJets` pass returns and hands their adjoints back to it.
+The loss is the sum over collocation points of every squared residual
+component, plus alpha_ic times the squared initial-condition misfits.  The
+residuals read the network's output coefficients as plain tape leaves and
+see no tape; `_evaluate` is the one place that makes those leaves from the
+jets a `network.MlpJets` pass returns and hands their adjoints back to it.
 `train` builds one pass and one `ParamSet` per cell; each epoch overwrites
 the pass's jets, adjoints and gradient and updates the parameters' flat
 vector and the Adam moments in place, so no epoch allocates a layer- or
@@ -38,9 +40,8 @@ class TrainConfig:
     """One experiment cell: optimizer, sampling, and weighting knobs.
 
     Training samples its collocation points on the formulation's own
-    interval, which is also where `build_report` evaluates the result.
-    mean_reduction switches the equation term from a sum over collocation
-    points to a mean; off by default.
+    interval, which is also where `build_report` evaluates the result.  The
+    equation term of the loss is a sum over those points.
     """
 
     epochs: int = 3000
@@ -49,7 +50,6 @@ class TrainConfig:
     n_collocation: int = 200
     seed: int = 0
     formulation: str = "invariant"
-    mean_reduction: bool = False
 
     def __post_init__(self):
         for name in ("epochs", "n_collocation", "seed"):  # the report stores them as JSON ints
@@ -78,7 +78,6 @@ class TrainConfig:
             "n_collocation": self.n_collocation,
             "seed": self.seed,
             "formulation": self.formulation,
-            "mean_reduction": self.mean_reduction,
         }
 
 @dataclass(frozen=True)
@@ -115,15 +114,12 @@ def sample_collocation(interval: tuple[float, float], n: int, seed: int) -> np.n
 
 
 def _loss_nodes(graph: AdjointGraph, points: np.ndarray, outs,
-                spec: FormulationSpec, alpha_ic: float,
-                mean_reduction: bool):
-    residuals = spec.residual(graph, points, outs)
+                spec: FormulationSpec, alpha_ic: float):
+    residuals = spec.residual(points, outs)
     eq = None
     for r in residuals:
         term = graph.sum(r * r)
         eq = term if eq is None else eq + term
-    if mean_reduction:
-        eq = graph.scale(eq, 1.0 / points.size)
     ic = None
     for row, order, target in spec.ics:
         diff = outs[row][order].pick(0) - target
@@ -167,7 +163,7 @@ def _gather_adjoints(leaves: list[list[Node]], value_bar: np.ndarray) -> np.ndar
 
 
 def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
-              alpha_ic: float, mean_reduction: bool):
+              alpha_ic: float):
     """Loss breakdown of one pass at the points of `net` and, if `net` was
     built with_grad, the flat gradient, which is its buffer `net.grad.flat`.
 
@@ -179,8 +175,7 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
         leaves = _output_leaves(graph, net.forward(params))
-        total, eq, ic, residuals = _loss_nodes(graph, points, leaves, spec,
-                                               alpha_ic, mean_reduction)
+        total, eq, ic, residuals = _loss_nodes(graph, points, leaves, spec, alpha_ic)
         gvec = None
         if net.with_grad:
             graph.backward(total)
@@ -193,30 +188,26 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
 
 
 def loss_and_grad(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
-                  alpha_ic: float = 1.0, mean_reduction: bool = False,
-                  ) -> tuple[LossBreakdown, np.ndarray]:
-    return _evaluate(MlpJets(params.layout, points, spec.order), params, spec,
-                     alpha_ic, mean_reduction)
+                  alpha_ic: float = 1.0) -> tuple[LossBreakdown, np.ndarray]:
+    return _evaluate(MlpJets(params.layout, points, spec.order), params, spec, alpha_ic)
 
 
 def _loss(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
-          alpha_ic: float, mean_reduction: bool) -> LossBreakdown:
+          alpha_ic: float) -> LossBreakdown:
     net = MlpJets(params.layout, points, spec.order, with_grad=False)
-    return _evaluate(net, params, spec, alpha_ic, mean_reduction)[0]
+    return _evaluate(net, params, spec, alpha_ic)[0]
 
 
 def vanilla_loss(params: ParamSet, problem: ProblemSpec, points: np.ndarray,
-                 alpha_ic: float = 1.0, mean_reduction: bool = False,
-                 ) -> LossBreakdown:
+                 alpha_ic: float = 1.0) -> LossBreakdown:
     """Loss of the original-equation formulation at fixed parameters."""
-    return _loss(params, problem.vanilla, points, alpha_ic, mean_reduction)
+    return _loss(params, problem.vanilla, points, alpha_ic)
 
 
 def invariant_loss(params: ParamSet, problem: ProblemSpec, points: np.ndarray,
-                   alpha_ic: float = 1.0, mean_reduction: bool = False,
-                   ) -> LossBreakdown:
+                   alpha_ic: float = 1.0) -> LossBreakdown:
     """Loss of the invariantized-plus-reconstruction formulation."""
-    return _loss(params, problem.invariant, points, alpha_ic, mean_reduction)
+    return _loss(params, problem.invariant, points, alpha_ic)
 
 
 @dataclass
@@ -296,8 +287,7 @@ def train(problem: ProblemSpec, config: TrainConfig):
     epochs_run = 0
     for epoch in range(config.epochs):
         try:
-            breakdown, gvec = _evaluate(net, params, spec, config.alpha_ic,
-                                        config.mean_reduction)
+            breakdown, gvec = _evaluate(net, params, spec, config.alpha_ic)
         except DomainError as err:
             status, message = "diverged", f"epoch {epoch}: {err}"
             break

@@ -156,7 +156,7 @@ def residual_values(spec, points: np.ndarray, jets) -> list[np.ndarray]:
     """
     graph = AdjointGraph()
     outs = [[graph.const(np.asarray(c, dtype=float)) for c in row] for row in jets]
-    return [np.asarray(r.value) for r in spec.residual(graph, points, outs)]
+    return [np.asarray(r.value) for r in spec.residual(points, outs)]
 
 
 def schwarzian_invariance_worst(n: int = 100, seed: int = 0) -> float:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 import pytest
 
 import checks
 import oracles
-from ipinn.autodiff import AdjointGraph
+from ipinn.autodiff import AdjointGraph, Node
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, ParamSet, _tanh_table, init_mlp
 from ipinn.training import _gather_adjoints, _output_leaves
 
@@ -217,3 +218,30 @@ def test_integer_powers_via_operator():
         t ** 0.5
     with pytest.raises(ValueError):
         t ** 5
+
+
+@pytest.mark.parametrize("left, op", [
+    (np.array([1.0, 2.0, 3.0]), "mul"),
+    (np.array([1.0, 2.0, 3.0]), "add"),
+    (np.array([1.0, 2.0, 3.0]), "sub"),
+    (np.array([1.0, 2.0, 3.0]), "div"),
+    (np.float64(2.0), "mul"),
+], ids=["array*node", "array+node", "array-node", "array/node", "float64*node"])
+def test_numpy_on_the_left_of_a_node_is_a_constant_leaf(left, op):
+    """numpy defers to the node, which records `left` as a const leaf and then
+    the op: the same tape, value and leaf adjoint as `graph.const(left) op node`."""
+    apply = {"mul": operator.mul, "add": operator.add, "sub": operator.sub,
+             "div": operator.truediv}[op]
+    tapes = []
+    for lift in (lambda graph, v: v, lambda graph, v: graph.const(v)):
+        graph = AdjointGraph()
+        node = graph.param(np.array([0.5, -1.5, 4.0]))
+        out = apply(lift(graph, left), node)
+        assert isinstance(out, Node)
+        graph.backward(graph.sum(out * out))
+        tapes.append(([n.op for n in graph.nodes], out.value, node.adjoint))
+    (ops, value, adjoint), (want_ops, want_value, want_adjoint) = tapes
+    assert ops[:3] == ["param", "const", op]
+    assert ops == want_ops
+    assert np.array_equal(value.view(np.uint64), want_value.view(np.uint64))
+    assert np.array_equal(adjoint.view(np.uint64), want_adjoint.view(np.uint64))

@@ -300,21 +300,24 @@ def test_summary_csv_and_text_render(tmp_path):
 
 
 def test_report_with_an_interval_key_still_loads(tmp_path, capsys):
-    """Reports written while TrainConfig had an interval field hold
-    "interval": null in their config; new ones lack the key."""
-    report = _fake_report("logistic", "invariant", 0, 1e-3)
-    assert "interval" not in report.config
-    report.config = {**report.config, "interval": None}
-    _write_report(tmp_path, report)
-    path = tmp_path / cell_dir_name("logistic", "invariant", 0) / "report.json"
-    loaded = load_report(path)
-    assert loaded.config["interval"] is None
-    assert loaded.canonical() == report.canonical()
-    [row] = summarize(tmp_path)
-    assert (row.problem, row.seeds, row.mean_mse) == ("logistic", [0], 1e-3)
-    csv_path = tmp_path / "series.csv"
-    assert main(["series", "--report", str(path), "--csv", str(csv_path)]) == 0
-    assert csv_path.read_bytes() == b"t,squared_error\r\n0,0.001\r\n1,0.001\r\n"
+    """Reports written while TrainConfig had an interval or a mean_reduction
+    field hold "interval": null or "mean_reduction": false in their config;
+    new ones lack both keys."""
+    for key, value in (("interval", None), ("mean_reduction", False)):
+        out = tmp_path / key
+        report = _fake_report("logistic", "invariant", 0, 1e-3)
+        assert key not in report.config
+        report.config = {**report.config, key: value}
+        _write_report(out, report)
+        path = out / cell_dir_name("logistic", "invariant", 0) / "report.json"
+        loaded = load_report(path)
+        assert loaded.config[key] is value
+        assert loaded.canonical() == report.canonical()
+        [row] = summarize(out)
+        assert (row.problem, row.seeds, row.mean_mse) == ("logistic", [0], 1e-3)
+        csv_path = out / "series.csv"
+        assert main(["series", "--report", str(path), "--csv", str(csv_path)]) == 0
+        assert csv_path.read_bytes() == b"t,squared_error\r\n0,0.001\r\n1,0.001\r\n"
 
 
 def test_collect_reports_roundtrip(tmp_path):
@@ -372,13 +375,20 @@ def test_cli_errors_exit_with_status_two(tmp_path, capsys):
     assert main(["summarize", "--in", str(tmp_path / "missing")]) == 2
 
 
-@pytest.mark.parametrize("jobs", ["0", "-4", "two"])
-def test_cli_rejects_a_job_count_below_one(tmp_path, capsys, jobs):
+@pytest.mark.parametrize("args, fault", [
+    (["--jobs", "0"], "argument --jobs"),
+    (["--jobs", "-4"], "argument --jobs"),
+    (["--jobs", "two"], "argument --jobs"),
+    (["--mean-reduction"], "unrecognized arguments: --mean-reduction"),
+], ids=["0", "-4", "two", "mean-reduction"])
+def test_cli_rejects_a_job_count_below_one(tmp_path, capsys, args, fault):
+    """argparse stops `run` before --out exists: on a job count below one, and
+    on the flag of the mean_reduction knob that left TrainConfig."""
     out = tmp_path / "runs"
     with pytest.raises(SystemExit) as exc:
-        main(["run", "--jobs", jobs, "--out", str(out)])
+        main(["run", *args, "--out", str(out)])
     assert exc.value.code == 2
-    assert "argument --jobs" in capsys.readouterr().err
+    assert fault in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -160,7 +160,7 @@ def _formulation_pass(spec, alpha_ic: float, params: ParamSet, points: np.ndarra
     with np.errstate(all="ignore"):
         net = MlpJets(params.layout, points, order)
         leaves = _output_leaves(graph, net.forward(params))
-        total, *_ = _loss_nodes(graph, points, leaves, spec, alpha_ic, False)
+        total, *_ = _loss_nodes(graph, points, leaves, spec, alpha_ic)
         graph.backward(total)
         return float(total.value), net.param_grad(_gather_adjoints(leaves, net.value_bar))
 

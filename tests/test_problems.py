@@ -395,7 +395,7 @@ def test_declared_order_is_the_highest_derivative_read(name, kind):
     value = MlpJets(params.layout, points, JET_ORDER).forward(params)
     leaves = [Recorded(jet) for jet in _output_leaves(graph, value)]
     with np.errstate(all="ignore"):
-        _loss_nodes(graph, points, leaves, spec, 1.0, False)
+        _loss_nodes(graph, points, leaves, spec, 1.0)
     assert spec.order == max(requested)
     if kind == "invariant":
         assert spec.order == 1

@@ -157,16 +157,6 @@ def test_breakdown_total_identity():
     assert bd.total == bd.equation_loss + 3.7 * bd.ic_loss
 
 
-def test_mean_reduction_rescales_equation_term_only():
-    problem = get_problem("logistic")
-    points = sample_collocation(problem.vanilla.interval, 50, seed=0)
-    params = init_mlp(MlpLayout(output_dim=1), seed=0)
-    by_sum = vanilla_loss(params, problem, points)
-    by_mean = vanilla_loss(params, problem, points, mean_reduction=True)
-    assert by_mean.equation_loss == by_sum.equation_loss * (1.0 / points.size)
-    assert by_mean.ic_loss == by_sum.ic_loss
-
-
 def test_schwarz_vanilla_rejects_critical_curve():
     """A constant curve has u_t = 0, outside the residual's domain."""
     problem = get_problem("schwarz")
@@ -430,11 +420,16 @@ def test_forward_rejects_parameters_of_another_layout():
 
 
 def test_forward_only_pass_refuses_param_grad():
+    """Neither a pass without with_grad nor one before its first forward has
+    layer jets to pull an adjoint back through."""
     layout = MlpLayout(hidden_layers=1, hidden_width=4)
-    net = MlpJets(layout, np.linspace(0.0, 1.0, 5), 1, with_grad=False)
-    value = net.forward(init_mlp(layout, 0))
-    with pytest.raises(ValueError, match="with_grad"):
-        net.param_grad(np.ones(value.shape))
+    x = np.linspace(0.0, 1.0, 5)
+    forward_only = MlpJets(layout, x, 1, with_grad=False)
+    forward_only.forward(init_mlp(layout, 0))
+    for net, fault in ((forward_only, "with_grad"),
+                       (MlpJets(layout, x, 1), "no forward pass has run")):
+        with pytest.raises(ValueError, match=fault):
+            net.param_grad(np.ones(net.value.shape))
 
 
 def _allocated(fn) -> int:
