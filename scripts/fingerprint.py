@@ -13,9 +13,9 @@ five digests:
 - `eval`: the squared error of that trained network on the report's
   evaluation grid, which `mlp_values` computes;
 - `artifacts`: the bytes of the `weights.bin`, `error_series.csv` and
-  `error_series_plot.csv` that `run_cell` writes for that cell.  Its
-  `report.json` is left out, since the config snapshot it holds may change
-  without any number moving.
+  `error_series_plot.csv` that `run_cell` writes for that cell, then its
+  `report.json` without the `wall_time` key, as `json.dumps(...,
+  sort_keys=True)` of the parsed file.
 
 Run it from the root of a source tree, once per tree, and diff the outputs:
 
@@ -25,6 +25,7 @@ Run it from the root of a source tree, once per tree, and diff the outputs:
 from __future__ import annotations
 
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -75,6 +76,9 @@ def train_digests(problem, kind: str, seed: int) -> tuple[str, str, str]:
         artifacts = hashlib.sha256()
         for name in ARTIFACTS:
             artifacts.update((cell / name).read_bytes())
+        report_json = json.loads((cell / "report.json").read_text())
+        del report_json["wall_time"]
+        artifacts.update(json.dumps(report_json, sort_keys=True).encode("utf-8"))
     return (digest.hexdigest(), hashlib.sha256(report.squared_error.tobytes()).hexdigest(),
             artifacts.hexdigest())
 

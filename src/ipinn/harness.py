@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,21 +49,10 @@ class RunReport:
     wall_time: float
 
     def to_json(self) -> dict:
-        return {
-            "problem": self.problem,
-            "formulation": self.formulation,
-            "seed": self.seed,
-            "config": self.config,
-            "loss_history": [[float(v) for v in row] for row in self.loss_history],
-            "grid": [float(v) for v in self.grid],
-            "squared_error": [float(v) for v in self.squared_error],
-            "mse": self.mse,
-            "mse_summary": self.mse_summary,
-            "status": self.status,
-            "message": self.message,
-            "metadata": self.metadata,
-            "wall_time": self.wall_time,
-        }
+        """One key per field, in field order; the arrays become lists of floats."""
+        return {f.name: (v.tolist() if isinstance(v := getattr(self, f.name), np.ndarray)
+                         else v)
+                for f in fields(self)}
 
     def canonical(self) -> dict:
         """The reproducible part: everything except the wall clock."""
@@ -73,10 +62,13 @@ class RunReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunReport":
+        seed = data["seed"]
+        if type(seed) is not int or seed < 0:
+            raise ValueError(f"the seed must be a non-negative integer, got {seed!r}")
         return cls(
             problem=str(data["problem"]),
             formulation=str(data["formulation"]),
-            seed=int(data["seed"]),
+            seed=seed,
             config=dict(data["config"]),
             loss_history=np.asarray(data["loss_history"], dtype=float).reshape(-1, 3),
             grid=np.asarray(data["grid"], dtype=float),
@@ -99,17 +91,17 @@ def summary_mask(problem_name: str, x: np.ndarray) -> np.ndarray:
     return ~((x > center - w) & (x < center + w))
 
 
-def evaluate_params(problem: ProblemSpec, formulation: str, params: ParamSet,
-                    n_grid: int = EVAL_GRID_POINTS):
+def evaluate_params(problem: ProblemSpec, formulation: str, params: ParamSet):
     """Per-point squared error of the reconstructed solution on a uniform grid.
 
-    Returns (grid, squared_error) where squared_error sums over solution
-    components.  The grid lives in the formulation's own coordinate; for the
-    exponential invariant run the comparison is parametric, against the exact
-    solution evaluated at the reconstructed abscissa.
+    Returns (grid, squared_error), EVAL_GRID_POINTS values each, where
+    squared_error sums over solution components.  The grid lives in the
+    formulation's own coordinate; for the exponential invariant run the
+    comparison is parametric, against the exact solution evaluated at the
+    reconstructed abscissa.
     """
     spec = problem.formulation(formulation)
-    grid = np.linspace(spec.interval[0], spec.interval[1], n_grid)
+    grid = np.linspace(spec.interval[0], spec.interval[1], EVAL_GRID_POINTS)
     with np.errstate(all="ignore"):
         outputs = mlp_values(params, grid).T
         x, recon = spec.reconstruct(grid, outputs)
@@ -150,7 +142,7 @@ def build_report(problem: ProblemSpec, config: TrainConfig, params: ParamSet,
         problem=problem.name,
         formulation=config.formulation,
         seed=config.seed,
-        config=config.snapshot(),
+        config=asdict(config),
         loss_history=np.asarray(history, dtype=float).reshape(-1, 3),
         grid=grid,
         squared_error=sq,

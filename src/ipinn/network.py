@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -354,18 +354,11 @@ def mlp_values(params: ParamSet, x_values) -> np.ndarray:
 def save_weights(path, params: ParamSet, seed: int | None = None) -> None:
     """JSON header line (layout and seed) then the flat vector, little-endian f8.
 
-    The file is replaced atomically: a failed write leaves any earlier file.
+    The header holds the `MlpLayout` fields under "layout", keys sorted, which
+    `load_weights` checks against the same fields.  The file is replaced
+    atomically: a failed write leaves any earlier file.
     """
-    layout = params.layout
-    header = {
-        "layout": {
-            "input_dim": layout.input_dim,
-            "hidden_layers": layout.hidden_layers,
-            "hidden_width": layout.hidden_width,
-            "output_dim": layout.output_dim,
-        },
-        "seed": seed,
-    }
+    header = {"layout": asdict(params.layout), "seed": seed}
     with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")

@@ -41,7 +41,8 @@ class TrainConfig:
 
     Training samples its collocation points on the formulation's own
     interval, which is also where `build_report` evaluates the result.  The
-    equation term of the loss is a sum over those points.
+    equation term of the loss is a sum over those points.  A run report
+    stores the config as `dataclasses.asdict`, its keys in field order.
     """
 
     epochs: int = 3000
@@ -70,15 +71,6 @@ class TrainConfig:
         if self.formulation not in ("vanilla", "invariant"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
 
-    def snapshot(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "learning_rate": self.learning_rate,
-            "alpha_ic": self.alpha_ic,
-            "n_collocation": self.n_collocation,
-            "seed": self.seed,
-            "formulation": self.formulation,
-        }
 
 @dataclass(frozen=True)
 class LossBreakdown:

@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,7 @@ def _fake_report(problem: str, formulation: str, seed: int, mse: float,
     grid = np.array([0.0, 1.0])
     return RunReport(
         problem=problem, formulation=formulation, seed=seed,
-        config=replace(TINY, seed=seed, formulation=formulation).snapshot(),
+        config=asdict(replace(TINY, seed=seed, formulation=formulation)),
         loss_history=np.zeros((0, 3)), grid=grid,
         squared_error=np.full(2, mse), mse=mse, mse_summary=mse,
         status=status, message="", metadata={"x_name": "t"}, wall_time=0.1)
@@ -107,10 +107,62 @@ def test_report_json_roundtrip_is_exact():
 
 def test_canonical_ignores_wall_time():
     a = _fake_report("logistic", "invariant", 0, 1.0)
-    b = replace(a, wall_time=9.9) if hasattr(a, "wall_time") else a
     b = RunReport.from_json({**a.to_json(), "wall_time": 9.9})
     assert a.canonical() == b.canonical()
     assert a.to_json() != b.to_json()
+
+
+REPORT_TEXT = """\
+{
+  "problem": "logistic",
+  "formulation": "invariant",
+  "seed": 3,
+  "config": {
+    "epochs": 1,
+    "learning_rate": 0.001,
+    "alpha_ic": 1.0,
+    "n_collocation": 2,
+    "seed": 3,
+    "formulation": "invariant"
+  },
+  "loss_history": [
+    [
+      0.5,
+      0.25,
+      0.75
+    ]
+  ],
+  "grid": [
+    0.0,
+    1.0
+  ],
+  "squared_error": [
+    0.125,
+    "Infinity"
+  ],
+  "mse": "Infinity",
+  "mse_summary": "Infinity",
+  "status": "ok",
+  "message": "",
+  "metadata": {
+    "x_name": "t"
+  },
+  "wall_time": 0.5
+}
+"""
+
+
+def test_write_report_bytes(tmp_path):
+    """The report file, key order and float spelling included, byte for byte."""
+    report = RunReport(
+        problem="logistic", formulation="invariant", seed=3,
+        config=asdict(TrainConfig(epochs=1, n_collocation=2, seed=3)),
+        loss_history=np.array([[0.5, 0.25, 0.75]]), grid=np.array([0.0, 1.0]),
+        squared_error=np.array([0.125, math.inf]), mse=math.inf, mse_summary=math.inf,
+        status="ok", message="", metadata={"x_name": "t"}, wall_time=0.5)
+    path = tmp_path / "report.json"
+    write_report(report, path)
+    assert path.read_bytes() == REPORT_TEXT.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +493,14 @@ def _without(data: dict, key: str) -> dict:
     (lambda d: json.dumps([d]), "JSON object, not a list"),
     (lambda d: json.dumps(_without(d, "metadata")), "lacks the keys ['metadata']"),
     (lambda d: json.dumps({**d, "seed": "zero"}), "does not fit"),
+    (lambda d: json.dumps({**d, "seed": 3.7}), "does not fit"),
+    (lambda d: json.dumps({**d, "seed": True}), "does not fit"),
+    (lambda d: json.dumps({**d, "seed": "2"}), "does not fit"),
+    (lambda d: json.dumps({**d, "seed": -1}), "does not fit"),
     (lambda d: json.dumps({**d, "config": 3}), "does not fit"),
     (lambda d: json.dumps({**d, "loss_history": [[1.0, 2.0]]}), "does not fit"),
-], ids=["truncated", "json-list", "missing-key", "non-integer-seed",
+], ids=["truncated", "json-list", "missing-key", "non-integer-seed", "fractional-seed",
+        "boolean-seed", "numeric-string-seed", "negative-seed",
         "config-not-an-object", "ragged-loss-history"])
 def test_load_report_names_file_and_fault(tmp_path, capsys, corrupt, fault):
     path = tmp_path / "runs" / "cell" / "report.json"

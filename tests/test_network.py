@@ -251,6 +251,18 @@ def test_weight_io_preserves_unknown_seed(tmp_path):
     assert seed is None
 
 
+def test_weight_header_bytes(tmp_path):
+    """The header line, byte for byte: the layout fields with sorted keys, then the seed."""
+    params = init_mlp(MlpLayout(output_dim=2), seed=7)
+    path = tmp_path / "w.bin"
+    for seed, spelled in ((7, "7"), (None, "null")):
+        save_weights(path, params, seed=seed)
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header == ('{"layout": {"hidden_layers": 5, "hidden_width": 40, '
+                          '"input_dim": 1, "output_dim": 2}, "seed": ' + spelled + '}').encode()
+        assert len(body) == 8 * params.layout.flat_size()
+
+
 def _weight_file_parts(tmp_path):
     params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=3), seed=0)
     path = tmp_path / "weights.bin"
