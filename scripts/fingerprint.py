@@ -1,7 +1,7 @@
 """Print SHA-256 fingerprints of the training numbers, to compare two trees bit for bit.
 
 For every (problem, formulation) pair and seeds 0-2 it prints one line with
-five digests:
+six digests:
 
 - `grad`: the `loss_and_grad` breakdown (equation, initial-condition and
   total loss, alpha) and gradient bytes at 200 and then 50 collocation
@@ -15,7 +15,10 @@ five digests:
 - `artifacts`: the bytes of the `weights.bin`, `error_series.csv` and
   `error_series_plot.csv` that `run_cell` writes for that cell, then its
   `report.json` without the `wall_time` key, as `json.dumps(...,
-  sort_keys=True)` of the parsed file.
+  sort_keys=True)` of the parsed file;
+- `diverge`: the status, message, loss history and final weights of a
+  6-epoch `train` at 50 points with learning rate 1e80, where some pairs
+  blow up, so the non-finite paths of the loss are compared too.
 
 Run it from the root of a source tree, once per tree, and diff the outputs:
 
@@ -36,12 +39,13 @@ import numpy as np  # noqa: E402
 
 from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # noqa: E402
                    invariant_loss, load_weights, loss_and_grad, run_cell,
-                   sample_collocation, vanilla_loss)
+                   sample_collocation, train, vanilla_loss)
 
 SEEDS = (0, 1, 2)
 POINTS = (200, 50)
 EPOCHS = 150
 ARTIFACTS = ("weights.bin", "error_series.csv", "error_series_plot.csv")
+DIVERGE = dict(learning_rate=1e80, epochs=6, n_collocation=50)
 
 
 def _breakdown_bytes(bd) -> bytes:
@@ -83,6 +87,16 @@ def train_digests(problem, kind: str, seed: int) -> tuple[str, str, str]:
             artifacts.hexdigest())
 
 
+def diverge_digest(problem, kind: str, seed: int) -> str:
+    """The `diverge` digest of a short run at a learning rate that blows up."""
+    config = TrainConfig(seed=seed, formulation=kind, alpha_ic=problem.alpha_ic, **DIVERGE)
+    params, history, report = train(problem, config)
+    digest = hashlib.sha256(f"{report.status}\n{report.message}\n".encode("utf-8"))
+    digest.update(history.tobytes())
+    digest.update(params.to_flat().tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     for name in REGISTRY:
         problem = get_problem(name)
@@ -90,9 +104,10 @@ def main() -> None:
             for seed in SEEDS:
                 grad, loss = initial_digests(problem, kind, seed)
                 trained, evaluated, artifacts = train_digests(problem, kind, seed)
+                diverge = diverge_digest(problem, kind, seed)
                 print(f"{name}-{kind} seed={seed} grad={grad} loss={loss} "
-                      f"train={trained} eval={evaluated} artifacts={artifacts}",
-                      flush=True)
+                      f"train={trained} eval={evaluated} artifacts={artifacts} "
+                      f"diverge={diverge}", flush=True)
 
 
 if __name__ == "__main__":

@@ -2,10 +2,11 @@
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
-(see `network.MlpJets`) and combine them with add, sub, mul, div, exp, pick,
-sum and scale; one backward sweep then leaves an adjoint on every leaf
-that needs one.  A node that needs a gradient meets only nodes of its own
-shape or constants, so an adjoint always has the shape of its node.
+(see `network.MlpJets`) and combine them with add, sub, mul, div, neg and
+exp.  `backward(seeds)` starts from (node, adjoint) pairs, which the loss
+supplies in closed form, and one backward sweep then leaves an adjoint on
+every leaf that needs one.  A node that needs a gradient meets only nodes of
+its own shape or constants, so an adjoint always has the shape of its node.
 
 A number or an array may stand on either side of a `Node`: the node's
 operators lift it to a `const` leaf.  `Node.__array_ufunc__ = None` makes
@@ -28,14 +29,13 @@ class DomainError(ValueError):
 class Node:
     """One recorded plain array in an AdjointGraph; its value is computed on record."""
 
-    __slots__ = ("graph", "op", "args", "aux", "value", "needs_grad", "adjoint")
+    __slots__ = ("graph", "op", "args", "value", "needs_grad", "adjoint")
     __array_ufunc__ = None
 
-    def __init__(self, graph, op, args, aux, value, needs_grad):
+    def __init__(self, graph, op, args, value, needs_grad):
         self.graph = graph
         self.op = op
         self.args = args
-        self.aux = aux
         self.value = value
         self.needs_grad = needs_grad
         self.adjoint = None
@@ -66,7 +66,7 @@ class Node:
         return self.graph.div(self.graph.lift(other), self)
 
     def __neg__(self):
-        return self.graph.scale(self, -1.0)
+        return self.graph.neg(self)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 1 or n > 4:
@@ -78,9 +78,6 @@ class Node:
 
     def exp(self):
         return self.graph.exp(self)
-
-    def pick(self, i: int):
-        return self.graph.pick(self, i)
 
 
 def _acc(arg: Node, contrib: np.ndarray, owned: bool = True) -> None:
@@ -122,28 +119,12 @@ def _vjp_div(node):
     _acc(b, -node.adjoint * node.value / b.value)
 
 
-def _vjp_scale(node):
-    _acc(node.args[0], node.adjoint * node.aux)
+def _vjp_neg(node):
+    _acc(node.args[0], -node.adjoint)
 
 
 def _vjp_exp(node):
     _acc(node.args[0], node.adjoint * node.value)
-
-
-def _vjp_pick(node):
-    a = node.args[0]
-    if not a.needs_grad:
-        return
-    z = np.zeros(a.value.shape)
-    z[node.aux] = node.adjoint
-    _acc(a, z)
-
-
-def _vjp_sum(node):
-    a = node.args[0]
-    if not a.needs_grad:
-        return
-    _acc(a, np.full(a.value.shape, float(node.adjoint)))
 
 
 _VJPS: dict[str, Callable[[Node], None]] = {
@@ -151,10 +132,8 @@ _VJPS: dict[str, Callable[[Node], None]] = {
     "sub": _vjp_sub,
     "mul": _vjp_mul,
     "div": _vjp_div,
-    "scale": _vjp_scale,
+    "neg": _vjp_neg,
     "exp": _vjp_exp,
-    "pick": _vjp_pick,
-    "sum": _vjp_sum,
 }
 
 
@@ -168,25 +147,24 @@ class AdjointGraph:
     def __init__(self):
         self.nodes: list[Node] = []
 
-    def _record(self, op, args, aux, value, needs_grad=None) -> Node:
+    def _record(self, op, args, value, needs_grad=None) -> Node:
         for a in args:
             if a.graph is not self:
                 raise ValueError("nodes belong to different graphs")
         if needs_grad is None:
             needs_grad = any(a.needs_grad for a in args)
-        node = Node(self, op, tuple(args), aux, np.asarray(value, dtype=float),
-                    needs_grad)
+        node = Node(self, op, tuple(args), np.asarray(value, dtype=float), needs_grad)
         self.nodes.append(node)
         return node
 
     # ---- leaves ----
 
     def const(self, values) -> Node:
-        return self._record("const", (), None, values, needs_grad=False)
+        return self._record("const", (), values, needs_grad=False)
 
     def param(self, values) -> Node:
         """Leaf tracked for gradients; caller must not mutate `values`."""
-        return self._record("param", (), None, values, needs_grad=True)
+        return self._record("param", (), values, needs_grad=True)
 
     def lift(self, other) -> Node:
         """A node as is; a number or array as a constant leaf."""
@@ -195,40 +173,37 @@ class AdjointGraph:
     # ---- operations ----
 
     def add(self, a: Node, b: Node) -> Node:
-        return self._record("add", (a, b), None, a.value + b.value)
+        return self._record("add", (a, b), a.value + b.value)
 
     def sub(self, a: Node, b: Node) -> Node:
-        return self._record("sub", (a, b), None, a.value - b.value)
+        return self._record("sub", (a, b), a.value - b.value)
 
     def mul(self, a: Node, b: Node) -> Node:
-        return self._record("mul", (a, b), None, a.value * b.value)
+        return self._record("mul", (a, b), a.value * b.value)
 
     def div(self, a: Node, b: Node) -> Node:
-        return self._record("div", (a, b), None, a.value / b.value)
+        return self._record("div", (a, b), a.value / b.value)
 
-    def scale(self, a: Node, c: float) -> Node:
-        c = float(c)
-        return self._record("scale", (a,), c, a.value * c)
+    def neg(self, a: Node) -> Node:
+        return self._record("neg", (a,), -a.value)
 
     def exp(self, a: Node) -> Node:
-        return self._record("exp", (a,), None, np.exp(a.value))
-
-    def pick(self, a: Node, i: int) -> Node:
-        return self._record("pick", (a,), i, a.value[i])
-
-    def sum(self, a: Node) -> Node:
-        return self._record("sum", (a,), None, np.add.reduce(a.value, axis=None))
+        return self._record("exp", (a,), np.exp(a.value))
 
     # ---- reverse accumulation ----
 
-    def backward(self, loss: Node) -> None:
-        if loss.graph is not self:
-            raise ValueError("loss node belongs to a different graph")
-        if loss.value.shape != ():
-            raise ValueError("backward expects a scalar loss node")
+    def backward(self, seeds) -> None:
+        """Sweep back from (node, adjoint) pairs, each adjoint of its node's shape.
+
+        The seeds accumulate in the order given, before the sweep, so a node
+        seeded twice, or seeded and then reached, sums its terms in that order.
+        """
         for node in self.nodes:
             node.adjoint = None
-        loss.adjoint = np.ones(())
+        for node, adjoint in seeds:
+            if node.graph is not self:
+                raise ValueError("seed node belongs to a different graph")
+            _acc(node, adjoint, owned=False)
         for node in reversed(self.nodes):
             if node.adjoint is not None and node.op in _VJPS:
                 _VJPS[node.op](node)

@@ -62,24 +62,38 @@ class RunReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunReport":
-        seed = data["seed"]
-        if type(seed) is not int or seed < 0:
-            raise ValueError(f"the seed must be a non-negative integer, got {seed!r}")
-        return cls(
-            problem=str(data["problem"]),
-            formulation=str(data["formulation"]),
-            seed=seed,
-            config=dict(data["config"]),
-            loss_history=np.asarray(data["loss_history"], dtype=float).reshape(-1, 3),
-            grid=np.asarray(data["grid"], dtype=float),
-            squared_error=np.asarray(data["squared_error"], dtype=float),
-            mse=float(data["mse"]),
-            mse_summary=float(data["mse_summary"]),
-            status=str(data["status"]),
-            message=str(data["message"]),
-            metadata=dict(data["metadata"]),
-            wall_time=float(data["wall_time"]),
-        )
+        """The report of a `to_json` dict, or of a `write_report` file parsed
+        as JSON; a field of the wrong type or shape raises ValueError."""
+        report = cls(**{f.name: _field_from_json(f.type, f.name, data[f.name])
+                        for f in fields(cls)})
+        if report.loss_history.size and report.loss_history.shape[1:] != (3,):
+            raise ValueError("loss_history must be rows of 3 losses, got shape "
+                             f"{report.loss_history.shape}")
+        report.loss_history = report.loss_history.reshape(-1, 3)  # [] is no epochs
+        if report.seed < 0:
+            raise ValueError(f"the seed must be a non-negative integer, got {report.seed!r}")
+        if report.grid.ndim != 1 or report.squared_error.shape != report.grid.shape:
+            raise ValueError(f"grid of shape {report.grid.shape} and squared_error of "
+                             f"shape {report.squared_error.shape} do not pair up")
+        return report
+
+
+def _field_from_json(kind: str, name: str, value):
+    """The value of a RunReport field annotated `kind`, checked against it; a
+    float may be a JSON number or one of `write_report`'s non-finite spellings,
+    and an array is nested lists of floats."""
+    if kind == "np.ndarray":
+        return np.array(_field_from_json("list", name, value), dtype=float)
+    if kind == "list" and type(value) is list:
+        return [v if type(v) is float else
+                _field_from_json("list" if type(v) is list else "float", name, v)
+                for v in value]
+    if kind == "float" and (type(value) in (int, float)
+                            or value in ("NaN", "Infinity", "-Infinity")):
+        return float(value)
+    if type(value).__name__ == kind:  # str, int or dict
+        return value
+    raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
 
 
 def summary_mask(problem_name: str, x: np.ndarray) -> np.ndarray:

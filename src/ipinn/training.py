@@ -5,6 +5,8 @@ component, plus alpha_ic times the squared initial-condition misfits.  The
 residuals read the network's output coefficients as plain tape leaves and
 see no tape; `_evaluate` is the one place that makes those leaves from the
 jets a `network.MlpJets` pass returns and hands their adjoints back to it.
+Only the residuals are recorded: the loss is reduced in numpy, and its
+closed-form adjoint seeds the tape's backward sweep.
 `train` builds one pass and one `ParamSet` per cell; each epoch overwrites
 the pass's jets, adjoints and gradient and updates the parameters' flat
 vector and the Adam moments in place, so no epoch allocates a layer- or
@@ -105,33 +107,17 @@ def sample_collocation(interval: tuple[float, float], n: int, seed: int) -> np.n
     raise RuntimeError("failed to draw strictly increasing collocation points")
 
 
-def _loss_nodes(graph: AdjointGraph, points: np.ndarray, outs,
-                spec: FormulationSpec, alpha_ic: float):
-    residuals = spec.residual(points, outs)
-    eq = None
-    for r in residuals:
-        term = graph.sum(r * r)
-        eq = term if eq is None else eq + term
-    ic = None
-    for row, order, target in spec.ics:
-        diff = outs[row][order].pick(0) - target
-        term = diff * diff
-        ic = term if ic is None else ic + term
-    total = eq + graph.scale(ic, alpha_ic)
-    return total, eq, ic, residuals
-
-
-def _require_finite(total_value: float, residuals: list[Node], ic_value: float,
+def _require_finite(total: float, residuals: list[np.ndarray], ic: float,
                     points: np.ndarray) -> None:
-    if np.isfinite(total_value):
+    if np.isfinite(total):
         return
     for r in residuals:
-        bad = ~np.isfinite(np.asarray(r.value))
+        bad = ~np.isfinite(r)
         if bad.any():
             i = int(np.argmax(bad))
             raise DomainError("non-finite equation residual at collocation "
                               f"point {points[i]:.6g}")
-    if not np.isfinite(ic_value):
+    if not np.isfinite(ic):
         raise DomainError("non-finite initial-condition residual at "
                           f"{points[0]:.6g}")
     raise DomainError("non-finite training loss")
@@ -160,23 +146,42 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
     built with_grad, the flat gradient, which is its buffer `net.grad.flat`.
 
     This is where the tape meets the network: the residuals read the output
-    jets through `_output_leaves`, and after the backward sweep
-    `param_grad` pulls back the leaf adjoints, gathered in `net.value_bar`.
+    jets through `_output_leaves`, and only they are recorded.  The loss is
+    reduced here in numpy, and its adjoint, 2 r on each residual r and
+    2 alpha_ic d on each initial-condition misfit d, seeds the backward
+    sweep; `param_grad` then pulls back the leaf adjoints, gathered in
+    `net.value_bar`.  The seeds go in the order in which a sweep over the
+    recorded loss would reach them, ICs last to first and then residuals
+    last to first, so each leaf sums its terms in that order.
     """
     points = net.points
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
-        leaves = _output_leaves(graph, net.forward(params))
-        total, eq, ic, residuals = _loss_nodes(graph, points, leaves, spec, alpha_ic)
+        value = net.forward(params)
+        leaves = _output_leaves(graph, value)
+        residuals = spec.residual(points, leaves)
+        eq = 0.0
+        for r in residuals:
+            eq = eq + np.add.reduce(r.value * r.value, axis=None)
+        misfits = [value[k, row, 0] - target for row, k, target in spec.ics]
+        ic = 0.0
+        for d in misfits:
+            ic = ic + d * d
         gvec = None
         if net.with_grad:
-            graph.backward(total)
+            seeds = []
+            for (row, k, _), d in zip(reversed(spec.ics), reversed(misfits)):
+                seed = np.zeros(len(points))
+                seed[0] = alpha_ic * d + alpha_ic * d
+                seeds.append((leaves[row][k], seed))
+            seeds += [(r, r.value + r.value) for r in reversed(residuals)]
+            graph.backward(seeds)
             gvec = net.param_grad(_gather_adjoints(leaves, net.value_bar))
-    total_value = float(total.value)
-    _require_finite(total_value, residuals, float(ic.value), points)
+        total = eq + alpha_ic * ic
+    _require_finite(total, [r.value for r in residuals], ic, points)
     if gvec is not None and not np.all(np.isfinite(gvec)):
         raise DomainError("non-finite loss gradient")
-    return _breakdown(float(eq.value), float(ic.value), alpha_ic), gvec
+    return _breakdown(float(eq), float(ic), alpha_ic), gvec
 
 
 def loss_and_grad(params: ParamSet, spec: FormulationSpec, points: np.ndarray,

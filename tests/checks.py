@@ -101,19 +101,19 @@ def param_grad_worst(n_networks: int = 100, seed: int = 0,
                 net = MlpJets(layout, x, order)
                 value = net.forward(ParamSet.from_flat(layout, flat))
                 leaves = _output_leaves(graph, value)
-                total = None
+                total = 0.0
                 for row, jet in enumerate(leaves):
                     for k, u in enumerate(jet):
-                        term = graph.scale(graph.sum(u * u), float(mix[row, k]))
-                        total = term if total is None else total + term
-                return graph, net, leaves, total
+                        total = total + np.add.reduce(u.value * u.value) * mix[row, k]
+                return graph, net, leaves, float(total)
 
-            graph, net, leaves, loss = build(flat)
-            graph.backward(loss)
+            graph, net, leaves, _ = build(flat)
+            graph.backward([(u, 2.0 * mix[row, k] * u.value)
+                            for row, jet in enumerate(leaves) for k, u in enumerate(jet)])
             gvec = net.param_grad(_gather_adjoints(leaves, net.value_bar))
 
             def value(v, build=build):
-                return float(build(v)[3].value)
+                return build(v)[3]
 
             for v in units:
                 want = oracles.directional_derivative(value, flat, v)

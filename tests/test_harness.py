@@ -499,9 +499,20 @@ def _without(data: dict, key: str) -> dict:
     (lambda d: json.dumps({**d, "seed": -1}), "does not fit"),
     (lambda d: json.dumps({**d, "config": 3}), "does not fit"),
     (lambda d: json.dumps({**d, "loss_history": [[1.0, 2.0]]}), "does not fit"),
+    (lambda d: json.dumps({**d, "problem": 3}), "does not fit"),
+    (lambda d: json.dumps({**d, "status": None}), "does not fit"),
+    (lambda d: json.dumps({**d, "message": 5}), "does not fit"),
+    (lambda d: json.dumps({**d, "mse": True}), "does not fit"),
+    (lambda d: json.dumps({**d, "mse": "0.25"}), "does not fit"),
+    (lambda d: json.dumps({**d, "config": [["epochs", 2]]}), "does not fit"),
+    (lambda d: json.dumps({**d, "metadata": []}), "does not fit"),
+    (lambda d: json.dumps({**d, "grid": d["grid"][:-1]}), "does not fit"),
+    (lambda d: json.dumps({**d, "loss_history": [1.0, 2.0, 3.0]}), "does not fit"),
 ], ids=["truncated", "json-list", "missing-key", "non-integer-seed", "fractional-seed",
         "boolean-seed", "numeric-string-seed", "negative-seed",
-        "config-not-an-object", "ragged-loss-history"])
+        "config-not-an-object", "ragged-loss-history", "integer-problem", "null-status",
+        "integer-message", "boolean-mse", "numeric-string-mse", "config-as-pairs",
+        "metadata-as-list", "grid-one-point-short", "flat-loss-history"])
 def test_load_report_names_file_and_fault(tmp_path, capsys, corrupt, fault):
     path = tmp_path / "runs" / "cell" / "report.json"
     path.parent.mkdir(parents=True)

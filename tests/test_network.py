@@ -20,7 +20,7 @@ from ipinn.network import (
     save_weights,
 )
 from ipinn.problems import REGISTRY, get_problem
-from ipinn.training import (_gather_adjoints, _loss_nodes, _output_leaves, loss_and_grad,
+from ipinn.training import (_evaluate, _gather_adjoints, _output_leaves, loss_and_grad,
                             sample_collocation)
 
 
@@ -123,16 +123,11 @@ def test_kernel_jets_match_scalar_jet_network(hidden_layers, hidden_width,
 
 
 def _jets_and_grad(params: ParamSet, x: np.ndarray, order: int, reads: int):
-    """Kernel coefficients and the gradient of a loss on coefficients 0..reads."""
+    """Kernel coefficients and the gradient of sum u^2 over coefficients 0..reads."""
     graph = AdjointGraph()
     net = MlpJets(params.layout, x, order)
     leaves = _output_leaves(graph, net.forward(params))
-    total = None
-    for jet in leaves:
-        for u in jet[:reads + 1]:
-            term = graph.sum(u * u)
-            total = term if total is None else total + term
-    graph.backward(total)
+    graph.backward([(u, u.value + u.value) for jet in leaves for u in jet[:reads + 1]])
     return net.value, net.param_grad(_gather_adjoints(leaves, net.value_bar))
 
 
@@ -155,14 +150,8 @@ def test_truncated_kernel_matches_order3_kernel(output_dim):
 
 def _formulation_pass(spec, alpha_ic: float, params: ParamSet, points: np.ndarray,
                       order: int):
-    """The training loss and gradient of one formulation, on jets of `order`."""
-    graph = AdjointGraph()
-    with np.errstate(all="ignore"):
-        net = MlpJets(params.layout, points, order)
-        leaves = _output_leaves(graph, net.forward(params))
-        total, *_ = _loss_nodes(graph, points, leaves, spec, alpha_ic)
-        graph.backward(total)
-        return float(total.value), net.param_grad(_gather_adjoints(leaves, net.value_bar))
+    """The training loss breakdown and gradient of one formulation, on jets of `order`."""
+    return _evaluate(MlpJets(params.layout, points, order), params, spec, alpha_ic)
 
 
 @pytest.mark.parametrize("name,kind", [

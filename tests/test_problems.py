@@ -14,7 +14,7 @@ from ipinn import reference
 from ipinn.autodiff import AdjointGraph, DomainError
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, init_mlp
 from ipinn.problems import REGISTRY, GroupElementSL2, get_problem, sl2_moving_frame
-from ipinn.training import _loss_nodes, _output_leaves
+from ipinn.training import _output_leaves
 from oracles import schwarzian, sl2_compose, sl2_matrix, sl2_prolong
 
 IDENTITY = GroupElementSL2(1.0, 0.0, 0.0, 1.0)
@@ -380,7 +380,7 @@ def test_intervals_and_initial_conditions():
 @pytest.mark.parametrize("kind", ["invariant", "vanilla"])
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_declared_order_is_the_highest_derivative_read(name, kind):
-    """Record the coefficients the loss asks an order-3 kernel for."""
+    """Record the coefficients the residuals and the ICs ask an order-3 kernel for."""
     spec = get_problem(name).formulation(kind)
     points = np.linspace(spec.interval[0], spec.interval[1], 20)
     params = init_mlp(MlpLayout(output_dim=spec.output_dim), 0)
@@ -395,7 +395,8 @@ def test_declared_order_is_the_highest_derivative_read(name, kind):
     value = MlpJets(params.layout, points, JET_ORDER).forward(params)
     leaves = [Recorded(jet) for jet in _output_leaves(graph, value)]
     with np.errstate(all="ignore"):
-        _loss_nodes(graph, points, leaves, spec, 1.0)
+        spec.residual(points, leaves)
+    requested += [k for _, k, _ in spec.ics]
     assert spec.order == max(requested)
     if kind == "invariant":
         assert spec.order == 1

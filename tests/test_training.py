@@ -173,6 +173,41 @@ def test_non_finite_residual_names_a_collocation_point():
         vanilla_loss(_linear_net(-800.0, 0.0), problem, points)
 
 
+def test_non_finite_initial_condition_names_the_first_point():
+    """u = inf everywhere: the logistic invariant residual u_t = 0 stays finite
+    and the misfit u(0) - 1 does not."""
+    problem = get_problem("logistic")
+    points = sample_collocation(problem.invariant.interval, 10, seed=0)
+    with pytest.raises(DomainError) as err:
+        invariant_loss(_constant_net(1, [math.inf]), problem, points)
+    assert str(err.value) == "non-finite initial-condition residual at 0"
+
+
+def test_a_leaf_sums_its_adjoint_terms_in_tape_order():
+    """Logistic vanilla, r = u_t - u (1 - u): the u leaf gets the IC term, then
+    the two terms of the product, then the one of 1 - u, as a sweep over the
+    recorded loss would add them.  At this u = w t + b, adding the IC term
+    last rounds differently at point 0, so the order is pinned bit for bit."""
+    problem = get_problem("logistic")
+    spec, alpha = problem.vanilla, 1.0
+    params = _linear_net(0.047286498801026866, 1.8018547853037412)
+    points = sample_collocation(spec.interval, 20, seed=0)
+    net = MlpJets(params.layout, points, spec.order)
+    training._evaluate(net, params, spec, alpha)
+
+    u, u_t = net.value[0, 0], net.value[1, 0]
+    r = u_t - u * (1.0 - u)
+    r_bar = r + r
+    d = u[0] - spec.ics[0][2]
+    ic_seed = np.zeros(points.size)
+    ic_seed[0] = alpha * d + alpha * d
+    tape_order = (ic_seed + (-r_bar) * (1.0 - u)) + (-((-r_bar) * u))
+    ic_last = ((-r_bar) * (1.0 - u) + (-((-r_bar) * u))) + ic_seed
+    assert tape_order[0] != ic_last[0]
+    assert np.array_equal(net.value_bar[0, 0].view(np.uint64), tape_order.view(np.uint64))
+    assert np.array_equal(net.value_bar[1, 0].view(np.uint64), r_bar.view(np.uint64))
+
+
 @pytest.mark.parametrize("kind", ["invariant", "vanilla"])
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_forward_only_loss_is_bitwise_the_loss_and_grad_loss(name, kind):
