@@ -18,7 +18,9 @@ six digests:
   sort_keys=True)` of the parsed file;
 - `diverge`: the status, message, loss history and final weights of a
   6-epoch `train` at 50 points with learning rate 1e80, where some pairs
-  blow up, so the non-finite paths of the loss are compared too.
+  blow up in the loss, and then of the same run at 1e308, where the first
+  update overflows, so the non-finite paths of the loss and of the update
+  are compared too.
 
 Run it from the root of a source tree, once per tree, and diff the outputs:
 
@@ -45,7 +47,8 @@ SEEDS = (0, 1, 2)
 POINTS = (200, 50)
 EPOCHS = 150
 ARTIFACTS = ("weights.bin", "error_series.csv", "error_series_plot.csv")
-DIVERGE = dict(learning_rate=1e80, epochs=6, n_collocation=50)
+DIVERGE = dict(epochs=6, n_collocation=50)
+DIVERGE_RATES = (1e80, 1e308)
 
 
 def _breakdown_bytes(bd) -> bytes:
@@ -88,12 +91,15 @@ def train_digests(problem, kind: str, seed: int) -> tuple[str, str, str]:
 
 
 def diverge_digest(problem, kind: str, seed: int) -> str:
-    """The `diverge` digest of a short run at a learning rate that blows up."""
-    config = TrainConfig(seed=seed, formulation=kind, alpha_ic=problem.alpha_ic, **DIVERGE)
-    params, history, report = train(problem, config)
-    digest = hashlib.sha256(f"{report.status}\n{report.message}\n".encode("utf-8"))
-    digest.update(history.tobytes())
-    digest.update(params.to_flat().tobytes())
+    """The `diverge` digest of short runs at learning rates that blow up."""
+    digest = hashlib.sha256()
+    for learning_rate in DIVERGE_RATES:
+        config = TrainConfig(seed=seed, formulation=kind, alpha_ic=problem.alpha_ic,
+                             learning_rate=learning_rate, **DIVERGE)
+        params, history, report = train(problem, config)
+        digest.update(f"{report.status}\n{report.message}\n".encode("utf-8"))
+        digest.update(history.tobytes())
+        digest.update(params.to_flat().tobytes())
     return digest.hexdigest()
 
 

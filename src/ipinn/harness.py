@@ -275,9 +275,19 @@ def _cell_order(problem: str, formulation: str) -> tuple[int, str, int]:
 
 
 def collect_reports(report_dir) -> list[RunReport]:
+    """Every `*/report.json` under `report_dir`, one per (problem,
+    formulation, seed): a second report of a cell raises ValueError naming
+    both files."""
     root = Path(report_dir)
-    paths = sorted(root.glob("*/report.json"))
-    reports = [load_report(p) for p in paths]
+    reports, seen = [], {}
+    for path in sorted(root.glob("*/report.json")):
+        report = load_report(path)
+        cell = (report.problem, report.formulation, report.seed)
+        if cell in seen:
+            raise ValueError(f"{seen[cell]} and {path} both hold {cell[0]} "
+                             f"{cell[1]} seed {cell[2]}")
+        seen[cell] = path
+        reports.append(report)
     if not reports:
         raise ValueError(f"found 0 reports under {root}")
     return reports

@@ -279,12 +279,10 @@ class MlpJets:
             self.higher = np.empty((n - 1, width, batch))
             self.table_rows = [[a[0], d[0], *self.higher]
                                for a, d in zip(self.act, self.dcomp)]
-            # g_hidden: the adjoint of a hidden pre-activation; term_w[i],
-            # one coefficient's term of the weight gradient of layer i
+            # g_hidden: the adjoint of a hidden pre-activation
             self.value_bar = np.empty(self.value.shape)
             self.g_hidden = np.empty(jet)
             self.grad = ParamSet.from_flat(layout, np.zeros(layout.flat_size()))
-            self.term_w = [np.empty(w.shape) for w in self.grad.weights]
         else:
             self.act = [np.empty(jet)] * depth
             self.higher = np.empty(jet)
@@ -334,12 +332,11 @@ class MlpJets:
         grad_w, grad_b = self.grad.weights, self.grad.biases
         inputs = [self.input] + self.act
         for i in reversed(range(len(self.params.weights))):
-            x, gw, term = inputs[i], grad_w[i], self.term_w[i]
+            x, gw = inputs[i], grad_w[i]
             np.add.reduce(g[0], axis=1, out=grad_b[i])
             np.matmul(g[0], x[0].T, out=gw)
             for k in range(1, len(x)):  # an order-3 pass adds only zeros after these
-                np.matmul(g[k], x[k].T, out=term)
-                gw += term
+                gw += g[k] @ x[k].T
             if i > 0:
                 np.matmul(self.params.weights[i].T, g, out=self.pre)
                 g = _kmul_t(self.pre, self.dcomp[i - 1], self.g_hidden, self.scratch)

@@ -8,9 +8,9 @@ jets a `network.MlpJets` pass returns and hands their adjoints back to it.
 Only the residuals are recorded: the loss is reduced in numpy, and its
 closed-form adjoint seeds the tape's backward sweep.
 `train` builds one pass and one `ParamSet` per cell; each epoch overwrites
-the pass's jets, adjoints and gradient and updates the parameters' flat
-vector and the Adam moments in place, so no epoch allocates a layer- or
-parameter-sized buffer and a cell's memory does not grow with its epochs.
+the pass's jets, adjoints and gradient, so no epoch allocates a jet-sized
+buffer and a cell's memory does not grow with its epochs, and copies the
+fresh vector `adam_step` returns into the parameters' flat vector.
 `loss_and_grad` builds a pass per call, so the gradient it returns is never
 overwritten; the loss functions, which return no gradient, build a
 forward-only one.  Both run the same numpy operations in the same order as
@@ -66,6 +66,11 @@ class TrainConfig:
             raise ValueError("need at least the two endpoint collocation points")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        for name in ("learning_rate", "alpha_ic"):  # and these as JSON numbers
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be an int or a float, got "
+                                 f"{type(value).__name__} {value!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be finite and positive")
         if not (math.isfinite(self.alpha_ic) and self.alpha_ic >= 0.0):
@@ -209,15 +214,11 @@ def invariant_loss(params: ParamSet, problem: ProblemSpec, points: np.ndarray,
 
 @dataclass
 class AdamState:
-    """Adam's moments and step count, which `adam_step` advances in place,
-    and the step's one temporary."""
+    """Adam's moments and step count, which `adam_step` advances."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
     step: int = 0
-
-    def __post_init__(self):
-        self.scratch = np.empty(self.first_moment.shape)
 
     @classmethod
     def zeros(cls, n: int) -> "AdamState":
@@ -225,37 +226,20 @@ class AdamState:
 
 
 def adam_step(params_flat: np.ndarray, grad_vector: np.ndarray,
-              state: AdamState, lr: float, out: np.ndarray | None = None) -> np.ndarray:
-    """One bias-corrected Adam update; returns the new vector, in `out` if given.
+              state: AdamState, lr: float) -> np.ndarray:
+    """One bias-corrected Adam update (Kingma & Ba, Algorithm 1); returns the
+    new vector as a fresh array.
 
-    `state` advances in place and `params_flat` is only read, so the vector
-    before a non-finite update survives it.  Each line is one elementwise
-    ufunc, in the order of the expression form, so updating in place
-    changes no bit.  `out` serves as a temporary before the last line, so
-    it must not share memory with `params_flat` or `grad_vector`.
+    `state` gets the new moments and step count, and `params_flat` is only
+    read, so the vector before a non-finite update survives it.
     """
-    if out is None:
-        out = np.empty(params_flat.shape)
-    elif np.may_share_memory(out, params_flat) or np.may_share_memory(out, grad_vector):
-        raise ValueError("adam_step's out must not share memory with its inputs")
+    g = grad_vector
     state.step += 1
-    m, v = state.first_moment, state.second_moment
-    a, c = out, state.scratch          # `out` is the other temporary until the last line
-    np.multiply(ADAM_BETA1, m, out=m)
-    np.multiply(1.0 - ADAM_BETA1, grad_vector, out=a)
-    np.add(m, a, out=m)                # m = b1 m + (1 - b1) g
-    np.multiply(ADAM_BETA2, v, out=v)
-    np.multiply(1.0 - ADAM_BETA2, grad_vector, out=a)
-    np.multiply(a, grad_vector, out=a)
-    np.add(v, a, out=v)                # v = b2 v + (1 - b2) g g
-    np.divide(m, 1.0 - ADAM_BETA1 ** state.step, out=a)
-    np.multiply(lr, a, out=a)          # lr m_hat
-    np.divide(v, 1.0 - ADAM_BETA2 ** state.step, out=c)
-    np.sqrt(c, out=c)
-    np.add(c, ADAM_EPSILON, out=c)     # sqrt(v_hat) + eps
-    np.divide(a, c, out=a)
-    np.subtract(params_flat, a, out=out)
-    return out
+    state.first_moment = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * g
+    state.second_moment = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * g * g
+    m_hat = state.first_moment / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.second_moment / (1.0 - ADAM_BETA2 ** state.step)
+    return params_flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def train(problem: ProblemSpec, config: TrainConfig):
@@ -265,9 +249,9 @@ def train(problem: ProblemSpec, config: TrainConfig):
     (equation_loss, ic_loss, total), and the evaluated RunReport.  A run
     whose loss or update turns non-finite stops early; the report records
     the abort and keeps the last finite parameters.  An epoch computes the
-    same bits as `loss_and_grad` followed by `adam_step`, on arrays
-    allocated once per cell: one `MlpJets` pass, one `AdamState`, one
-    `ParamSet`, whose flat vector Adam updates, and the update buffer.
+    same bits as `loss_and_grad` followed by `adam_step`, on one `MlpJets`
+    pass and one `ParamSet` per cell: the pass's jets are overwritten in
+    place, and each finite update is copied into the parameters' flat vector.
     """
     from .harness import build_report
 
@@ -278,7 +262,6 @@ def train(problem: ProblemSpec, config: TrainConfig):
     net = MlpJets(layout, sample_collocation(spec.interval, config.n_collocation, config.seed),
                   spec.order)
     state = AdamState.zeros(layout.flat_size())
-    updated = np.empty(layout.flat_size())
     history = np.zeros((config.epochs, 3))
     status, message = "ok", ""
     epochs_run = 0
@@ -291,7 +274,8 @@ def train(problem: ProblemSpec, config: TrainConfig):
         history[epoch] = (breakdown.equation_loss, breakdown.ic_loss,
                           breakdown.total)
         epochs_run = epoch + 1
-        adam_step(params.flat, gvec, state, config.learning_rate, updated)
+        with np.errstate(all="ignore"):  # a non-finite update ends the run as diverged
+            updated = adam_step(params.flat, gvec, state, config.learning_rate)
         if not np.all(np.isfinite(updated)):
             status, message = "diverged", f"epoch {epoch}: non-finite parameter update"
             break

@@ -379,6 +379,21 @@ def test_collect_reports_roundtrip(tmp_path):
     assert {r.seed for r in reports} == {0, 1}
 
 
+def test_summarize_rejects_two_reports_of_one_cell(tmp_path, capsys):
+    """A copied cell directory would count its seed twice in the mean."""
+    _write_report(tmp_path, _fake_report("logistic", "invariant", 0, 1.0))
+    _write_report(tmp_path, _fake_report("logistic", "invariant", 1, 2.0))
+    copy = tmp_path / "old_copy"
+    copy.mkdir()
+    original = tmp_path / cell_dir_name("logistic", "invariant", 0) / "report.json"
+    (copy / "report.json").write_bytes(original.read_bytes())
+    with pytest.raises(ValueError) as exc:
+        summarize(tmp_path)
+    assert str(original) in str(exc.value) and str(copy / "report.json") in str(exc.value)
+    assert main(["summarize", "--in", str(tmp_path)]) == 2
+    assert "old_copy" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
