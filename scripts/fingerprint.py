@@ -16,11 +16,12 @@ six digests:
   `error_series_plot.csv` that `run_cell` writes for that cell, then its
   `report.json` without the `wall_time` key, as `json.dumps(...,
   sort_keys=True)` of the parsed file;
-- `diverge`: the status, message, loss history and final weights of a
-  6-epoch `train` at 50 points with learning rate 1e80, where some pairs
-  blow up in the loss, and then of the same run at 1e308, where the first
-  update overflows, so the non-finite paths of the loss and of the update
-  are compared too.
+- `diverge`: the loss history and final weights of a 6-epoch `train` at 50
+  points with learning rate 1e80, where some pairs blow up in the loss, and
+  the status and message that `build_report` gives that result, and then the
+  same of the run at 1e308, where the first update overflows, so the
+  non-finite paths of the loss, of the update and of the evaluation of a
+  diverged network are compared too.
 
 Run it from the root of a source tree, once per tree, and diff the outputs:
 
@@ -42,6 +43,7 @@ import numpy as np  # noqa: E402
 from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # noqa: E402
                    invariant_loss, load_weights, loss_and_grad, run_cell,
                    sample_collocation, train, vanilla_loss)
+from ipinn.harness import build_report  # noqa: E402
 
 SEEDS = (0, 1, 2)
 POINTS = (200, 50)
@@ -96,7 +98,9 @@ def diverge_digest(problem, kind: str, seed: int) -> str:
     for learning_rate in DIVERGE_RATES:
         config = TrainConfig(seed=seed, formulation=kind, alpha_ic=problem.alpha_ic,
                              learning_rate=learning_rate, **DIVERGE)
-        params, history, report = train(problem, config)
+        params, history, stop = train(problem, config)
+        report = build_report(problem, config, params, history, 0.0,
+                              "ok" if stop is None else "diverged", stop or "")
         digest.update(f"{report.status}\n{report.message}\n".encode("utf-8"))
         digest.update(history.tobytes())
         digest.update(params.to_flat().tobytes())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -63,18 +64,24 @@ class RunReport:
     @classmethod
     def from_json(cls, data: dict) -> "RunReport":
         """The report of a `to_json` dict, or of a `write_report` file parsed
-        as JSON; a field of the wrong type or shape raises ValueError."""
+        as JSON; data that is not a dict, a missing key, or a field of the wrong
+        type or shape raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a report is a JSON object, not a {type(data).__name__}")
+        missing = [f.name for f in fields(cls) if f.name not in data]
+        if missing:
+            raise ValueError(f"the report lacks the keys {missing}")
         report = cls(**{f.name: _field_from_json(f.type, f.name, data[f.name])
                         for f in fields(cls)})
         if report.loss_history.size and report.loss_history.shape[1:] != (3,):
-            raise ValueError("loss_history must be rows of 3 losses, got shape "
-                             f"{report.loss_history.shape}")
+            raise ValueError("loss_history does not fit: it must be rows of 3 losses, "
+                             f"got shape {report.loss_history.shape}")
         report.loss_history = report.loss_history.reshape(-1, 3)  # [] is no epochs
         if report.seed < 0:
-            raise ValueError(f"the seed must be a non-negative integer, got {report.seed!r}")
+            raise ValueError(f"seed does not fit: it must be non-negative, got {report.seed!r}")
         if report.grid.ndim != 1 or report.squared_error.shape != report.grid.shape:
-            raise ValueError(f"grid of shape {report.grid.shape} and squared_error of "
-                             f"shape {report.squared_error.shape} do not pair up")
+            raise ValueError(f"grid of shape {report.grid.shape} does not fit squared_error "
+                             f"of shape {report.squared_error.shape}")
         return report
 
 
@@ -83,7 +90,10 @@ def _field_from_json(kind: str, name: str, value):
     float may be a JSON number or one of `write_report`'s non-finite spellings,
     and an array is nested lists of floats."""
     if kind == "np.ndarray":
-        return np.array(_field_from_json("list", name, value), dtype=float)
+        try:
+            return np.array(_field_from_json("list", name, value), dtype=float)
+        except ValueError as err:  # ragged nested lists
+            raise ValueError(f"{name} does not fit: {err}") from None
     if kind == "list" and type(value) is list:
         return [v if type(v) is float else
                 _field_from_json("list" if type(v) is list else "float", name, v)
@@ -93,7 +103,7 @@ def _field_from_json(kind: str, name: str, value):
         return float(value)
     if type(value).__name__ == kind:  # str, int or dict
         return value
-    raise ValueError(f"{name} must be a JSON {kind}, got {value!r}")
+    raise ValueError(f"{name} does not fit: it must be a JSON {kind}, got {value!r}")
 
 
 def summary_mask(problem_name: str, x: np.ndarray) -> np.ndarray:
@@ -127,6 +137,8 @@ def evaluate_params(problem: ProblemSpec, formulation: str, params: ParamSet):
 def build_report(problem: ProblemSpec, config: TrainConfig, params: ParamSet,
                  history: np.ndarray, wall_time: float, status: str = "ok",
                  message: str = "") -> RunReport:
+    """The report of trained `params`: `status` is "ok" or "diverged", and an
+    "ok" run whose evaluation fails becomes "failed-eval"."""
     spec = problem.formulation(config.formulation)
     metadata = {"x_name": spec.x_name}
     if problem.name == "schwarz":
@@ -175,14 +187,18 @@ def cell_dir_name(problem_name: str, formulation: str, seed: int) -> str:
 
 def run_cell(problem_name: str, formulation: str, config: TrainConfig,
              out_dir=None) -> RunReport:
-    """Train one cell and, when out_dir is given, persist its artifacts.
-
-    Divergent runs still produce and persist a report; the paper-side claim
-    that the vanilla Schwarz formulation can blow up is data, not an error.
+    """Train, evaluate and report one cell, and persist its artifacts when
+    out_dir is given.  wall_time times `train` alone; evaluation follows once
+    the training pass is freed.  Divergent runs still produce and persist a
+    report; that the vanilla Schwarz formulation can blow up is data.
     """
     problem = get_problem(problem_name)
     cfg = replace(config, formulation=formulation)
-    params, _, report = train(problem, cfg)
+    start = time.perf_counter()
+    params, history, stop = train(problem, cfg)
+    wall_time = time.perf_counter() - start
+    report = build_report(problem, cfg, params, history, wall_time,
+                          "ok" if stop is None else "diverged", stop or "")
     if out_dir is not None:
         cell = Path(out_dir) / cell_dir_name(problem_name, formulation, cfg.seed)
         cell.mkdir(parents=True, exist_ok=True)
@@ -228,16 +244,10 @@ def load_report(path) -> RunReport:
             data = json.load(fh)
         except ValueError as err:  # not JSON, or not UTF-8
             raise ValueError(f"{path}: not a JSON report ({err})") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: a report is a JSON object, not a "
-                         f"{type(data).__name__}")
-    missing = [f.name for f in fields(RunReport) if f.name not in data]
-    if missing:
-        raise ValueError(f"{path}: the report lacks the keys {missing}")
     try:
         return RunReport.from_json(data)
-    except (TypeError, ValueError) as err:
-        raise ValueError(f"{path}: a report field does not fit: {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def emit_error_series(report: RunReport, path, cap: float | None = None) -> None:

@@ -100,8 +100,11 @@ class ProblemSpec:
     name: str
     vanilla: FormulationSpec
     invariant: FormulationSpec
-    exact: Callable[[np.ndarray], np.ndarray]
     alpha_ic: float = 1.0
+
+    def exact(self, t: np.ndarray) -> np.ndarray:
+        """The exact solution at t, one column per component."""
+        return reference.exact_eval(self.name, t)
 
     def formulation(self, kind: str) -> FormulationSpec:
         if kind == "vanilla":
@@ -163,7 +166,6 @@ def schwarz_spec() -> ProblemSpec:
             order=1,
             reconstruct=reconstruct,
         ),
-        exact=lambda t: reference.exact_eval("schwarz", t),
     )
 
 
@@ -202,7 +204,6 @@ def logistic_spec() -> ProblemSpec:
             order=1,
             reconstruct=reconstruct,
         ),
-        exact=lambda t: reference.exact_eval("logistic", t),
     )
 
 
@@ -249,7 +250,6 @@ def oscillator_spec() -> ProblemSpec:
             order=1,
             reconstruct=reconstruct,
         ),
-        exact=lambda t: reference.exact_eval("oscillator", t),
     )
 
 
@@ -296,7 +296,6 @@ def exponential_spec() -> ProblemSpec:
             order=1,
             reconstruct=reconstruct,
         ),
-        exact=lambda t: reference.exact_eval("exponential", t),
     )
 
 
@@ -345,7 +344,6 @@ def system_spec() -> ProblemSpec:
             order=1,
             reconstruct=reconstruct,
         ),
-        exact=lambda t: reference.exact_eval("system", t),
         alpha_ic=10.0,
     )
 

@@ -1,7 +1,8 @@
 """Loss assembly and full-batch Adam training for both formulations.
 
 The loss is the sum over collocation points of every squared residual
-component, plus alpha_ic times the squared initial-condition misfits.  The
+component, plus alpha_ic times the squared initial-condition misfits at
+the first point, which must be the start of the formulation's interval.  The
 residuals read the network's output coefficients as plain tape leaves and
 see no tape; `_evaluate` is the one place that makes those leaves from the
 jets a `network.MlpJets` pass returns and hands their adjoints back to it.
@@ -23,7 +24,6 @@ order-3 pass bit for bit, at any number of collocation points.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +42,8 @@ class TrainConfig:
     """One experiment cell: optimizer, sampling, and weighting knobs.
 
     Training samples its collocation points on the formulation's own
-    interval, which is also where `build_report` evaluates the result.  The
-    equation term of the loss is a sum over those points.  A run report
+    interval, which is also where `run_cell` evaluates the trained network.
+    The equation term of the loss is a sum over those points.  A run report
     stores the config as `dataclasses.asdict`, its keys in field order.
     """
 
@@ -85,11 +85,6 @@ class LossBreakdown:
     ic_loss: float
     alpha_ic: float
     total: float
-
-
-def _breakdown(equation_loss: float, ic_loss: float, alpha_ic: float) -> LossBreakdown:
-    return LossBreakdown(equation_loss, ic_loss, alpha_ic,
-                         equation_loss + alpha_ic * ic_loss)
 
 
 def sample_collocation(interval: tuple[float, float], n: int, seed: int) -> np.ndarray:
@@ -149,6 +144,8 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
               alpha_ic: float):
     """Loss breakdown of one pass at the points of `net` and, if `net` was
     built with_grad, the flat gradient, which is its buffer `net.grad.flat`.
+    The initial-condition misfits are read at the first point, so points
+    that do not start at the interval's start raise ValueError.
 
     This is where the tape meets the network: the residuals read the output
     jets through `_output_leaves`, and only they are recorded.  The loss is
@@ -160,6 +157,9 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
     last to first, so each leaf sums its terms in that order.
     """
     points = net.points
+    if points[0] != spec.interval[0]:
+        raise ValueError(f"the initial conditions hold at {spec.x_name} = {spec.interval[0]:.6g}, "
+                         f"but the first collocation point is {points[0]:.6g}")
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
         value = net.forward(params)
@@ -186,7 +186,7 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
     _require_finite(total, [r.value for r in residuals], ic, points)
     if gvec is not None and not np.all(np.isfinite(gvec)):
         raise DomainError("non-finite loss gradient")
-    return _breakdown(float(eq), float(ic), alpha_ic), gvec
+    return LossBreakdown(float(eq), float(ic), alpha_ic, float(total)), gvec
 
 
 def loss_and_grad(params: ParamSet, spec: FormulationSpec, points: np.ndarray,
@@ -243,44 +243,35 @@ def adam_step(params_flat: np.ndarray, grad_vector: np.ndarray,
 
 
 def train(problem: ProblemSpec, config: TrainConfig):
-    """Full-batch Adam on the configured formulation.
+    """Full-batch Adam on the configured formulation; only the training loop.
 
-    Returns the trained ParamSet, the (epochs_run, 3) per-epoch array of
-    (equation_loss, ic_loss, total), and the evaluated RunReport.  A run
-    whose loss or update turns non-finite stops early; the report records
-    the abort and keeps the last finite parameters.  An epoch computes the
-    same bits as `loss_and_grad` followed by `adam_step`, on one `MlpJets`
-    pass and one `ParamSet` per cell: the pass's jets are overwritten in
-    place, and each finite update is copied into the parameters' flat vector.
+    Returns the trained ParamSet, the per-epoch (equation_loss, ic_loss,
+    total) rows of the epochs that computed a loss, and where the run
+    stopped: None after the last epoch, else an "epoch N: ..." message for
+    the epoch whose loss or update turned non-finite, the last finite
+    parameters kept.  `run_cell` times this call, then evaluates and reports
+    its result.  An epoch computes the same bits as `loss_and_grad` followed
+    by `adam_step`, on one `MlpJets` pass and one `ParamSet` per cell: the
+    pass's jets are overwritten in place, and each finite update is copied
+    into the parameters' flat vector.
     """
-    from .harness import build_report
-
     spec = problem.formulation(config.formulation)
     layout = MlpLayout(output_dim=spec.output_dim)
-    start = time.perf_counter()
     params = init_mlp(layout, config.seed)
     net = MlpJets(layout, sample_collocation(spec.interval, config.n_collocation, config.seed),
                   spec.order)
     state = AdamState.zeros(layout.flat_size())
     history = np.zeros((config.epochs, 3))
-    status, message = "ok", ""
-    epochs_run = 0
     for epoch in range(config.epochs):
         try:
             breakdown, gvec = _evaluate(net, params, spec, config.alpha_ic)
         except DomainError as err:
-            status, message = "diverged", f"epoch {epoch}: {err}"
-            break
+            return params, history[:epoch], f"epoch {epoch}: {err}"
         history[epoch] = (breakdown.equation_loss, breakdown.ic_loss,
                           breakdown.total)
-        epochs_run = epoch + 1
-        with np.errstate(all="ignore"):  # a non-finite update ends the run as diverged
+        with np.errstate(all="ignore"):  # a non-finite update stops the run
             updated = adam_step(params.flat, gvec, state, config.learning_rate)
         if not np.all(np.isfinite(updated)):
-            status, message = "diverged", f"epoch {epoch}: non-finite parameter update"
-            break
+            return params, history[:epoch + 1], f"epoch {epoch}: non-finite parameter update"
         params.flat[:] = updated
-    report = build_report(problem, config, params, history[:epochs_run],
-                          wall_time=time.perf_counter() - start,
-                          status=status, message=message)
-    return params, history[:epochs_run], report
+    return params, history, None

@@ -523,11 +523,14 @@ def _without(data: dict, key: str) -> dict:
     (lambda d: json.dumps({**d, "metadata": []}), "does not fit"),
     (lambda d: json.dumps({**d, "grid": d["grid"][:-1]}), "does not fit"),
     (lambda d: json.dumps({**d, "loss_history": [1.0, 2.0, 3.0]}), "does not fit"),
+    (lambda d: json.dumps({**d, "loss_history": [[1.0, 2.0, 3.0], [1.0]]}),
+     "loss_history does not fit"),
 ], ids=["truncated", "json-list", "missing-key", "non-integer-seed", "fractional-seed",
         "boolean-seed", "numeric-string-seed", "negative-seed",
         "config-not-an-object", "ragged-loss-history", "integer-problem", "null-status",
         "integer-message", "boolean-mse", "numeric-string-mse", "config-as-pairs",
-        "metadata-as-list", "grid-one-point-short", "flat-loss-history"])
+        "metadata-as-list", "grid-one-point-short", "flat-loss-history",
+        "uneven-loss-history-rows"])
 def test_load_report_names_file_and_fault(tmp_path, capsys, corrupt, fault):
     path = tmp_path / "runs" / "cell" / "report.json"
     path.parent.mkdir(parents=True)
@@ -542,6 +545,14 @@ def test_load_report_names_file_and_fault(tmp_path, capsys, corrupt, fault):
     assert not csv_path.exists()
     assert main(["summarize", "--in", str(tmp_path / "runs")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+def test_from_json_names_the_missing_keys():
+    with pytest.raises(ValueError, match=r"lacks the keys \['problem', 'formulation', "):
+        RunReport.from_json({})
+    data = _fake_report("logistic", "invariant", 0, 1e-3).to_json()
+    with pytest.raises(ValueError, match=r"lacks the keys \['wall_time'\]$"):
+        RunReport.from_json(_without(data, "wall_time"))
 
 
 def test_cli_benchmark_alpha_defaults_per_problem(tmp_path):

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import oracles
-from ipinn import training
+from ipinn import harness, training
 from ipinn.autodiff import DomainError
+from ipinn.harness import run_cell
 from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
 from ipinn.problems import REGISTRY, get_problem
 from ipinn.training import (
@@ -189,6 +190,21 @@ def test_non_finite_initial_condition_names_the_first_point():
     assert str(err.value) == "non-finite initial-condition residual at 0"
 
 
+@pytest.mark.parametrize("points", [np.linspace(3.0, 0.0, 50), np.linspace(0.5, 3.0, 50)],
+                         ids=["reversed", "shifted"])
+def test_losses_refuse_points_that_do_not_start_at_the_initial_time(points):
+    """The initial conditions are read at points[0]; at t = 3 they would be
+    imposed at the wrong time without a word."""
+    problem = get_problem("logistic")
+    params = init_mlp(MlpLayout(), 0)
+    for loss in (lambda: loss_and_grad(params, problem.vanilla, points),
+                 lambda: vanilla_loss(params, problem, points),
+                 lambda: invariant_loss(params, problem, points)):
+        with pytest.raises(ValueError, match="initial conditions hold at t = 0") as err:
+            loss()
+        assert type(err.value) is ValueError  # not a DomainError, which reads as divergence
+
+
 def test_a_leaf_sums_its_adjoint_terms_in_tape_order():
     """Logistic vanilla, r = u_t - u (1 - u): the u leaf gets the IC term, then
     the two terms of the product, then the one of 1 - u, as a sweep over the
@@ -319,19 +335,22 @@ def test_adam_is_deterministic():
 def test_zero_epochs_returns_initial_parameters():
     problem = get_problem("logistic")
     config = TrainConfig(epochs=0, seed=5)
-    params, history, report = train(problem, config)
+    params, history, stop = train(problem, config)
     layout = MlpLayout(output_dim=problem.invariant.output_dim)
     assert np.array_equal(params.to_flat(), init_mlp(layout, 5).to_flat())
     assert history.shape == (0, 3)
-    assert report.status == "ok"
+    assert stop is None
+    assert run_cell("logistic", "invariant", config).status == "ok"
 
 
 def test_training_reduces_the_loss():
     problem = get_problem("logistic")
     config = TrainConfig(epochs=150, n_collocation=40, seed=0)
-    _, history, report = train(problem, config)
+    _, history, stop = train(problem, config)
     assert history.shape == (150, 3)
     assert history[-1, 2] < history[0, 2]
+    assert stop is None
+    report = run_cell("logistic", "invariant", config)
     assert report.status == "ok"
     assert report.mse < 1e-2
 
@@ -347,10 +366,12 @@ def test_history_columns_satisfy_total_identity():
 def test_training_is_deterministic():
     problem = get_problem("oscillator")
     config = TrainConfig(epochs=40, n_collocation=30, seed=2)
-    p1, h1, r1 = train(problem, config)
-    p2, h2, r2 = train(problem, config)
+    p1, h1, s1 = train(problem, config)
+    p2, h2, s2 = train(problem, config)
     assert np.array_equal(p1.to_flat(), p2.to_flat())
     assert np.array_equal(h1, h2)
+    assert s1 is None and s2 is None
+    r1, r2 = (run_cell("oscillator", "invariant", config) for _ in range(2))
     assert r1.mse == r2.mse
 
 
@@ -365,11 +386,13 @@ def test_exploding_run_is_reported_not_raised():
     problem = get_problem("logistic")
     config = TrainConfig(epochs=5, learning_rate=1e80, n_collocation=20,
                          seed=0, formulation="vanilla")
-    params, history, report = train(problem, config)
-    assert report.status == "diverged"
-    assert "epoch" in report.message
+    params, history, stop = train(problem, config)
+    assert "epoch" in stop
     assert history.shape[0] < config.epochs
     assert np.all(np.isfinite(params.to_flat()))
+    report = run_cell("logistic", "vanilla", config)
+    assert report.status == "diverged"
+    assert report.message == stop
 
 
 @pytest.mark.parametrize("name,kind", [("logistic", "invariant"), ("system", "vanilla")])
@@ -379,8 +402,10 @@ def test_non_finite_update_is_reported_silently_and_keeps_the_parameters(name, k
     config = TrainConfig(epochs=3, learning_rate=1e308, seed=0, formulation=kind)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        params, history, report = train(problem, config)
+        params, history, stop = train(problem, config)
+        report = run_cell(name, kind, config)
     assert caught == []
+    assert stop == "epoch 0: non-finite parameter update"
     assert report.status == "diverged"
     assert report.message == "epoch 0: non-finite parameter update"
     assert history.shape == (1, 3)
@@ -438,6 +463,35 @@ def test_loss_and_grad_leaves_no_cycle_behind(monkeypatch):
     finally:
         gc.enable()
     assert np.all(np.isfinite(gvec))
+
+
+@pytest.mark.parametrize("learning_rate", [1e-3, 1e80], ids=["ok", "diverged"])
+def test_run_cell_evaluates_after_the_training_pass_is_freed(monkeypatch, learning_rate):
+    """Without the cyclic collector, the pass that `train` built is gone by the
+    time `run_cell` evaluates, also when the loss turned non-finite."""
+    made, alive = [], []
+
+    class Recorded(MlpJets):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    evaluate = harness.evaluate_params
+
+    def spy(*args):
+        alive.append([ref() is not None for ref in made])
+        return evaluate(*args)
+
+    monkeypatch.setattr(training, "MlpJets", Recorded)
+    monkeypatch.setattr(harness, "evaluate_params", spy)
+    config = TrainConfig(epochs=5, learning_rate=learning_rate, n_collocation=20)
+    gc.disable()
+    try:
+        report = run_cell("logistic", "vanilla", config)
+    finally:
+        gc.enable()
+    assert report.status == ("ok" if learning_rate < 1.0 else "diverged")
+    assert alive == [[False]]
 
 
 def test_returned_gradients_are_never_overwritten():
