@@ -1,7 +1,12 @@
-"""Print SHA-256 fingerprints of the training numbers, to compare two trees bit for bit.
+"""Print SHA-256 fingerprints of the reference and training numbers, to compare
+two trees bit for bit.
 
-For every (problem, formulation) pair and seeds 0-2 it prints one line with
-six digests:
+The first line, `reference`, holds one digest per oscillator RK4 trajectory:
+the times and then the states of `oscillator_reference()`, and of
+`_oscillator_rk4(n)` for n = 1, 4095 and 4097 steps.
+
+Then, for every (problem, formulation) pair and seeds 0-2, it prints one line
+with six digests:
 
 - `grad`: the `loss_and_grad` breakdown (equation, initial-condition and
   total loss, alpha) and gradient bytes at 200 and then 50 collocation
@@ -44,6 +49,7 @@ from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # n
                    invariant_loss, load_weights, loss_and_grad, run_cell,
                    sample_collocation, train, vanilla_loss)
 from ipinn.harness import build_report  # noqa: E402
+from ipinn.reference import _oscillator_rk4, oscillator_reference  # noqa: E402
 
 SEEDS = (0, 1, 2)
 POINTS = (200, 50)
@@ -51,6 +57,7 @@ EPOCHS = 150
 ARTIFACTS = ("weights.bin", "error_series.csv", "error_series_plot.csv")
 DIVERGE = dict(epochs=6, n_collocation=50)
 DIVERGE_RATES = (1e80, 1e308)
+RK4_STEPS = (1, 4095, 4097)
 
 
 def _breakdown_bytes(bd) -> bytes:
@@ -107,7 +114,20 @@ def diverge_digest(problem, kind: str, seed: int) -> str:
     return digest.hexdigest()
 
 
+def reference_line() -> str:
+    """The `reference` line: a digest of each trajectory's times and states."""
+    trajectories = {"oscillator_reference": oscillator_reference()}
+    trajectories.update((f"rk4_{n}", _oscillator_rk4(n)) for n in RK4_STEPS)
+    digests = []
+    for key, traj in trajectories.items():
+        digest = hashlib.sha256(traj.times.tobytes())
+        digest.update(traj.states.tobytes())
+        digests.append(f"{key}={digest.hexdigest()}")
+    return "reference " + " ".join(digests)
+
+
 def main() -> None:
+    print(reference_line(), flush=True)
     for name in REGISTRY:
         problem = get_problem(name)
         for kind in ("invariant", "vanilla"):

@@ -202,11 +202,14 @@ def run_cell(problem_name: str, formulation: str, config: TrainConfig,
     if out_dir is not None:
         cell = Path(out_dir) / cell_dir_name(problem_name, formulation, cfg.seed)
         cell.mkdir(parents=True, exist_ok=True)
-        write_report(report, cell / "report.json")
+        # the report goes first and comes back last, so a write that fails
+        # midway leaves no report beside artifacts of another run
+        (cell / "report.json").unlink(missing_ok=True)
         save_weights(cell / "weights.bin", params, seed=cfg.seed)
         emit_error_series(report, cell / "error_series.csv")
         emit_error_series(report, cell / "error_series_plot.csv",
                           cap=PLOT_ERROR_CAP)
+        write_report(report, cell / "report.json")
     return report
 
 
@@ -286,10 +289,12 @@ def _cell_order(problem: str, formulation: str) -> tuple[int, str, int]:
 
 def collect_reports(report_dir) -> list[RunReport]:
     """Every `*/report.json` under `report_dir`, one per (problem,
-    formulation, seed): a second report of a cell raises ValueError naming
+    formulation, seed), and one config but for the seed per (problem,
+    formulation): a second report of a cell, or a report trained with
+    another config than an earlier one of its pair, raises ValueError naming
     both files."""
     root = Path(report_dir)
-    reports, seen = [], {}
+    reports, seen, configs = [], {}, {}
     for path in sorted(root.glob("*/report.json")):
         report = load_report(path)
         cell = (report.problem, report.formulation, report.seed)
@@ -297,6 +302,14 @@ def collect_reports(report_dir) -> list[RunReport]:
             raise ValueError(f"{seen[cell]} and {path} both hold {cell[0]} "
                              f"{cell[1]} seed {cell[2]}")
         seen[cell] = path
+        config = {k: v for k, v in report.config.items() if k != "seed"}
+        first_path, first_config = configs.setdefault(cell[:2], (path, config))
+        if config != first_config:
+            differ = sorted(k for k in config.keys() | first_config.keys()
+                            if k not in config or k not in first_config
+                            or config[k] != first_config[k])
+            raise ValueError(f"{first_path} and {path} hold {cell[0]} {cell[1]} "
+                             f"cells trained with different {', '.join(differ)}")
         reports.append(report)
     if not reports:
         raise ValueError(f"found 0 reports under {root}")
@@ -308,6 +321,8 @@ def summarize(report_dir) -> list[SummaryRow]:
 
     Invariant rows precede vanilla rows for the same problem.  Failed cells
     stay in the statistics (their mse is typically inf) and are counted.
+    The cells of one row must share their config but for the seed; see
+    `collect_reports`.
     """
     reports = collect_reports(report_dir)
     groups: dict[tuple[str, str], list[RunReport]] = {}

@@ -212,9 +212,12 @@ def oscillator_spec() -> ProblemSpec:
 
     The phase-rotation frame absorbs the homogeneous dynamics; the trained
     unknowns are the slowly varying coefficients of sin t and cos t, driven
-    directly by the forcing.
+    directly by the forcing.  Their initial values follow from the initial
+    state: u = al sin t + be cos t gives u(0) = be(0), and with
+    al_t sin t + be_t cos t = 0 also u_t(0) = al(0).
     """
     a = reference.OSCILLATOR_FORCING_EXPONENT
+    u0, ut0 = reference.OSCILLATOR_INITIAL_STATE
 
     def forcing(t):
         return np.sin(np.asarray(t, dtype=float) ** a)
@@ -239,14 +242,15 @@ def oscillator_spec() -> ProblemSpec:
         vanilla=FormulationSpec(
             output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
-            ics=((0, 0, 1.0), (0, 1, 1.0)),
+            ics=((0, 0, u0), (0, 1, ut0)),
             order=2,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             output_dim=2, interval=interval, x_name="t",
             residual=invariant_residual,
-            ics=((0, 0, 1.0), (1, 0, 1.0)),
+            # al(0) = u_t(0) and be(0) = u(0), from u = al sin t + be cos t
+            ics=((0, 0, ut0), (1, 0, u0)),
             order=1,
             reconstruct=reconstruct,
         ),

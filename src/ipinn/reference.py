@@ -21,8 +21,8 @@ from .autodiff import DomainError
 # constants shared with the problem definitions (single source of truth)
 OSCILLATOR_FORCING_EXPONENT = 0.99
 OSCILLATOR_INTERVAL = (0.0, 10.0)
+OSCILLATOR_INITIAL_STATE = (1.0, 1.0)  # (u, u_t) at t = 0
 OSCILLATOR_REFERENCE_STEPS = 100_000
-_OSCILLATOR_BLOCK = 4096
 EXPONENTIAL_SHIFT = math.exp(-5.0)
 SYSTEM_GAUSS_SCALE = 1.0 / (math.sqrt(2.0 / math.pi) * math.exp(-0.5))
 SYSTEM_DRIFT = 1.0 - SYSTEM_GAUSS_SCALE * math.erf(1.0 / math.sqrt(2.0))
@@ -49,47 +49,41 @@ def erf(x):
 
 
 def _oscillator_rk4(n_steps: int) -> Trajectory:
-    """Classical RK4 for u'' + u = sin(t^a), (u, u')(0) = (1, 1), on
-    `OSCILLATOR_INTERVAL` with `n_steps` fixed steps.
+    """Classical RK4 for u'' + u = sin(t^a) from `OSCILLATOR_INITIAL_STATE`
+    on `OSCILLATOR_INTERVAL` with `n_steps` fixed steps.
 
     Each step does the float operations of a generic RK4 on the state vector
     (u, u'), in its order, on Python floats instead of 2-element arrays, so
     the result is the same bit for bit.  The forcing uses float `**` and
     `math.sin` (libm): numpy's vectorized power and sine round differently
-    at some points.  Times are read and states written in blocks
-    of `_OSCILLATOR_BLOCK` steps, so no Python object per step outlives its
-    block.
+    at some points.  The times are read through a memoryview and the states
+    appended to one `array("d")` buffer, so no Python object per step
+    outlives its step.
     """
     lo, hi = OSCILLATOR_INTERVAL
     a = OSCILLATOR_FORCING_EXPONENT
     sin = math.sin
     times = np.linspace(lo, hi, n_steps + 1)
-    states = np.empty((n_steps + 1, 2))
     h = (hi - lo) / n_steps
     hh = 0.5 * h
     h6 = h / 6.0
-    y0 = y1 = 1.0
-    states[0] = (y0, y1)
-    step_times = times[:-1]
-    for start in range(0, n_steps, _OSCILLATOR_BLOCK):
-        block = array("d")
-        for t in step_times[start:start + _OSCILLATOR_BLOCK].tolist():
-            k1a = y1
-            k1b = -y0 + sin(t ** a)
-            s = sin((t + hh) ** a)
-            k2a = y1 + hh * k1b
-            k2b = -(y0 + hh * k1a) + s
-            k3a = y1 + hh * k2b
-            k3b = -(y0 + hh * k2a) + s
-            k4a = y1 + h * k3b
-            k4b = -(y0 + h * k3a) + sin((t + h) ** a)
-            y0 = y0 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-            y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-            block.append(y0)
-            block.append(y1)
-        rows = np.frombuffer(block).reshape(-1, 2)
-        states[start + 1:start + 1 + len(rows)] = rows
-    return Trajectory(times, states)
+    y0, y1 = OSCILLATOR_INITIAL_STATE
+    states = array("d", (y0, y1))
+    for t in memoryview(times)[:-1]:
+        k1a = y1
+        k1b = -y0 + sin(t ** a)
+        s = sin((t + hh) ** a)
+        k2a = y1 + hh * k1b
+        k2b = -(y0 + hh * k1a) + s
+        k3a = y1 + hh * k2b
+        k3b = -(y0 + hh * k2a) + s
+        k4a = y1 + h * k3b
+        k4b = -(y0 + h * k3a) + sin((t + h) ** a)
+        y0 = y0 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+        states.append(y0)
+        states.append(y1)
+    return Trajectory(times, np.frombuffer(states).reshape(-1, 2))
 
 
 @functools.lru_cache(maxsize=1)

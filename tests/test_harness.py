@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import ipinn
+from ipinn import harness
 from ipinn.cli import main, parse_seeds
 from ipinn.harness import (
     EVAL_GRID_POINTS,
@@ -82,6 +83,36 @@ def test_run_cell_persists_all_artifacts(tmp_path):
     loaded = load_report(cell / "report.json")
     assert loaded.canonical() == report.canonical()
     assert loaded.wall_time == report.wall_time
+
+
+def test_failed_rewrite_of_a_cell_leaves_no_report(tmp_path, monkeypatch):
+    """A rerun that fails midway must not leave its report beside the
+    artifacts of the run before it."""
+    first = replace(TINY, epochs=20)
+    run_cell("logistic", "invariant", first, out_dir=tmp_path)
+    cell = tmp_path / "logistic_invariant_seed0"
+    assert (cell / "report.json").exists()
+
+    write_series = harness.emit_error_series
+
+    def failing(report, path, cap=None):
+        if Path(path).name == "error_series_plot.csv":
+            raise OSError("disk full")
+        write_series(report, path, cap)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "emit_error_series", failing)
+        with pytest.raises(OSError):
+            run_cell("logistic", "invariant", replace(TINY, epochs=3, learning_rate=0.1),
+                     out_dir=tmp_path)
+    assert not (cell / "report.json").exists()
+    with pytest.raises(ValueError, match="0 reports"):
+        summarize(tmp_path)
+
+    report = run_cell("logistic", "invariant", first, out_dir=tmp_path)
+    assert sorted(os.listdir(cell)) == ["error_series.csv", "error_series_plot.csv",
+                                        "report.json", "weights.bin"]
+    assert load_report(cell / "report.json").canonical() == report.canonical()
 
 
 def test_run_cell_overrides_config_formulation(tmp_path):
@@ -392,6 +423,23 @@ def test_summarize_rejects_two_reports_of_one_cell(tmp_path, capsys):
     assert str(original) in str(exc.value) and str(copy / "report.json") in str(exc.value)
     assert main(["summarize", "--in", str(tmp_path)]) == 2
     assert "old_copy" in capsys.readouterr().err
+
+
+def test_summarize_rejects_reports_of_one_pair_with_different_configs(tmp_path, capsys):
+    """Cells of one pair trained with other settings would be averaged as if
+    they were more seeds of one experiment."""
+    _write_report(tmp_path, _fake_report("logistic", "invariant", 0, 1.0))
+    other = _fake_report("logistic", "invariant", 1, 2.0)
+    other.config = {**other.config, "epochs": other.config["epochs"] + 1}
+    _write_report(tmp_path, other)
+    _write_report(tmp_path, _fake_report("logistic", "vanilla", 0, 1.0))
+    with pytest.raises(ValueError, match="different epochs") as exc:
+        summarize(tmp_path)
+    for seed in (0, 1):
+        path = tmp_path / cell_dir_name("logistic", "invariant", seed) / "report.json"
+        assert str(path) in str(exc.value)
+    assert main(["summarize", "--in", str(tmp_path)]) == 2
+    assert "different epochs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -377,6 +377,27 @@ def test_intervals_and_initial_conditions():
         assert get_problem(name).alpha_ic == 1.0
 
 
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_invariant_ics_reconstruct_the_vanilla_initial_values(name):
+    """The invariant formulation's value ICs, as outputs at its interval start,
+    map back to the vanilla interval start and the vanilla value ICs."""
+    prob = get_problem(name)
+    outputs = np.full((1, prob.invariant.output_dim), np.nan)
+    for row, order, value in prob.invariant.ics:
+        if order == 0:
+            outputs[0, row] = value
+    assert not np.isnan(outputs).any()
+    x, u = prob.invariant.reconstruct(np.array([prob.invariant.interval[0]]), outputs)
+    start = prob.vanilla.interval[0]
+    assert x.tolist() == [start]
+    vanilla = np.full(prob.vanilla.output_dim, np.nan)
+    for row, order, value in prob.vanilla.ics:
+        if order == 0:
+            vanilla[row] = value
+    np.testing.assert_allclose(u[0], vanilla, rtol=1e-14)
+    np.testing.assert_allclose(u, prob.exact(np.array([start])), rtol=1e-14)
+
+
 @pytest.mark.parametrize("kind", ["invariant", "vanilla"])
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_declared_order_is_the_highest_derivative_read(name, kind):
