@@ -5,6 +5,11 @@ The first line, `reference`, holds one digest per oscillator RK4 trajectory:
 the times and then the states of `oscillator_reference()`, and of
 `_oscillator_rk4(n)` for n = 1, 4095 and 4097 steps.
 
+The second line, `tape`, holds one digest per (problem, formulation) pair,
+in `REGISTRY` order: the op names and `needs_grad` flags of the nodes that
+the residual records, on the tape leaves that `_output_leaves` reads from the
+seed-0 initial network at 50 collocation points.
+
 Then, for every (problem, formulation) pair and seeds 0-2, it prints one line
 with six digests:
 
@@ -48,8 +53,11 @@ import numpy as np  # noqa: E402
 from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # noqa: E402
                    invariant_loss, load_weights, loss_and_grad, run_cell,
                    sample_collocation, train, vanilla_loss)
+from ipinn.autodiff import AdjointGraph  # noqa: E402
 from ipinn.harness import build_report  # noqa: E402
+from ipinn.network import MlpJets  # noqa: E402
 from ipinn.reference import _oscillator_rk4, oscillator_reference  # noqa: E402
+from ipinn.training import _output_leaves  # noqa: E402
 
 SEEDS = (0, 1, 2)
 POINTS = (200, 50)
@@ -58,6 +66,8 @@ ARTIFACTS = ("weights.bin", "error_series.csv", "error_series_plot.csv")
 DIVERGE = dict(epochs=6, n_collocation=50)
 DIVERGE_RATES = (1e80, 1e308)
 RK4_STEPS = (1, 4095, 4097)
+TAPE_POINTS = 50
+KINDS = ("invariant", "vanilla")
 
 
 def _breakdown_bytes(bd) -> bytes:
@@ -126,11 +136,31 @@ def reference_line() -> str:
     return "reference " + " ".join(digests)
 
 
+def tape_line() -> str:
+    """The `tape` line: a digest of the ops each pair's residual records."""
+    digests = []
+    for name in REGISTRY:
+        for kind in KINDS:
+            spec = get_problem(name).formulation(kind)
+            params = init_mlp(MlpLayout(output_dim=spec.output_dim), 0)
+            points = sample_collocation(spec.interval, TAPE_POINTS, 0)
+            net = MlpJets(params.layout, points, spec.order, with_grad=False)
+            graph = AdjointGraph()
+            with np.errstate(all="ignore"):
+                spec.residual(points, _output_leaves(graph, net.forward(params)))
+            digest = hashlib.sha256()
+            for node in graph.nodes:
+                digest.update(f"{node.op} {node.needs_grad}\n".encode("utf-8"))
+            digests.append(f"{name}-{kind}={digest.hexdigest()}")
+    return "tape " + " ".join(digests)
+
+
 def main() -> None:
     print(reference_line(), flush=True)
+    print(tape_line(), flush=True)
     for name in REGISTRY:
         problem = get_problem(name)
-        for kind in ("invariant", "vanilla"):
+        for kind in KINDS:
             for seed in SEEDS:
                 grad, loss = initial_digests(problem, kind, seed)
                 trained, evaluated, artifacts = train_digests(problem, kind, seed)

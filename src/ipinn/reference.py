@@ -58,7 +58,8 @@ def _oscillator_rk4(n_steps: int) -> Trajectory:
     `math.sin` (libm): numpy's vectorized power and sine round differently
     at some points.  The times are read through a memoryview and the states
     appended to one `array("d")` buffer, so no Python object per step
-    outlives its step.
+    outlives its step.  Both arrays are read-only, so no caller can change
+    the cached `oscillator_reference()` for the rest of the process.
     """
     lo, hi = OSCILLATOR_INTERVAL
     a = OSCILLATOR_FORCING_EXPONENT
@@ -83,7 +84,10 @@ def _oscillator_rk4(n_steps: int) -> Trajectory:
         y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
         states.append(y0)
         states.append(y1)
-    return Trajectory(times, np.frombuffer(states).reshape(-1, 2))
+    states = np.frombuffer(states).reshape(-1, 2)
+    times.flags.writeable = False
+    states.flags.writeable = False
+    return Trajectory(times, states)
 
 
 @functools.lru_cache(maxsize=1)

@@ -80,12 +80,29 @@ def _everything_graph(layout: MlpLayout, flat: np.ndarray, x: np.ndarray):
     return graph, net, leaves, residuals, loss
 
 
+_NUMPY_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "mul": lambda a, b: a * b,
+    "div": lambda a, b: a / b,
+    "neg": lambda a: -a,
+    "exp": np.exp,
+}
+
+
 def test_everything_graph_uses_every_tape_operation():
+    """Every op appears, and each op node holds the bits of the plain numpy
+    expression of its args' values."""
     layout = MlpLayout(hidden_layers=2, hidden_width=5, output_dim=2)
     graph, *_ = _everything_graph(layout, init_mlp(layout, seed=3).to_flat(),
                                   np.linspace(-1.0, 1.0, 5))
     ops = {node.op for node in graph.nodes}
     assert ops == {"const", "param", "add", "sub", "mul", "div", "neg", "exp"}
+    for node in graph.nodes:
+        if node.args:
+            want = np.asarray(_NUMPY_OPS[node.op](*[a.value for a in node.args]))
+            assert node.value.shape == want.shape
+            assert np.array_equal(node.value.view(np.uint64), want.view(np.uint64))
 
 
 def test_gradient_of_everything_graph_matches_fd():
@@ -114,7 +131,8 @@ def test_parameter_gradients_match_finite_differences():
 
 
 def test_affine_gradient_is_exact_for_polynomial_loss():
-    """loss = sum (w t + b)^2 has a closed-form gradient; match to roundoff."""
+    """loss = sum (w t + b)^2 has the closed-form gradient 2 [sum r t, sum r],
+    which the tape and the pull-back reproduce bit for bit."""
     layout = MlpLayout(hidden_layers=0, output_dim=1)
     t = np.array([-1.0, 0.5, 2.0])
     w0, b0 = 0.7, -0.3
@@ -130,7 +148,7 @@ def test_affine_gradient_is_exact_for_polynomial_loss():
     r = w0 * t + b0
     assert abs(float(np.sum(u0.value * u0.value)) - (r * r).sum()) < 1e-14
     want = np.array([2.0 * (r * t).sum(), 2.0 * r.sum()])
-    assert np.abs(gvec - want).max() < 1e-13
+    assert np.array_equal(gvec.view(np.uint64), want.view(np.uint64))
 
 
 def test_gradient_skips_unused_parameters():
@@ -170,8 +188,10 @@ def test_nodes_cannot_cross_graphs():
     g1, g2 = AdjointGraph(), AdjointGraph()
     a = g1.const(np.array([1.0]))
     b = g2.const(np.array([1.0]))
-    with pytest.raises(ValueError):
-        g1.add(a, b)
+    with pytest.raises(ValueError, match="different graphs"):
+        a + b
+    with pytest.raises(ValueError, match="different graphs"):
+        b * a
     with pytest.raises(ValueError):
         g2.backward([(g1.param(np.array([1.0])), np.ones(1))])
 

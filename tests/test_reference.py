@@ -80,6 +80,16 @@ def test_oscillator_reference_is_bitwise_generic_rk4():
     assert np.array_equal(got.states, want.states)
 
 
+def test_cached_oscillator_reference_is_read_only():
+    """A caller cannot write into the one cached trajectory."""
+    traj = oscillator_reference()
+    with pytest.raises(ValueError):
+        traj.states[:, 0] *= 2
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0
+    assert exact_eval("oscillator", 0.0) == 1.0
+
+
 def test_float_oscillator_rk4_memory_peak():
     # the output arrays take 2.4 MB; one Python object per step would add
     # about 11 MB more
