@@ -10,6 +10,13 @@ in `REGISTRY` order: the op names and `needs_grad` flags of the nodes that
 the residual records, on the tape leaves that `_output_leaves` reads from the
 seed-0 initial network at 50 collocation points.
 
+The third line, `jets`, holds one digest per public `MlpJets` pass at orders
+0..3, on cases the trained cells never reach: a 3-layer width-5 net with two
+outputs, its initial weights scaled by 1, 50 and 1e3, then at scale 1 with
+one hidden bias set to inf and another to nan, at points that include +0.0
+and -0.0.  Each digest covers the output jets of a forward-only pass and of
+a pass with gradients, and the `param_grad` of a fixed random adjoint.
+
 Then, for every (problem, formulation) pair and seeds 0-2, it prints one line
 with six digests:
 
@@ -55,7 +62,7 @@ from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # n
                    sample_collocation, train, vanilla_loss)
 from ipinn.autodiff import AdjointGraph  # noqa: E402
 from ipinn.harness import build_report  # noqa: E402
-from ipinn.network import MlpJets  # noqa: E402
+from ipinn.network import JET_ORDER, MlpJets, ParamSet  # noqa: E402
 from ipinn.reference import _oscillator_rk4, oscillator_reference  # noqa: E402
 from ipinn.training import _output_leaves  # noqa: E402
 
@@ -67,6 +74,9 @@ DIVERGE = dict(epochs=6, n_collocation=50)
 DIVERGE_RATES = (1e80, 1e308)
 RK4_STEPS = (1, 4095, 4097)
 TAPE_POINTS = 50
+JET_LAYOUT = MlpLayout(hidden_layers=3, hidden_width=5, output_dim=2)
+JET_SCALES = (1.0, 50.0, 1e3)
+JET_POINTS = (-2.5, -1.0, -0.0, 0.0, 1e-300, 0.375, 1.0, 4.0)
 KINDS = ("invariant", "vanilla")
 
 
@@ -155,9 +165,39 @@ def tape_line() -> str:
     return "tape " + " ".join(digests)
 
 
+def _jet_cases():
+    """(name, params) of the `jets` line: scaled nets, then an inf and a nan bias."""
+    flat = init_mlp(JET_LAYOUT, 0).flat
+    for scale in JET_SCALES:
+        yield f"x{scale:g}", ParamSet.from_flat(JET_LAYOUT, scale * flat)
+    for name, layer, row, value in (("inf", 0, 1, np.inf), ("nan", 1, 3, np.nan)):
+        params = ParamSet.from_flat(JET_LAYOUT, flat)
+        params.biases[layer][row] = value
+        yield name, params
+
+
+def jets_line() -> str:
+    """The `jets` line: a digest of the forward jets and gradient of each pass."""
+    rng = np.random.default_rng(0)
+    digests = []
+    for name, params in _jet_cases():
+        for order in range(JET_ORDER + 1):
+            net = MlpJets(JET_LAYOUT, JET_POINTS, order)
+            with np.errstate(all="ignore"):
+                digest = hashlib.sha256(
+                    MlpJets(JET_LAYOUT, JET_POINTS, order, with_grad=False)
+                    .forward(params).tobytes())
+                digest.update(net.forward(params).tobytes())
+                digest.update(net.param_grad(rng.standard_normal(net.value.shape))
+                              .tobytes())
+            digests.append(f"{name}-{order}={digest.hexdigest()}")
+    return "jets " + " ".join(digests)
+
+
 def main() -> None:
     print(reference_line(), flush=True)
     print(tape_line(), flush=True)
+    print(jets_line(), flush=True)
     for name in REGISTRY:
         problem = get_problem(name)
         for kind in KINDS:

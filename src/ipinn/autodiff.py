@@ -83,8 +83,12 @@ class Node:
         return self.graph.apply("exp", self)
 
 
-def _acc(arg: Node, contrib: np.ndarray, owned: bool = True) -> None:
-    """Accumulate an adjoint contribution, which has the shape of `arg`."""
+def _acc(arg: Node, contrib: np.ndarray) -> None:
+    """Accumulate an adjoint contribution, which has the shape of `arg`.
+
+    An adjoint is never written in place, so a contribution is stored as it
+    is, even one that is also another node's adjoint or a caller's seed.
+    """
     if not arg.needs_grad:
         return
     c = np.asarray(contrib)
@@ -92,19 +96,16 @@ def _acc(arg: Node, contrib: np.ndarray, owned: bool = True) -> None:
         raise ValueError(f"adjoint of shape {c.shape} for a node of shape "
                          f"{arg.value.shape}: the tape does not reduce over "
                          "broadcast axes")
-    if arg.adjoint is None:
-        arg.adjoint = c if owned else c.copy()
-    else:
-        arg.adjoint += c
+    arg.adjoint = c if arg.adjoint is None else arg.adjoint + c
 
 
 def _vjp_add(node, a, b):
-    _acc(a, node.adjoint, owned=False)
-    _acc(b, node.adjoint, owned=False)
+    _acc(a, node.adjoint)
+    _acc(b, node.adjoint)
 
 
 def _vjp_sub(node, a, b):
-    _acc(a, node.adjoint, owned=False)
+    _acc(a, node.adjoint)
     _acc(b, -node.adjoint)
 
 
@@ -183,7 +184,7 @@ class AdjointGraph:
         for node, adjoint in seeds:
             if node.graph is not self:
                 raise ValueError("seed node belongs to a different graph")
-            _acc(node, adjoint, owned=False)
+            _acc(node, adjoint)
         for node in reversed(self.nodes):
             if node.adjoint is not None and node.args:
                 _OPS[node.op][1](node, *node.args)

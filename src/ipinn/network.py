@@ -5,10 +5,12 @@ order + 1 for the highest derivative the caller reads, coefficient index
 first as in Taylor-mode AD: coefficient k is the contiguous slice [k], shaped
 like one derivative row.  The three kernels below build the tanh derivative
 rows f, f', ..., compose such rows with a jet (the chain rule), and apply
-the transpose of jet multiplication for the reverse pass; each writes into
-caller-supplied buffers.  Every product runs once per coefficient, so the
-operations on coefficient k do not depend on K: an order-K pass gives the
-bits of an order-3 pass.
+the transpose of jet multiplication for the reverse pass.  Each kernel is
+numpy expressions over whole (rows, batch) coefficient slices: it writes
+only its result rows into caller-supplied jets, and a row-sized
+intermediate is a temporary of its expression.  Every product runs once
+per coefficient, so the operations on coefficient k do not depend on K: an
+order-K pass gives the bits of an order-3 pass.
 
 `MlpJets` owns every array of one pass.  It propagates the jets of all
 outputs through the layers, and given the adjoint of those output jets it
@@ -35,97 +37,61 @@ JET_ORDER = 3
 # jet kernels on coefficient arrays (shape (K, ...), K <= 4)
 # ---------------------------------------------------------------------------
 
-def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Transpose of jet multiplication by b, applied to an adjoint jet.
 
     If y = b * a (the Leibniz product of jets) then
     abar[j] = sum_k binom(k, j) * b[k - j] * ybar[k]; this is the exact
     coefficient-space transpose of that product, truncated at the
-    K = len(ybar) coefficients carried.  The result goes to `out` and the
-    one temporary to `scratch[0]`.
+    K = len(ybar) coefficients carried.  The result goes to `out`.
     """
     n = len(ybar)
-    term = scratch[0]
     for j in range(n):
-        acc = out[j]
-        np.multiply(ybar[j], b[0], out=acc)
+        np.multiply(ybar[j], b[0], out=out[j])
         for k in range(j + 1, n):
             c = math.comb(k, j)
-            if c == 1:
-                np.multiply(ybar[k], b[k - j], out=term)
-            else:
-                np.multiply(float(c), ybar[k], out=term)
-                np.multiply(term, b[k - j], out=term)
-            acc += term
+            out[j] += ybar[k] * b[k - j] if c == 1 else float(c) * ybar[k] * b[k - j]
     return out
 
 
-def _tanh_table(x: np.ndarray, count: int, out, scratch):
+def _tanh_table(x: np.ndarray, count: int, out):
     """The first `count` (2..5) derivatives f, f', ... of tanh at x, row by row.
 
     The value is computed by exp in the overflow-safe half-domain form; the
     derivative chain is generated from the value itself through 1 - tanh^2.
     Row k of `out` (a sequence of at least `count` arrays of x.shape; the
-    rows need not be one array) receives f^(k).  The temporaries go to
-    `scratch[0]` and `scratch[1]` (each x.shape and contiguous, so exp sees
-    the same operand layout).
+    rows need not be one array) receives f^(k).
     """
-    s, u = scratch[:2]
     f = out[:count]
-    t, p = f[0], f[1]
-    np.abs(x, out=u)
-    np.multiply(-2.0, u, out=u)
-    np.exp(u, out=s)                   # s = exp(-2|x|)
-    np.subtract(1.0, s, out=u)
-    np.copysign(u, x, out=t)
-    np.add(1.0, s, out=u)
-    np.divide(t, u, out=t)             # t = copysign(1 - s, x) / (1 + s)
-    tt = u
-    np.multiply(t, t, out=tt)
-    np.subtract(1.0, tt, out=p)        # p = 1 - t^2
+    s = np.exp(-2.0 * np.abs(x))
+    t = np.divide(np.copysign(1.0 - s, x), 1.0 + s, out=f[0])
+    tt = t * t
+    p = np.subtract(1.0, tt, out=f[1])
     if count > 2:
-        np.multiply(-2.0, t, out=f[2])
-        np.multiply(f[2], p, out=f[2])
+        np.multiply(-2.0 * t, p, out=f[2])
     if count > 3:
-        np.multiply(6.0, tt, out=f[3])
-        np.subtract(f[3], 2.0, out=f[3])
-        np.multiply(p, f[3], out=f[3])
+        np.multiply(p, 6.0 * tt - 2.0, out=f[3])
     if count > 4:
-        np.multiply(24.0, tt, out=s)
-        np.multiply(s, t, out=s)
-        np.multiply(16.0, t, out=f[4])
-        np.subtract(f[4], s, out=f[4])
-        np.multiply(p, f[4], out=f[4])
+        np.multiply(p, 16.0 * t - 24.0 * tt * t, out=f[4])
     return out
 
 
-def _kcompose(f, a: np.ndarray, out: np.ndarray, scratch) -> np.ndarray:
+def _kcompose(f, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Chain rule: compose the derivative rows f[0], f[1], ... with the inner jet a.
 
     Computes into `out` the K = len(a) (1..4) coefficients that a carries
     and reads the rows f[1] .. f[K-1] only.  Coefficient 0 of the result is
     f[0] itself, which the caller has already placed in `out[0]` (the tanh
-    table writes its row 0 there), so it is not copied.  The temporaries go
-    to `scratch[0..2]` (each a.shape[1:]).
+    table writes its row 0 there), so it is not copied.
     """
     n = len(a)
     if n > 1:
         np.multiply(f[1], a[1], out=out[1])
     if n > 2:
-        a1sq, lead, mid = scratch[:3]
-        np.multiply(a[1], a[1], out=a1sq)
-        np.multiply(f[2], a1sq, out=lead)
-        np.multiply(f[1], a[2], out=out[2])
-        np.add(lead, out[2], out=out[2])                # f2 a1^2 + f1 a2
+        a1sq = a[1] * a[1]
+        np.add(f[2] * a1sq, f[1] * a[2], out=out[2])
     if n > 3:
-        np.multiply(f[3], a1sq, out=lead)
-        np.multiply(lead, a[1], out=lead)
-        np.multiply(3.0, f[2], out=mid)
-        np.multiply(mid, a[1], out=mid)
-        np.multiply(mid, a[2], out=mid)
-        np.add(lead, mid, out=lead)
-        np.multiply(f[1], a[3], out=out[3])
-        np.add(lead, out[3], out=out[3])                # f3 a1^3 + 3 f2 a1 a2 + f1 a3
+        np.add(f[3] * a1sq * a[1] + 3.0 * f[2] * a[1] * a[2], f[1] * a[3], out=out[3])
     return out
 
 
@@ -243,16 +209,17 @@ class MlpJets:
 
     Of each hidden layer the pass keeps only what the reverse pass reads:
     the activation jet `act[i]` and `dcomp[i]`, the tanh derivative composed
-    with the pre-activation jet.  The pre-activation jet (`pre`), the tanh
-    rows above f1 (`higher`) and the (width, batch) scratch arrays are
-    shared by all layers; the tanh table writes f0 into `act[i][0]` and f1
-    into `dcomp[i][0]`, and the reverse pass reuses `pre` for an
-    activation's adjoint.  `value_bar` is a buffer of the output shape for
-    the caller to gather its adjoint in, and `grad` the `ParamSet` that
-    receives the gradient.  Without `with_grad` there is none of these and
-    no `dcomp`, f1 goes to `higher[0]`, and every hidden layer writes its
-    activation into the same buffer: such a pass evaluates the network but
-    cannot differentiate it.
+    with the pre-activation jet.  The pre-activation jet (`pre`) and the
+    tanh rows above f1 (`higher`) are shared by all layers; the tanh table
+    writes f0 into `act[i][0]` and f1 into `dcomp[i][0]`, and the reverse
+    pass reuses `pre` for an activation's adjoint.  So every jet is
+    allocated once per pass, and the kernels' (width, batch) intermediates
+    are only the temporaries of their expressions.  `value_bar` is a buffer
+    of the output shape for the caller to gather its adjoint in, and `grad`
+    the `ParamSet` that receives the gradient.  Without `with_grad` there
+    is none of these and no `dcomp`, f1 goes to `higher[0]`, and every
+    hidden layer writes its activation into the same buffer: such a pass
+    evaluates the network but cannot differentiate it.
     """
 
     def __init__(self, layout: MlpLayout, x_values, order: int, with_grad: bool = True):
@@ -271,7 +238,6 @@ class MlpJets:
         jet = (n, width, batch)
         self.pre = np.empty(jet)
         self.value = np.empty((n, layout.output_dim, batch))
-        self.scratch = [np.empty((width, batch)) for _ in range(3)]
         # table_rows[i]: where hidden layer i's tanh rows f0..fK go
         if with_grad:
             self.act = [np.empty(jet) for _ in range(depth)]
@@ -306,10 +272,10 @@ class MlpJets:
             z[0] += b[:, None]
             if i < last:
                 rows = self.table_rows[i]
-                _tanh_table(z[0], len(z) + 1, rows, self.scratch)
-                h = _kcompose(rows, z, self.act[i], self.scratch)
+                _tanh_table(z[0], len(z) + 1, rows)
+                h = _kcompose(rows, z, self.act[i])
                 if self.with_grad:
-                    _kcompose(rows[1:], z, self.dcomp[i], self.scratch)
+                    _kcompose(rows[1:], z, self.dcomp[i])
         return self.value
 
     def param_grad(self, value_bar: np.ndarray) -> np.ndarray:
@@ -339,7 +305,7 @@ class MlpJets:
                 gw += g[k] @ x[k].T
             if i > 0:
                 np.matmul(self.params.weights[i].T, g, out=self.pre)
-                g = _kmul_t(self.pre, self.dcomp[i - 1], self.g_hidden, self.scratch)
+                g = _kmul_t(self.pre, self.dcomp[i - 1], self.g_hidden)
         return self.grad.flat
 
 

@@ -100,6 +100,57 @@ def tanh_table_by_sign(x: np.ndarray, count: int) -> np.ndarray:
     return np.stack(rows[:count])
 
 
+def kcompose_stepwise(f, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The chain-rule kernel step by step, one ufunc call per operation.
+
+    Writes coefficients 1..K-1 of f composed with the jet a (K = len(a),
+    1..4) into `out`, through three (rows, batch) buffers, with the
+    floating-point operations of `network._kcompose` in the same order.
+    """
+    n = len(a)
+    a1sq, lead, mid = (np.empty(a.shape[1:]) for _ in range(3))
+    if n > 1:
+        np.multiply(f[1], a[1], out=out[1])
+    if n > 2:
+        np.multiply(a[1], a[1], out=a1sq)
+        np.multiply(f[2], a1sq, out=lead)
+        np.multiply(f[1], a[2], out=out[2])
+        np.add(lead, out[2], out=out[2])
+    if n > 3:
+        np.multiply(f[3], a1sq, out=lead)
+        np.multiply(lead, a[1], out=lead)
+        np.multiply(3.0, f[2], out=mid)
+        np.multiply(mid, a[1], out=mid)
+        np.multiply(mid, a[2], out=mid)
+        np.add(lead, mid, out=lead)
+        np.multiply(f[1], a[3], out=out[3])
+        np.add(lead, out[3], out=out[3])
+    return out
+
+
+def kmul_t_stepwise(ybar: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The transposed jet product step by step, one ufunc call per operation.
+
+    out[j] = sum_k binom(k, j) b[k - j] ybar[k], accumulated from k = j
+    upward through one (rows, batch) buffer, with the floating-point
+    operations of `network._kmul_t` in the same order.
+    """
+    n = len(ybar)
+    term = np.empty(ybar.shape[1:])
+    for j in range(n):
+        acc = out[j]
+        np.multiply(ybar[j], b[0], out=acc)
+        for k in range(j + 1, n):
+            c = math.comb(k, j)
+            if c == 1:
+                np.multiply(ybar[k], b[k - j], out=term)
+            else:
+                np.multiply(float(c), ybar[k], out=term)
+                np.multiply(term, b[k - j], out=term)
+            acc += term
+    return out
+
+
 def adam_step_fresh(flat: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                     step: int, lr: float):
     """One bias-corrected Adam step on fresh arrays: (new flat, new m, new v).

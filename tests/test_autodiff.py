@@ -11,7 +11,8 @@ import pytest
 import checks
 import oracles
 from ipinn.autodiff import AdjointGraph, Node
-from ipinn.network import JET_ORDER, MlpJets, MlpLayout, ParamSet, _tanh_table, init_mlp
+from ipinn.network import (JET_ORDER, MlpJets, MlpLayout, ParamSet, _kcompose, _kmul_t,
+                           _tanh_table, init_mlp)
 from ipinn.training import _gather_adjoints, _output_leaves
 
 # ---------------------------------------------------------------------------
@@ -42,13 +43,42 @@ def test_tanh_table_is_bitwise_the_sign_form(count):
     """
     x = np.array(_TANH_ARGS)
     got = np.empty((count, x.size))
-    _tanh_table(x, count, got, [np.empty(x.shape), np.empty(x.shape)])
+    _tanh_table(x, count, got)
     want = oracles.tanh_table_by_sign(x, count)
     negative_zero = (x == 0.0) & np.signbit(x)
     assert np.array_equal(got[:, ~negative_zero].view(np.uint64),
                           want[:, ~negative_zero].view(np.uint64))
     assert np.array_equal(got[:, negative_zero], want[:, negative_zero])
     assert np.signbit(got[0, negative_zero]).all()
+
+
+_KERNEL_SPECIALS = (0.0, -0.0, 1e-300, -1e-300, 1e200, -1e200,
+                    math.inf, -math.inf, math.nan)
+
+
+def _kernel_rows(rng, n: int) -> np.ndarray:
+    """n random (3, 40) rows, with each special value at a few random entries."""
+    rows = rng.standard_normal((n, 3, 40))
+    flat = rows.reshape(-1)
+    for value in _KERNEL_SPECIALS:
+        flat[rng.choice(flat.size, size=4, replace=False)] = value
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jet_kernels_are_bitwise_the_stepwise_form(n):
+    """`_kcompose` and `_kmul_t` do the floating-point operations of the
+    step-by-step oracles, in the same order, so every bit agrees, even on
+    signed zeros, subnormal products, overflow, infinities and nans."""
+    rng = np.random.default_rng(n)
+    f, a, ybar, b = (_kernel_rows(rng, n) for _ in range(4))
+    with np.errstate(all="ignore"):
+        for kernel, oracle, args in ((_kcompose, oracles.kcompose_stepwise, (f, a)),
+                                     (_kmul_t, oracles.kmul_t_stepwise, (ybar, b))):
+            got, want = np.full((2, n, 3, 40), 7.0)
+            kernel(*args, got)
+            oracle(*args, want)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
