@@ -17,6 +17,11 @@ one hidden bias set to inf and another to nan, at points that include +0.0
 and -0.0.  Each digest covers the output jets of a forward-only pass and of
 a pass with gradients, and the `param_grad` of a fixed random adjoint.
 
+The fourth line, `problems`, holds one digest per (problem, formulation)
+pair, in `REGISTRY` order: its `ics` triples and then its `interval`, with
+every float written as `float.hex`, so a move in the last bit or in the sign
+of a zero shows here and not only through the training digests.
+
 Then, for every (problem, formulation) pair and seeds 0-2, it prints one line
 with six digests:
 
@@ -194,10 +199,24 @@ def jets_line() -> str:
     return "jets " + " ".join(digests)
 
 
+def problems_line() -> str:
+    """The `problems` line: a digest of each pair's ICs and interval, in float.hex."""
+    digests = []
+    for name in REGISTRY:
+        for kind in KINDS:
+            spec = get_problem(name).formulation(kind)
+            text = "".join(f"{row} {k} {float(value).hex()}\n" for row, k, value in spec.ics)
+            text += " ".join(float(x).hex() for x in spec.interval)
+            digest = hashlib.sha256(text.encode("utf-8"))
+            digests.append(f"{name}-{kind}={digest.hexdigest()}")
+    return "problems " + " ".join(digests)
+
+
 def main() -> None:
     print(reference_line(), flush=True)
     print(tape_line(), flush=True)
     print(jets_line(), flush=True)
+    print(problems_line(), flush=True)
     for name in REGISTRY:
         problem = get_problem(name)
         for kind in KINDS:

@@ -5,8 +5,8 @@ derivative orders a formulation reads and computes every jet that training
 and evaluation use, and a small plain-array reverse-mode tape with five
 benchmark problems, each solvable two ways: directly on the original
 residual, or on the invariantized equation plus the first-order moving-frame
-reconstruction system.  The SL(2, R) moving frame behind the Schwarzian
-problem's invariant initial conditions works on single jets (u, u_t, u_tt).
+reconstruction system.  Each problem's moving frame derives its invariant
+initial conditions from its one initial state (the Schwarzian's is SL(2, R)).
 """
 
 import os

@@ -4,7 +4,8 @@ Each problem carries two trainable formulations.  The vanilla one puts the
 original equation residual on the network outputs.  The invariant one trains
 the invariantized equation together with the first-order reconstruction
 system for the left moving frame, and maps frame trajectories back to the
-original unknowns through `reconstruct`.
+original unknowns through `reconstruct`.  Each problem names its initial state
+once; its invariant ICs are that state's frame, the inverse of `reconstruct`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def sl2_moving_frame(u: float, ut: float, utt: float) -> GroupElementSL2:
 
     Positive branch of the two-fold normalization ambiguity.
     """
+    if not (math.isfinite(u) and math.isfinite(ut) and math.isfinite(utt)):
+        raise DomainError("moving frame undefined at a non-finite jet")
     if ut == 0.0:
         raise DomainError("moving frame undefined where u_t = 0")
     s = abs(ut)
@@ -143,26 +146,25 @@ def schwarz_spec() -> ProblemSpec:
     def reconstruct(x, outputs):
         return x, (outputs[:, 1] / outputs[:, 3])[:, None]
 
-    # The invariant ICs are the left frame (a, b, c, d) at the vanilla initial
-    # jet (u, u_t, u_tt)(0); "+ 0.0" turns the frame's -0.0 entries into 0.0.
-    vanilla_ics = ((0, 0, 0.0), (0, 1, 1.0), (0, 2, 0.0))
-    frame = sl2_moving_frame(*(value for _, _, value in vanilla_ics)).inverse()
-    invariant_ics = tuple((row, 0, entry + 0.0) for row, entry in
-                          enumerate((frame.a, frame.b, frame.c, frame.d)))
+    # The invariant ICs are the left frame (a, b, c, d) at the initial jet
+    # (u, u_t, u_tt)(0); "+ 0.0" turns the frame's -0.0 entries into 0.0.
+    u0, ut0, utt0 = 0.0, 1.0, 0.0
+    frame = sl2_moving_frame(u0, ut0, utt0).inverse()
     interval = (0.0, math.pi)
     return ProblemSpec(
         name="schwarz",
         vanilla=FormulationSpec(
             output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
-            ics=vanilla_ics,
+            ics=((0, 0, u0), (0, 1, ut0), (0, 2, utt0)),
             order=3,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             output_dim=4, interval=interval, x_name="t",
             residual=invariant_residual,
-            ics=invariant_ics,
+            ics=tuple((row, 0, entry + 0.0) for row, entry in
+                      enumerate((frame.a, frame.b, frame.c, frame.d))),
             order=1,
             reconstruct=reconstruct,
         ),
@@ -188,19 +190,20 @@ def logistic_spec() -> ProblemSpec:
         return x, (1.0 / (1.0 + outputs[:, 0] * np.exp(-x)))[:, None]
 
     interval = (0.0, math.pi)
+    t0, u0 = interval[0], 0.5
     return ProblemSpec(
         name="logistic",
         vanilla=FormulationSpec(
             output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
-            ics=((0, 0, 0.5),),
+            ics=((0, 0, u0),),
             order=1,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             output_dim=1, interval=interval, x_name="t",
             residual=invariant_residual,
-            ics=((0, 0, 1.0),),
+            ics=((0, 0, (1.0 / u0 - 1.0) * math.exp(t0)),),
             order=1,
             reconstruct=reconstruct,
         ),
@@ -212,12 +215,11 @@ def oscillator_spec() -> ProblemSpec:
 
     The phase-rotation frame absorbs the homogeneous dynamics; the trained
     unknowns are the slowly varying coefficients of sin t and cos t, driven
-    directly by the forcing.  Their initial values follow from the initial
-    state: u = al sin t + be cos t gives u(0) = be(0), and with
-    al_t sin t + be_t cos t = 0 also u_t(0) = al(0).
+    directly by the forcing.  Both sets of ICs read
+    `reference.OSCILLATOR_INITIAL_STATE`, the invariant ones through the frame
+    at t = 0.
     """
     a = reference.OSCILLATOR_FORCING_EXPONENT
-    u0, ut0 = reference.OSCILLATOR_INITIAL_STATE
 
     def forcing(t):
         return np.sin(np.asarray(t, dtype=float) ** a)
@@ -237,6 +239,8 @@ def oscillator_spec() -> ProblemSpec:
         return x, u[:, None]
 
     interval = reference.OSCILLATOR_INTERVAL
+    t0 = interval[0]
+    u0, ut0 = reference.OSCILLATOR_INITIAL_STATE
     return ProblemSpec(
         name="oscillator",
         vanilla=FormulationSpec(
@@ -249,8 +253,8 @@ def oscillator_spec() -> ProblemSpec:
         invariant=FormulationSpec(
             output_dim=2, interval=interval, x_name="t",
             residual=invariant_residual,
-            # al(0) = u_t(0) and be(0) = u(0), from u = al sin t + be cos t
-            ics=((0, 0, ut0), (1, 0, u0)),
+            ics=((0, 0, u0 * math.sin(t0) + ut0 * math.cos(t0)),
+                 (1, 0, u0 * math.cos(t0) - ut0 * math.sin(t0))),
             order=1,
             reconstruct=reconstruct,
         ),
@@ -264,9 +268,13 @@ def exponential_spec() -> ProblemSpec:
     the invariant I over the invariant horizontal coordinate H, with the
     group parameter eps satisfying eps_H = 1.  The original curve returns
     parametrically: t = e^eps (1 - e^{-H}), u = e^eps (I + eps (1 - e^{-H})).
+    At t = H = 0 the frame is eps = u_t, I = u e^{-eps}; as eps = eps(0) + H,
+    the interval end t_end maps to H = log(1 + t_end e^{-eps(0)}).
     """
-    c1 = reference.EXPONENTIAL_SHIFT
-    h_final = math.log(1.0 + 2.0 * math.exp(5.0))
+    interval = (0.0, 2.0)
+    u0, ut0 = -5.0 * reference.EXPONENTIAL_SHIFT, -5.0
+    eps0, inv0 = ut0, u0 * math.exp(-ut0)
+    h_final = math.log(1.0 + interval[1] * math.exp(-eps0))
 
     def vanilla_residual(t, outs):
         u = outs[0]
@@ -287,16 +295,16 @@ def exponential_spec() -> ProblemSpec:
     return ProblemSpec(
         name="exponential",
         vanilla=FormulationSpec(
-            output_dim=1, interval=(0.0, 2.0), x_name="t",
+            output_dim=1, interval=interval, x_name="t",
             residual=vanilla_residual,
-            ics=((0, 0, -5.0 * c1), (0, 1, -5.0)),
+            ics=((0, 0, u0), (0, 1, ut0)),
             order=2,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             output_dim=2, interval=(0.0, h_final), x_name="H",
             residual=invariant_residual,
-            ics=((0, 0, -5.0), (1, 0, -5.0)),
+            ics=((0, 0, inv0), (1, 0, eps0)),
             order=1,
             reconstruct=reconstruct,
         ),
@@ -332,19 +340,20 @@ def system_spec() -> ProblemSpec:
         return x, np.stack([u, outputs[:, 1]], axis=-1)
 
     interval = (0.0, 2.0)
+    t0, u0, v0 = interval[0], 1.0, 1.0
     return ProblemSpec(
         name="system",
         vanilla=FormulationSpec(
             output_dim=2, interval=interval, x_name="t",
             residual=vanilla_residual,
-            ics=((0, 0, 1.0), (1, 0, 1.0)),
+            ics=((0, 0, u0), (1, 0, v0)),
             order=1,
             reconstruct=_identity_reconstruct,
         ),
         invariant=FormulationSpec(
             output_dim=2, interval=interval, x_name="t",
             residual=invariant_residual,
-            ics=((0, 0, 1.0), (1, 0, 1.0)),
+            ics=((0, 0, u0 - t0 * v0), (1, 0, v0)),
             order=1,
             reconstruct=reconstruct,
         ),

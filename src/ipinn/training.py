@@ -145,7 +145,7 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
     """Loss breakdown of one pass at the points of `net` and, if `net` was
     built with_grad, the flat gradient, which is its buffer `net.grad.flat`.
     The initial-condition misfits are read at the first point, so points
-    that do not start at the interval's start raise ValueError.
+    that are empty or do not start at the interval's start raise ValueError.
 
     This is where the tape meets the network: the residuals read the output
     jets through `_output_leaves`, and only they are recorded.  The loss is
@@ -157,9 +157,10 @@ def _evaluate(net: MlpJets, params: ParamSet, spec: FormulationSpec,
     last to first, so each leaf sums its terms in that order.
     """
     points = net.points
-    if points[0] != spec.interval[0]:
+    if not len(points) or points[0] != spec.interval[0]:
+        first = f"is {points[0]:.6g}" if len(points) else "is missing"
         raise ValueError(f"the initial conditions hold at {spec.x_name} = {spec.interval[0]:.6g}, "
-                         f"but the first collocation point is {points[0]:.6g}")
+                         f"but the first collocation point {first}")
     graph = AdjointGraph()
     with np.errstate(all="ignore"):
         value = net.forward(params)

@@ -149,20 +149,54 @@ def test_frame_of_cross_section_point_is_identity():
     assert np.array_equal(sl2_matrix(rho), np.eye(2))
 
 
-def test_schwarz_invariant_ics_are_the_left_frame_of_the_vanilla_ics():
-    schwarz = get_problem("schwarz")
-    u, ut, utt = (value for _, _, value in schwarz.vanilla.ics)
-    frame = sl2_moving_frame(u, ut, utt).inverse()
-    ics = schwarz.invariant.ics
-    assert ics == tuple((row, 0, v) for row, v in
-                        enumerate((frame.a, frame.b, frame.c, frame.d)))
-    assert ics == ((0, 0, 1.0), (1, 0, 0.0), (2, 0, 0.0), (3, 0, 1.0))
-    assert all(math.copysign(1.0, value) == 1.0 for _, _, value in ics)
+def _schwarz_frame(t, jets):
+    frame = sl2_moving_frame(*jets[0]).inverse()
+    return frame.a, frame.b, frame.c, frame.d
+
+
+# Each problem's frame, the inverse of its `reconstruct`: the invariant
+# outputs at time t from the jets (u, u_t, ...) of the vanilla outputs there.
+FRAMES = {
+    "schwarz": _schwarz_frame,
+    "logistic": lambda t, jets: ((1.0 / jets[0][0] - 1.0) * math.exp(t),),
+    "oscillator": lambda t, jets: (jets[0][0] * math.sin(t) + jets[0][1] * math.cos(t),
+                                   jets[0][0] * math.cos(t) - jets[0][1] * math.sin(t)),
+    "exponential": lambda t, jets: (jets[0][0] * math.exp(-jets[0][1]), jets[0][1]),
+    "system": lambda t, jets: (jets[0][0] - t * jets[1][0], jets[1][0]),
+}
+
+
+def _initial_jets(spec) -> list[list[float]]:
+    """Each output row's initial jet (u, u_t, ...), read from the ICs."""
+    jets = [[] for _ in range(spec.output_dim)]
+    for row, k, value in spec.ics:
+        assert k == len(jets[row])
+        jets[row].append(value)
+    return jets
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_invariant_ics_are_the_frame_of_the_vanilla_initial_state(name):
+    prob = get_problem(name)
+    start, end = prob.vanilla.interval
+    frame = FRAMES[name](start, _initial_jets(prob.vanilla))
+    ics = prob.invariant.ics
+    assert ics == tuple((row, 0, value) for row, value in enumerate(frame))
+    if name == "schwarz":
+        assert ics == ((0, 0, 1.0), (1, 0, 0.0), (2, 0, 0.0), (3, 0, 1.0))
+        assert all(math.copysign(1.0, value) == 1.0 for _, _, value in ics)
+    if name == "exponential":
+        # t = e^eps (1 - e^{-H}) with eps = eps(0) + H, solved for H at t = end
+        assert prob.invariant.interval == (0.0, math.log(1.0 + end * math.exp(-frame[1])))
 
 
 def test_frame_rejects_critical_points():
     with pytest.raises(DomainError):
         sl2_moving_frame(1.0, 0.0, 1.0)
+    for jet in ((math.nan, 1.0, 0.0), (0.0, math.nan, 0.0), (0.0, 1.0, math.nan),
+                (math.inf, 1.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 1.0, math.inf)):
+        with pytest.raises(DomainError, match="non-finite"):
+            sl2_moving_frame(*jet)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +411,26 @@ def test_intervals_and_initial_conditions():
         assert get_problem(name).alpha_ic == 1.0
 
 
+# The exact solution's jet at t = 0, one row per output.
+EXACT_INITIAL_JETS = {
+    "schwarz": lambda: [oracles.tan_jets(np.array(0.0))],
+    "logistic": lambda: [oracles.logistic_jets(np.array(0.0))],
+    "oscillator": lambda: [reference.oscillator_reference().states[0]],
+    "exponential": lambda: [oracles.exponential_solution_jets(np.array(0.0))],
+    "system": lambda: get_problem("system").exact(np.array([0.0])).T,
+}
+
+
 @pytest.mark.parametrize("name", list(REGISTRY))
 def test_invariant_ics_reconstruct_the_vanilla_initial_values(name):
-    """The invariant formulation's value ICs, as outputs at its interval start,
-    map back to the vanilla interval start and the vanilla value ICs."""
+    """Every vanilla IC, derivatives included, is the exact solution's initial
+    jet, and the invariant formulation's value ICs, as outputs at its interval
+    start, map back to the vanilla interval start and the vanilla value ICs."""
     prob = get_problem(name)
+    assert prob.vanilla.interval[0] == 0.0
+    exact_jets = EXACT_INITIAL_JETS[name]()
+    for row, k, value in prob.vanilla.ics:
+        np.testing.assert_allclose(value, exact_jets[row][k], rtol=1e-14)
     outputs = np.full((1, prob.invariant.output_dim), np.nan)
     for row, order, value in prob.invariant.ics:
         if order == 0:

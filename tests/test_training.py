@@ -190,8 +190,9 @@ def test_non_finite_initial_condition_names_the_first_point():
     assert str(err.value) == "non-finite initial-condition residual at 0"
 
 
-@pytest.mark.parametrize("points", [np.linspace(3.0, 0.0, 50), np.linspace(0.5, 3.0, 50)],
-                         ids=["reversed", "shifted"])
+@pytest.mark.parametrize("points", [np.linspace(3.0, 0.0, 50), np.linspace(0.5, 3.0, 50),
+                                    np.array([])],
+                         ids=["reversed", "shifted", "empty"])
 def test_losses_refuse_points_that_do_not_start_at_the_initial_time(points):
     """The initial conditions are read at points[0]; at t = 3 they would be
     imposed at the wrong time without a word."""
