@@ -22,6 +22,14 @@ pair, in `REGISTRY` order: its `ics` triples and then its `interval`, with
 every float written as `float.hex`, so a move in the last bit or in the sign
 of a zero shows here and not only through the training digests.
 
+The fifth line, `reports`, holds one digest per report file: the bytes that
+`write_report` writes, with wall_time 0.0, for three reports built by
+`build_report`.  `nan` is a Schwarz invariant net whose last layer is zero,
+so b/d = 0/0 makes every error nan and the status "failed-eval"; `inf` is
+that net with the last bias (1, 1, 0, 1e-200), so b/d = 1e200 makes the mse
+inf with status "ok"; `diverged` is the seed-0 vanilla Schwarz run of the
+`diverge` digest at learning rate 1e80, which stops at epoch 1.
+
 Then, for every (problem, formulation) pair and seeds 0-2, it prints one line
 with six digests:
 
@@ -40,10 +48,10 @@ with six digests:
   sort_keys=True)` of the parsed file;
 - `diverge`: the loss history and final weights of a 6-epoch `train` at 50
   points with learning rate 1e80, where some pairs blow up in the loss, and
-  the status and message that `build_report` gives that result, and then the
-  same of the run at 1e308, where the first update overflows, so the
-  non-finite paths of the loss, of the update and of the evaluation of a
-  diverged network are compared too.
+  the status and message that `build_report` gives that result when passed
+  the `stop` that `train` returned, and then the same of the run at 1e308,
+  where the first update overflows, so the non-finite paths of the loss, of
+  the update and of the evaluation of a diverged network are compared too.
 
 Run it from the root of a source tree, once per tree, and diff the outputs:
 
@@ -66,7 +74,7 @@ from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # n
                    invariant_loss, load_weights, loss_and_grad, run_cell,
                    sample_collocation, train, vanilla_loss)
 from ipinn.autodiff import AdjointGraph  # noqa: E402
-from ipinn.harness import build_report  # noqa: E402
+from ipinn.harness import build_report, write_report  # noqa: E402
 from ipinn.network import JET_ORDER, MlpJets, ParamSet  # noqa: E402
 from ipinn.reference import _oscillator_rk4, oscillator_reference  # noqa: E402
 from ipinn.training import _output_leaves  # noqa: E402
@@ -83,6 +91,7 @@ JET_LAYOUT = MlpLayout(hidden_layers=3, hidden_width=5, output_dim=2)
 JET_SCALES = (1.0, 50.0, 1e3)
 JET_POINTS = (-2.5, -1.0, -0.0, 0.0, 1e-300, 0.375, 1.0, 4.0)
 KINDS = ("invariant", "vanilla")
+REPORT_INF_BIAS = (1.0, 1.0, 0.0, 1e-200)
 
 
 def _breakdown_bytes(bd) -> bytes:
@@ -131,8 +140,7 @@ def diverge_digest(problem, kind: str, seed: int) -> str:
         config = TrainConfig(seed=seed, formulation=kind, alpha_ic=problem.alpha_ic,
                              learning_rate=learning_rate, **DIVERGE)
         params, history, stop = train(problem, config)
-        report = build_report(problem, config, params, history, 0.0,
-                              "ok" if stop is None else "diverged", stop or "")
+        report = build_report(problem, config, params, history, 0.0, stop)
         digest.update(f"{report.status}\n{report.message}\n".encode("utf-8"))
         digest.update(history.tobytes())
         digest.update(params.to_flat().tobytes())
@@ -212,11 +220,39 @@ def problems_line() -> str:
     return "problems " + " ".join(digests)
 
 
+def _schwarz_invariant_report(last_bias):
+    """The report of a Schwarz invariant net whose outputs are its last bias."""
+    params = init_mlp(MlpLayout(output_dim=4), 0)
+    params.weights[-1][:] = 0.0
+    params.biases[-1][:] = last_bias
+    config = TrainConfig(epochs=0, formulation="invariant")
+    return build_report(get_problem("schwarz"), config, params, np.zeros((0, 3)), 0.0)
+
+
+def reports_line() -> str:
+    """The `reports` line: a digest of the report file of each non-finite case."""
+    problem = get_problem("schwarz")
+    config = TrainConfig(seed=0, formulation="vanilla", alpha_ic=problem.alpha_ic,
+                         learning_rate=DIVERGE_RATES[0], **DIVERGE)
+    params, history, stop = train(problem, config)
+    reports = {"nan": _schwarz_invariant_report(0.0),
+               "inf": _schwarz_invariant_report(REPORT_INF_BIAS),
+               "diverged": build_report(problem, config, params, history, 0.0, stop)}
+    digests = []
+    with tempfile.TemporaryDirectory() as out:
+        for key, report in reports.items():
+            path = Path(out) / "report.json"
+            write_report(report, path)
+            digests.append(f"{key}={hashlib.sha256(path.read_bytes()).hexdigest()}")
+    return "reports " + " ".join(digests)
+
+
 def main() -> None:
     print(reference_line(), flush=True)
     print(tape_line(), flush=True)
     print(jets_line(), flush=True)
     print(problems_line(), flush=True)
+    print(reports_line(), flush=True)
     for name in REGISTRY:
         problem = get_problem(name)
         for kind in KINDS:

@@ -29,10 +29,10 @@ class RunReport:
     mse averages the per-point squared errors over the full evaluation grid;
     mse_summary applies the problem's summary mask (for schwarz, a window
     around the asymptote is excluded; elsewhere the two agree).  status is
-    "ok", "diverged" (training aborted on a non-finite loss) or "failed-eval"
-    (the reconstructed curve left the reference solution's domain, or is
-    undefined somewhere on the grid so that its mse is nan).  An infinite
-    mse with status "ok" is data: an error that overflows near an asymptote.
+    "ok", "diverged" (training stopped on a non-finite loss or update) or
+    "failed-eval" (see `evaluate_params`).  An infinite mse with status "ok"
+    is data: an error that overflows near an asymptote.  `to_json` is its one
+    JSON form, the one that `write_report` writes and `from_json` reads.
     """
 
     problem: str
@@ -50,10 +50,9 @@ class RunReport:
     wall_time: float
 
     def to_json(self) -> dict:
-        """One key per field, in field order; the arrays become lists of floats."""
-        return {f.name: (v.tolist() if isinstance(v := getattr(self, f.name), np.ndarray)
-                         else v)
-                for f in fields(self)}
+        """One key per field, in field order, as `_strict_json` spells it:
+        standard JSON, so equal reports give equal dicts."""
+        return _strict_json({f.name: getattr(self, f.name) for f in fields(self)})
 
     def canonical(self) -> dict:
         """The reproducible part: everything except the wall clock."""
@@ -63,7 +62,7 @@ class RunReport:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunReport":
-        """The report of a `to_json` dict, or of a `write_report` file parsed
+        """The report of a `to_json` dict, which is a `write_report` file parsed
         as JSON; data that is not a dict, a missing key, or a field of the wrong
         type or shape raises ValueError."""
         if not isinstance(data, dict):
@@ -87,7 +86,7 @@ class RunReport:
 
 def _field_from_json(kind: str, name: str, value):
     """The value of a RunReport field annotated `kind`, checked against it; a
-    float may be a JSON number or one of `write_report`'s non-finite spellings,
+    float may be a JSON number or one of `to_json`'s non-finite spellings,
     and an array is nested lists of floats."""
     if kind == "np.ndarray":
         try:
@@ -118,52 +117,46 @@ def summary_mask(problem_name: str, x: np.ndarray) -> np.ndarray:
 def evaluate_params(problem: ProblemSpec, formulation: str, params: ParamSet):
     """Per-point squared error of the reconstructed solution on a uniform grid.
 
-    Returns (grid, squared_error), EVAL_GRID_POINTS values each, where
-    squared_error sums over solution components.  The grid lives in the
-    formulation's own coordinate; for the exponential invariant run the
-    comparison is parametric, against the exact solution evaluated at the
-    reconstructed abscissa.
+    Returns (grid, squared_error, fault): EVAL_GRID_POINTS values each, where
+    squared_error sums over solution components, and "" or why the
+    evaluation failed, where the reconstructed curve leaves the exact
+    solution's domain (every error inf) or is undefined (nan).  The grid
+    lives in the formulation's own coordinate; for the exponential invariant
+    run the comparison is parametric, against the exact solution evaluated
+    at the reconstructed abscissa.
     """
     spec = problem.formulation(formulation)
     grid = np.linspace(spec.interval[0], spec.interval[1], EVAL_GRID_POINTS)
     with np.errstate(all="ignore"):
-        outputs = mlp_values(params, grid).T
-        x, recon = spec.reconstruct(grid, outputs)
-        exact = problem.exact(x)
+        x, recon = spec.reconstruct(grid, mlp_values(params, grid).T)
+        try:
+            exact = problem.exact(x)
+        except DomainError as err:
+            return grid, np.full(EVAL_GRID_POINTS, np.inf), str(err)
         sq = np.sum((np.asarray(recon) - np.asarray(exact)) ** 2, axis=1)
-    return grid, sq
+    undefined = int(np.isnan(sq).sum())
+    return grid, sq, (f"the reconstruction is undefined at {undefined} of {sq.size} "
+                      "grid points" if undefined else "")
 
 
 def build_report(problem: ProblemSpec, config: TrainConfig, params: ParamSet,
-                 history: np.ndarray, wall_time: float, status: str = "ok",
-                 message: str = "") -> RunReport:
-    """The report of trained `params`: `status` is "ok" or "diverged", and an
-    "ok" run whose evaluation fails becomes "failed-eval"."""
-    spec = problem.formulation(config.formulation)
-    metadata = {"x_name": spec.x_name}
+                 history: np.ndarray, wall_time: float, stop: str | None = None) -> RunReport:
+    """The report of the `params` and `history` that `train` returned with
+    `stop`: status "diverged" with the stop message if training stopped,
+    else "failed-eval" with the fault if `evaluate_params` failed, else "ok"."""
+    metadata = {"x_name": problem.formulation(config.formulation).x_name}
     if problem.name == "schwarz":
         metadata["mse_summary_mask"] = (
             "mse_summary excludes grid points within "
             f"{SCHWARZ_MASK_HALF_WIDTH} of the asymptote at pi/2; "
             "mse averages the full grid")
-    try:
-        grid, sq = evaluate_params(problem, config.formulation, params)
-        mse = float(np.mean(sq))
-        mse_summary = float(np.mean(sq[summary_mask(problem.name, grid)]))
-        if math.isnan(mse) or math.isnan(mse_summary):
-            if status == "ok":
-                status = "failed-eval"
-            message = message or ("evaluation failed: the reconstruction is "
-                                  f"undefined at {int(np.isnan(sq).sum())} of "
-                                  f"{sq.size} grid points")
-    except DomainError as err:
-        grid = np.linspace(spec.interval[0], spec.interval[1], EVAL_GRID_POINTS)
-        sq = np.full(EVAL_GRID_POINTS, np.inf)
-        mse = math.inf
-        mse_summary = math.inf
-        if status == "ok":
-            status = "failed-eval"
-        message = message or f"evaluation failed: {err}"
+    grid, sq, fault = evaluate_params(problem, config.formulation, params)
+    if stop is not None:
+        status, message = "diverged", stop
+    elif fault:
+        status, message = "failed-eval", f"evaluation failed: {fault}"
+    else:
+        status, message = "ok", ""
     return RunReport(
         problem=problem.name,
         formulation=config.formulation,
@@ -172,8 +165,8 @@ def build_report(problem: ProblemSpec, config: TrainConfig, params: ParamSet,
         loss_history=np.asarray(history, dtype=float).reshape(-1, 3),
         grid=grid,
         squared_error=sq,
-        mse=mse,
-        mse_summary=mse_summary,
+        mse=float(np.mean(sq)),
+        mse_summary=float(np.mean(sq[summary_mask(problem.name, grid)])),
         status=status,
         message=message,
         metadata=metadata,
@@ -197,8 +190,7 @@ def run_cell(problem_name: str, formulation: str, config: TrainConfig,
     start = time.perf_counter()
     params, history, stop = train(problem, cfg)
     wall_time = time.perf_counter() - start
-    report = build_report(problem, cfg, params, history, wall_time,
-                          "ok" if stop is None else "diverged", stop or "")
+    report = build_report(problem, cfg, params, history, wall_time, stop)
     if out_dir is not None:
         cell = Path(out_dir) / cell_dir_name(problem_name, formulation, cfg.seed)
         cell.mkdir(parents=True, exist_ok=True)
@@ -214,9 +206,11 @@ def run_cell(problem_name: str, formulation: str, config: TrainConfig,
 
 
 def _strict_json(value):
-    """value with every non-finite float spelled as a JSON string."""
+    """value as standard JSON data: arrays as lists, non-finite floats as strings."""
     if isinstance(value, float) and not math.isfinite(value):
         return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, np.ndarray):
+        return _strict_json(value.tolist())
     if isinstance(value, dict):
         return {k: _strict_json(v) for k, v in value.items()}
     if isinstance(value, list):
@@ -225,14 +219,14 @@ def _strict_json(value):
 
 
 def write_report(report: RunReport, path) -> None:
-    """Write report as standard JSON.
+    """Write `report.to_json()`, which is standard JSON, indented by 2.
 
-    Non-finite floats become the strings "NaN", "Infinity" and "-Infinity",
+    Its non-finite floats are the strings "NaN", "Infinity" and "-Infinity",
     which `float`, and so `load_report`, read back as the same values.
     The file is replaced atomically, like every artifact a run writes.
     """
     with atomic_write(path) as fh:
-        json.dump(_strict_json(report.to_json()), fh, indent=2, allow_nan=False)
+        json.dump(report.to_json(), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -23,7 +23,7 @@ order-3 pass bit for bit, at any number of collocation points.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,9 +71,10 @@ class TrainConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{name} must be an int or a float, got "
                                  f"{type(value).__name__} {value!r}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+        # compared, not converted, so an int past the float range is not finite either
+        if not 0.0 < self.learning_rate <= sys.float_info.max:
             raise ValueError("learning_rate must be finite and positive")
-        if not (math.isfinite(self.alpha_ic) and self.alpha_ic >= 0.0):
+        if not 0.0 <= self.alpha_ic <= sys.float_info.max:
             raise ValueError("alpha_ic must be finite and non-negative")
         if self.formulation not in ("vanilla", "invariant"):
             raise ValueError(f"unknown formulation {self.formulation!r}")
@@ -96,6 +97,9 @@ def sample_collocation(interval: tuple[float, float], n: int, seed: int) -> np.n
     lo, hi = interval
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
+    big = sys.float_info.max  # compared, not converted, like TrainConfig's numbers
+    if not (-big <= lo and hi <= big and hi - lo <= big):
+        raise ValueError("interval and its width must be finite")
     if n < 2:
         raise ValueError("need at least the two endpoint collocation points")
     rng = np.random.default_rng(seed)

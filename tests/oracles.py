@@ -14,10 +14,14 @@ import math
 
 import numpy as np
 
-from ipinn.reference import (OSCILLATOR_FORCING_EXPONENT, SYSTEM_DRIFT,
-                             SYSTEM_GAUSS_SCALE, Trajectory, erf)
+from ipinn.reference import OSCILLATOR_FORCING_EXPONENT, Trajectory
 
 FD_STEP = 0.01
+
+# The system's solution is v = C erf((t + 1)/sqrt 2) + K and u = v' + t v;
+# u(0) = C sqrt(2/pi) e^(-1/2) = 1 and v(0) = C erf(1/sqrt 2) + K = 1 fix C and K.
+SYSTEM_C = 1.0 / (math.sqrt(2.0 / math.pi) * math.exp(-0.5))
+SYSTEM_K = 1.0 - SYSTEM_C * math.erf(1.0 / math.sqrt(2.0))
 
 
 def fd_derivatives(f, x: float, h: float = FD_STEP) -> np.ndarray:
@@ -291,7 +295,7 @@ def _exponential_exact(h):
 def _system_exact(t):
     t = np.asarray(t, dtype=float)
     al = np.exp(-t - 0.5 * t * t)
-    be = SYSTEM_GAUSS_SCALE * erf((t + 1.0) / np.sqrt(2.0)) + SYSTEM_DRIFT
+    be = SYSTEM_C * np.vectorize(math.erf)((t + 1.0) / np.sqrt(2.0)) + SYSTEM_K
     return np.stack([al, np.broadcast_to(be, t.shape)], axis=-1)
 
 

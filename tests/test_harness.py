@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 import ipinn
-from ipinn import harness
+from ipinn import harness, reference
+from ipinn.autodiff import DomainError
 from ipinn.cli import main, parse_seeds
 from ipinn.harness import (
     EVAL_GRID_POINTS,
@@ -201,21 +202,45 @@ def test_write_report_bytes(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _schwarz_invariant_report(last_bias) -> RunReport:
+def _schwarz_invariant_report(last_bias, stop=None) -> RunReport:
     """Report for a Schwarz invariant net whose outputs are its last bias."""
     params = init_mlp(MlpLayout(output_dim=4), 0)
     params.weights[-1][:] = 0.0
     params.biases[-1][:] = last_bias
     config = TrainConfig(epochs=0, formulation="invariant")
     return build_report(get_problem("schwarz"), config, params,
-                        np.zeros((0, 3)), wall_time=0.0)
+                        np.zeros((0, 3)), wall_time=0.0, stop=stop)
 
 
 def test_nan_mse_is_a_failed_evaluation():
     report = _schwarz_invariant_report(0.0)  # b/d = 0/0 at every grid point
     assert math.isnan(report.mse) and math.isnan(report.mse_summary)
     assert report.status == "failed-eval"
-    assert f"undefined at {EVAL_GRID_POINTS} of {EVAL_GRID_POINTS}" in report.message
+    assert report.message == (f"evaluation failed: the reconstruction is undefined "
+                              f"at {EVAL_GRID_POINTS} of {EVAL_GRID_POINTS} grid points")
+    # equal reports have equal canonical forms, nan included, in standard JSON
+    assert _schwarz_invariant_report(0.0).canonical() == report.canonical()
+    assert json.loads(json.dumps(report.to_json(), allow_nan=False))["mse"] == "NaN"
+
+
+def test_exact_solution_domain_error_is_a_failed_evaluation(monkeypatch):
+    """A reconstruction outside the exact solution's domain makes every error
+    inf; a run that diverged keeps its stop message."""
+    def undefined(t):
+        raise DomainError("solution is undefined there")
+
+    monkeypatch.setitem(reference._EXACT, "schwarz", undefined)
+    report = _schwarz_invariant_report([1.0, 0.5, 0.0, 1.0])
+    assert report.status == "failed-eval"
+    assert report.message == "evaluation failed: solution is undefined there"
+    assert np.array_equal(report.grid, np.linspace(0.0, math.pi, EVAL_GRID_POINTS))
+    assert np.array_equal(report.squared_error, np.full(EVAL_GRID_POINTS, math.inf))
+    assert report.mse == math.inf and report.mse_summary == math.inf
+
+    stop = "epoch 3: non-finite training loss"
+    diverged = _schwarz_invariant_report([1.0, 0.5, 0.0, 1.0], stop=stop)
+    assert diverged.status == "diverged" and diverged.message == stop
+    assert diverged.mse == math.inf and diverged.mse_summary == math.inf
 
 
 def test_infinite_mse_near_an_asymptote_stays_data():

@@ -275,9 +275,7 @@ def test_system_residuals_vanish_on_solution():
     t = np.linspace(0.0, 2.0, 40)
     al = np.exp(-t - 0.5 * t * t)
     al1 = -(1.0 + t) * al
-    be = (reference.SYSTEM_GAUSS_SCALE
-          * scipy.special.erf((t + 1.0) / math.sqrt(2.0))
-          + reference.SYSTEM_DRIFT)
+    be = oracles.SYSTEM_C * scipy.special.erf((t + 1.0) / math.sqrt(2.0)) + oracles.SYSTEM_K
 
     u = al + t * be
     u1 = al1 + be + t * al

@@ -65,6 +65,10 @@ def test_collocation_input_validation():
         sample_collocation((1.0, 0.0), 10, seed=0)
     with pytest.raises(ValueError):
         sample_collocation((0.0, 1.0), 1, seed=0)
+    for interval in ((0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308),
+                     (10**400, 10**400 + 1)):
+        with pytest.raises(ValueError, match="must be finite"):
+            sample_collocation(interval, 5, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +83,10 @@ def test_config_validation():
         TrainConfig(n_collocation=1)
     with pytest.raises(ValueError):
         TrainConfig(alpha_ic=-0.5)
-    for alpha_ic in (math.nan, math.inf):
+    for alpha_ic in (math.nan, math.inf, 10**400):
         with pytest.raises(ValueError, match="alpha_ic"):
             TrainConfig(alpha_ic=alpha_ic)
-    for learning_rate in (math.nan, math.inf, -math.inf, 0.0, -1e-3):
+    for learning_rate in (math.nan, math.inf, -math.inf, 0.0, -1e-3, 10**400):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=learning_rate)
     with pytest.raises(ValueError):
