@@ -20,7 +20,10 @@ a pass with gradients, and the `param_grad` of a fixed random adjoint.
 The fourth line, `problems`, holds one digest per (problem, formulation)
 pair, in `REGISTRY` order: its `ics` triples and then its `interval`, with
 every float written as `float.hex`, so a move in the last bit or in the sign
-of a zero shows here and not only through the training digests.
+of a zero shows here and not only through the training digests; then its
+`output_dim`, `order` and `x_name`.  A pass is truncation-exact, so an order
+worked out too high would move no training digest, only slow every epoch;
+this line is the one that sees it.
 
 The fifth line, `reports`, holds one digest per report file: the bytes that
 `write_report` writes, with wall_time 0.0, for three reports built by
@@ -208,13 +211,15 @@ def jets_line() -> str:
 
 
 def problems_line() -> str:
-    """The `problems` line: a digest of each pair's ICs and interval, in float.hex."""
+    """The `problems` line: a digest of each pair's ICs and interval, in float.hex,
+    then its output_dim, order and x_name."""
     digests = []
     for name in REGISTRY:
         for kind in KINDS:
             spec = get_problem(name).formulation(kind)
             text = "".join(f"{row} {k} {float(value).hex()}\n" for row, k, value in spec.ics)
             text += " ".join(float(x).hex() for x in spec.interval)
+            text += f"\n{spec.output_dim} {spec.order} {spec.x_name}"
             digest = hashlib.sha256(text.encode("utf-8"))
             digests.append(f"{name}-{kind}={digest.hexdigest()}")
     return "problems " + " ".join(digests)

@@ -11,7 +11,7 @@ from pathlib import Path
 from .autodiff import DomainError
 from .harness import (RunReport, format_summary, load_report, run_cell,
                       emit_error_series, summarize, write_summary_csv)
-from .problems import REGISTRY, get_problem
+from .problems import FORMULATIONS, REGISTRY, get_problem
 from .training import TrainConfig
 
 
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--problem", default="all",
                        help="problem name or 'all' (default: all)")
     run_p.add_argument("--formulation", default="both",
-                       choices=["invariant", "vanilla", "both"])
+                       choices=[*FORMULATIONS, "both"])
     run_p.add_argument("--seeds", type=parse_seeds, default="0..4",
                        help="e.g. '0..4' or '0,2,7' (default: 0..4)")
     run_p.add_argument("--epochs", type=int, default=3000)
@@ -101,8 +101,7 @@ def _cmd_run(args) -> int:
     problems = list(REGISTRY) if args.problem == "all" else [args.problem]
     for name in problems:
         get_problem(name)
-    formulations = (["invariant", "vanilla"] if args.formulation == "both"
-                    else [args.formulation])
+    formulations = FORMULATIONS if args.formulation == "both" else [args.formulation]
     cells = [
         (name, form,
          TrainConfig(epochs=args.epochs, learning_rate=args.lr,

@@ -14,7 +14,7 @@ import numpy as np
 from .atomic import atomic_write
 from .autodiff import DomainError
 from .network import ParamSet, mlp_values, save_weights
-from .problems import REGISTRY, ProblemSpec, get_problem
+from .problems import FORMULATIONS, REGISTRY, ProblemSpec, get_problem
 from .training import TrainConfig, train
 
 EVAL_GRID_POINTS = 500
@@ -278,7 +278,9 @@ class SummaryRow:
 def _cell_order(problem: str, formulation: str) -> tuple[int, str, int]:
     names = list(REGISTRY)
     problem_rank = names.index(problem) if problem in names else len(names)
-    return (problem_rank, problem, 0 if formulation == "invariant" else 1)
+    kind_rank = (FORMULATIONS.index(formulation) if formulation in FORMULATIONS
+                 else len(FORMULATIONS))
+    return (problem_rank, problem, kind_rank)
 
 
 def collect_reports(report_dir) -> list[RunReport]:

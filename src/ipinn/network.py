@@ -100,7 +100,8 @@ class MlpLayout:
     """Shape of a scalar-input multilayer perceptron.
 
     hidden_layers counts the tanh layers; the output layer is linear.  The
-    input is the scalar t, so input_dim is always 1.
+    input is the scalar t, so input_dim is always 1.  Negative hidden_layers,
+    or a hidden_width or output_dim below 1, raises ValueError.
     """
 
     input_dim: int = 1
@@ -112,6 +113,10 @@ class MlpLayout:
         if self.input_dim != 1:
             raise ValueError(f"input_dim must be 1 (a scalar input), "
                              f"got {self.input_dim!r}")
+        for name, least in (("hidden_layers", 0), ("hidden_width", 1), ("output_dim", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be at least {least}, "
+                                 f"got {getattr(self, name)!r}")
 
     def dims(self) -> list[int]:
         return ([self.input_dim]
@@ -314,13 +319,21 @@ def mlp_values(params: ParamSet, x_values) -> np.ndarray:
     return MlpJets(params.layout, x_values, 0, with_grad=False).forward(params)[0]
 
 
+def _check_seed(seed, where: str = "") -> None:
+    if seed is not None and not (type(seed) is int and seed >= 0):
+        raise ValueError(f"{where}the seed must be null or a non-negative integer, "
+                         f"got {seed!r}")
+
+
 def save_weights(path, params: ParamSet, seed: int | None = None) -> None:
     """JSON header line (layout and seed) then the flat vector, little-endian f8.
 
     The header holds the `MlpLayout` fields under "layout", keys sorted, which
-    `load_weights` checks against the same fields.  The file is replaced
+    `load_weights` checks against the same fields.  A seed that `load_weights`
+    would refuse raises ValueError and writes nothing.  The file is replaced
     atomically: a failed write leaves any earlier file.
     """
+    _check_seed(seed)
     header = {"layout": asdict(params.layout), "seed": seed}
     with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -356,9 +369,7 @@ def load_weights(path) -> tuple[ParamSet, int | None]:
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     seed = header["seed"]
-    if seed is not None and not (type(seed) is int and seed >= 0):
-        raise ValueError(f"{path}: the seed must be null or a non-negative integer, "
-                         f"got {seed!r}")
+    _check_seed(seed, f"{path}: ")
     size = layout.flat_size()
     if len(body) != 8 * size:
         raise ValueError(f"{path}: body holds {len(body)} bytes; the layout needs "

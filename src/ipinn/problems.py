@@ -1,23 +1,29 @@
 """Benchmark problems: the SL(2) moving frame, residual builders, reconstructions.
 
-Each problem carries two trainable formulations.  The vanilla one puts the
-original equation residual on the network outputs.  The invariant one trains
-the invariantized equation together with the first-order reconstruction
-system for the left moving frame, and maps frame trajectories back to the
-original unknowns through `reconstruct`.  Each problem names its initial state
-once; its invariant ICs are that state's frame, the inverse of `reconstruct`.
+Each problem carries two trainable formulations, named in `FORMULATIONS`.
+The vanilla one puts the original equation residual on the network outputs.
+The invariant one trains the invariantized equation together with the
+first-order reconstruction system for the left moving frame, and maps frame
+trajectories back to the original unknowns through `reconstruct`.  A
+formulation states only its residual, its ICs and its map back; its output
+count and derivative order are worked out from them.  Each problem names its
+initial state once; its invariant ICs are that state's frame, the inverse of
+`reconstruct`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from . import reference
-from .autodiff import DomainError, Node
+from .autodiff import AdjointGraph, DomainError, Node
+from .network import JET_ORDER
+
+FORMULATIONS = ("invariant", "vanilla")
 
 # ---------------------------------------------------------------------------
 # SL(2, R) acting on the dependent variable by Mobius maps
@@ -70,6 +76,10 @@ def sl2_moving_frame(u: float, ut: float, utt: float) -> GroupElementSL2:
 ResidualFn = Callable[[np.ndarray, list], list[Node]]
 
 
+def _identity_reconstruct(x: np.ndarray, outputs: np.ndarray):
+    return x, outputs
+
+
 @dataclass(frozen=True)
 class FormulationSpec:
     """Everything the trainer and harness need for one formulation.
@@ -78,18 +88,43 @@ class FormulationSpec:
     derivative at every point, as the tape leaf outs[r][k], and returns the
     residual components as tape nodes.  It is a plain expression: arrays of
     the points' shape and floats may stand on either side of a leaf, and the
-    leaf's operators record them as constants.  order is the highest
-    derivative of any network output that the residual and the initial
-    conditions read; the trainer propagates jets of exactly that order.
+    leaf's operators record them as constants.  Each IC (row, k, value) pins
+    coefficient k of output row r at the interval start.  reconstruct maps
+    the independent variable, named x_name, and the outputs back to t and the
+    original unknowns.
+
+    The rest is worked out once, on construction: output_dim is one more than
+    the highest IC row, and order is the highest k that the ICs name or that
+    the residual reads.  The residual is traced once at the interval start
+    and swept back from unit seeds; a leaf it reads receives an adjoint.  The
+    trainer propagates jets of exactly that order.  A residual that reads a
+    row no IC names, or a k past `JET_ORDER`, raises ValueError here.
     """
 
-    output_dim: int
     interval: tuple[float, float]
-    x_name: str
     residual: ResidualFn
     ics: tuple[tuple[int, int, float], ...]
-    order: int
-    reconstruct: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+    reconstruct: Callable[[np.ndarray, np.ndarray],
+                          tuple[np.ndarray, np.ndarray]] = _identity_reconstruct
+    x_name: str = "t"
+    output_dim: int = field(init=False)
+    order: int = field(init=False)
+
+    def __post_init__(self):
+        output_dim = 1 + max((row for row, _, _ in self.ics), default=-1)
+        graph = AdjointGraph()
+        leaves = [[graph.param(np.ones(1)) for _ in range(JET_ORDER + 1)]
+                  for _ in range(output_dim)]
+        try:
+            with np.errstate(all="ignore"):
+                residuals = self.residual(np.array(self.interval[:1], dtype=float), leaves)
+        except IndexError:
+            raise ValueError(f"the residual reads past the {output_dim} output rows that the "
+                             f"ICs name or past coefficient {JET_ORDER}") from None
+        graph.backward([(r, np.ones(1)) for r in residuals])
+        read = [k for jet in leaves for k, leaf in enumerate(jet) if leaf.adjoint is not None]
+        object.__setattr__(self, "output_dim", output_dim)
+        object.__setattr__(self, "order", max(read + [k for _, k, _ in self.ics]))
 
 
 @dataclass(frozen=True)
@@ -110,15 +145,9 @@ class ProblemSpec:
         return reference.exact_eval(self.name, t)
 
     def formulation(self, kind: str) -> FormulationSpec:
-        if kind == "vanilla":
-            return self.vanilla
-        if kind == "invariant":
-            return self.invariant
-        raise ValueError(f"unknown formulation {kind!r}")
-
-
-def _identity_reconstruct(x: np.ndarray, outputs: np.ndarray):
-    return x, outputs
+        if kind not in FORMULATIONS:
+            raise ValueError(f"unknown formulation {kind!r}")
+        return getattr(self, kind)
 
 
 def schwarz_spec() -> ProblemSpec:
@@ -150,24 +179,15 @@ def schwarz_spec() -> ProblemSpec:
     # (u, u_t, u_tt)(0); "+ 0.0" turns the frame's -0.0 entries into 0.0.
     u0, ut0, utt0 = 0.0, 1.0, 0.0
     frame = sl2_moving_frame(u0, ut0, utt0).inverse()
+    frame_ics = tuple((row, 0, entry + 0.0)
+                      for row, entry in enumerate((frame.a, frame.b, frame.c, frame.d)))
     interval = (0.0, math.pi)
     return ProblemSpec(
         name="schwarz",
-        vanilla=FormulationSpec(
-            output_dim=1, interval=interval, x_name="t",
-            residual=vanilla_residual,
-            ics=((0, 0, u0), (0, 1, ut0), (0, 2, utt0)),
-            order=3,
-            reconstruct=_identity_reconstruct,
-        ),
-        invariant=FormulationSpec(
-            output_dim=4, interval=interval, x_name="t",
-            residual=invariant_residual,
-            ics=tuple((row, 0, entry + 0.0) for row, entry in
-                      enumerate((frame.a, frame.b, frame.c, frame.d))),
-            order=1,
-            reconstruct=reconstruct,
-        ),
+        vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
+                                ics=((0, 0, u0), (0, 1, ut0), (0, 2, utt0))),
+        invariant=FormulationSpec(interval=interval, residual=invariant_residual,
+                                  ics=frame_ics, reconstruct=reconstruct),
     )
 
 
@@ -193,20 +213,11 @@ def logistic_spec() -> ProblemSpec:
     t0, u0 = interval[0], 0.5
     return ProblemSpec(
         name="logistic",
-        vanilla=FormulationSpec(
-            output_dim=1, interval=interval, x_name="t",
-            residual=vanilla_residual,
-            ics=((0, 0, u0),),
-            order=1,
-            reconstruct=_identity_reconstruct,
-        ),
-        invariant=FormulationSpec(
-            output_dim=1, interval=interval, x_name="t",
-            residual=invariant_residual,
-            ics=((0, 0, (1.0 / u0 - 1.0) * math.exp(t0)),),
-            order=1,
-            reconstruct=reconstruct,
-        ),
+        vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
+                                ics=((0, 0, u0),)),
+        invariant=FormulationSpec(interval=interval, residual=invariant_residual,
+                                  ics=((0, 0, (1.0 / u0 - 1.0) * math.exp(t0)),),
+                                  reconstruct=reconstruct),
     )
 
 
@@ -243,21 +254,12 @@ def oscillator_spec() -> ProblemSpec:
     u0, ut0 = reference.OSCILLATOR_INITIAL_STATE
     return ProblemSpec(
         name="oscillator",
-        vanilla=FormulationSpec(
-            output_dim=1, interval=interval, x_name="t",
-            residual=vanilla_residual,
-            ics=((0, 0, u0), (0, 1, ut0)),
-            order=2,
-            reconstruct=_identity_reconstruct,
-        ),
-        invariant=FormulationSpec(
-            output_dim=2, interval=interval, x_name="t",
-            residual=invariant_residual,
-            ics=((0, 0, u0 * math.sin(t0) + ut0 * math.cos(t0)),
-                 (1, 0, u0 * math.cos(t0) - ut0 * math.sin(t0))),
-            order=1,
-            reconstruct=reconstruct,
-        ),
+        vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
+                                ics=((0, 0, u0), (0, 1, ut0))),
+        invariant=FormulationSpec(interval=interval, residual=invariant_residual,
+                                  ics=((0, 0, u0 * math.sin(t0) + ut0 * math.cos(t0)),
+                                       (1, 0, u0 * math.cos(t0) - ut0 * math.sin(t0))),
+                                  reconstruct=reconstruct),
     )
 
 
@@ -294,20 +296,11 @@ def exponential_spec() -> ProblemSpec:
 
     return ProblemSpec(
         name="exponential",
-        vanilla=FormulationSpec(
-            output_dim=1, interval=interval, x_name="t",
-            residual=vanilla_residual,
-            ics=((0, 0, u0), (0, 1, ut0)),
-            order=2,
-            reconstruct=_identity_reconstruct,
-        ),
-        invariant=FormulationSpec(
-            output_dim=2, interval=(0.0, h_final), x_name="H",
-            residual=invariant_residual,
-            ics=((0, 0, inv0), (1, 0, eps0)),
-            order=1,
-            reconstruct=reconstruct,
-        ),
+        vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
+                                ics=((0, 0, u0), (0, 1, ut0))),
+        invariant=FormulationSpec(interval=(0.0, h_final), residual=invariant_residual,
+                                  ics=((0, 0, inv0), (1, 0, eps0)),
+                                  reconstruct=reconstruct, x_name="H"),
     )
 
 
@@ -343,31 +336,17 @@ def system_spec() -> ProblemSpec:
     t0, u0, v0 = interval[0], 1.0, 1.0
     return ProblemSpec(
         name="system",
-        vanilla=FormulationSpec(
-            output_dim=2, interval=interval, x_name="t",
-            residual=vanilla_residual,
-            ics=((0, 0, u0), (1, 0, v0)),
-            order=1,
-            reconstruct=_identity_reconstruct,
-        ),
-        invariant=FormulationSpec(
-            output_dim=2, interval=interval, x_name="t",
-            residual=invariant_residual,
-            ics=((0, 0, u0 - t0 * v0), (1, 0, v0)),
-            order=1,
-            reconstruct=reconstruct,
-        ),
+        vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
+                                ics=((0, 0, u0), (1, 0, v0))),
+        invariant=FormulationSpec(interval=interval, residual=invariant_residual,
+                                  ics=((0, 0, u0 - t0 * v0), (1, 0, v0)),
+                                  reconstruct=reconstruct),
         alpha_ic=10.0,
     )
 
 
-REGISTRY: dict[str, ProblemSpec] = {
-    "schwarz": schwarz_spec(),
-    "logistic": logistic_spec(),
-    "oscillator": oscillator_spec(),
-    "exponential": exponential_spec(),
-    "system": system_spec(),
-}
+REGISTRY: dict[str, ProblemSpec] = {spec.name: spec for spec in (
+    schwarz_spec(), logistic_spec(), oscillator_spec(), exponential_spec(), system_spec())}
 
 
 def get_problem(name: str) -> ProblemSpec:

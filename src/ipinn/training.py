@@ -30,7 +30,7 @@ import numpy as np
 
 from .autodiff import AdjointGraph, DomainError, Node
 from .network import MlpJets, MlpLayout, ParamSet, init_mlp
-from .problems import FormulationSpec, ProblemSpec
+from .problems import FORMULATIONS, FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -52,7 +52,7 @@ class TrainConfig:
     alpha_ic: float = 1.0
     n_collocation: int = 200
     seed: int = 0
-    formulation: str = "invariant"
+    formulation: str = FORMULATIONS[0]
 
     def __post_init__(self):
         for name in ("epochs", "n_collocation", "seed"):  # the report stores them as JSON ints
@@ -76,7 +76,7 @@ class TrainConfig:
             raise ValueError("learning_rate must be finite and positive")
         if not 0.0 <= self.alpha_ic <= sys.float_info.max:
             raise ValueError("alpha_ic must be finite and non-negative")
-        if self.formulation not in ("vanilla", "invariant"):
+        if self.formulation not in FORMULATIONS:
             raise ValueError(f"unknown formulation {self.formulation!r}")
 
 

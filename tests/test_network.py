@@ -34,6 +34,18 @@ def test_layout_dims():
     assert MlpLayout(hidden_layers=0, output_dim=3).dims() == [1, 3]
 
 
+@pytest.mark.parametrize("sizes, fault", [
+    (dict(input_dim=2), "input_dim must be 1"),
+    (dict(hidden_layers=-1), "hidden_layers must be at least 0"),
+    (dict(hidden_width=0), "hidden_width must be at least 1"),
+    (dict(hidden_layers=0, hidden_width=0), "hidden_width must be at least 1"),
+    (dict(output_dim=0), "output_dim must be at least 1"),
+])
+def test_layout_refuses_sizes_that_build_no_usable_network(sizes, fault):
+    with pytest.raises(ValueError, match=fault):
+        MlpLayout(**sizes)
+
+
 def test_init_is_deterministic_per_seed():
     layout = MlpLayout(output_dim=2)
     a = init_mlp(layout, seed=42).to_flat()
@@ -252,6 +264,19 @@ def test_weight_header_bytes(tmp_path):
         assert len(body) == 8 * params.layout.flat_size()
 
 
+@pytest.mark.parametrize("seed", [-1, True, 2.5, np.int64(3), "0"])
+def test_save_weights_refuses_a_seed_it_could_not_load(tmp_path, seed):
+    params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=3), seed=0)
+    path = tmp_path / "weights.bin"
+    with pytest.raises(ValueError, match="seed must be null or a non-negative integer"):
+        save_weights(path, params, seed=seed)
+    assert not path.exists()
+    save_weights(path, params, seed=0)
+    with pytest.raises(ValueError):
+        save_weights(path, params, seed=seed)
+    assert load_weights(path)[1] == 0
+
+
 def _weight_file_parts(tmp_path):
     params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=3), seed=0)
     path = tmp_path / "weights.bin"
@@ -280,12 +305,15 @@ def _encode(header):
     (lambda h, b: _encode(_with_layout(h, depth=3)) + b, "layout needs"),
     (lambda h, b: _encode(_with_layout(h, hidden_width="3")) + b, "non-negative"),
     (lambda h, b: _encode(_with_layout(h, input_dim=2)) + b, "input_dim must be 1"),
+    (lambda h, b: _encode(_with_layout(h, hidden_width=0)) + b, "hidden_width must be at least 1"),
+    (lambda h, b: _encode(_with_layout(h, output_dim=0)) + b, "output_dim must be at least 1"),
     (lambda h, b: _encode({**h, "seed": "abc"}) + b, "seed must be null"),
     (lambda h, b: _encode({**h, "seed": -1}) + b, "seed must be null"),
     (lambda h, b: b"", "empty weights file"),
 ], ids=["truncated-body", "one-value-short", "one-value-extra", "no-header-line",
         "no-layout", "missing-layout-key", "unknown-layout-key", "non-integer-size",
-        "two-inputs", "string-seed", "negative-seed", "empty-file"])
+        "two-inputs", "zero-width", "no-outputs", "string-seed", "negative-seed",
+        "empty-file"])
 def test_load_weights_names_file_and_fault(tmp_path, corrupt, fault):
     path, header, body = _weight_file_parts(tmp_path)
     path.write_bytes(corrupt(header, body))

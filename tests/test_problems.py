@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ import oracles
 from ipinn import reference
 from ipinn.autodiff import AdjointGraph, DomainError
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, init_mlp
-from ipinn.problems import REGISTRY, GroupElementSL2, get_problem, sl2_moving_frame
+from ipinn.problems import (REGISTRY, FormulationSpec, GroupElementSL2, get_problem,
+                            sl2_moving_frame)
 from ipinn.training import _output_leaves
 from oracles import schwarzian, sl2_compose, sl2_matrix, sl2_prolong
 
@@ -468,6 +470,62 @@ def test_declared_order_is_the_highest_derivative_read(name, kind):
     assert spec.order == max(requested)
     if kind == "invariant":
         assert spec.order == 1
+
+
+# ---------------------------------------------------------------------------
+# output_dim and order, worked out from the residual and the ICs
+# ---------------------------------------------------------------------------
+
+
+def _oscillator_as_system(t, outs):
+    """u_tt + u = sin(t^0.99) as the first-order system u_t = v, v_t = sin(t^0.99) - u."""
+    u, v = outs
+    return [u[1] - v[0], v[1] + u[0] - np.sin(t ** 0.99)]
+
+
+def test_fields_are_the_stated_ones():
+    """Only the interval, the residual and the ICs must be given."""
+    init = [f for f in dataclasses.fields(FormulationSpec) if f.init]
+    assert [f.name for f in init] == ["interval", "residual", "ics", "reconstruct", "x_name"]
+    assert [f.name for f in init if f.default is dataclasses.MISSING] == [
+        "interval", "residual", "ics"]
+    with pytest.raises(TypeError):
+        FormulationSpec(interval=(0.0, 1.0), residual=_oscillator_as_system,
+                        ics=((0, 0, 1.0), (1, 0, 1.0)), order=1)
+
+
+@pytest.mark.parametrize("residual, ics, output_dim, order", [
+    (_oscillator_as_system, ((0, 0, 1.0), (1, 0, 1.0)), 2, 1),
+    (lambda t, outs: [outs[0][2] + outs[0][0]], ((0, 0, 1.0),), 1, 2),
+    (lambda t, outs: [outs[0][1] - outs[0][0]], ((0, 0, 1.0), (0, 3, 0.0)), 1, 3),
+    (lambda t, outs: [(-outs[2][0]).exp() / outs[0][1]], ((2, 0, 1.0), (0, 0, 0.5)), 3, 1),
+], ids=["first-order-system", "reads-second-derivative", "ics-name-third-derivative",
+        "highest-ic-row"])
+def test_output_dim_and_order_are_worked_out(residual, ics, output_dim, order):
+    spec = FormulationSpec(interval=(0.0, 10.0), residual=residual, ics=ics)
+    assert (spec.output_dim, spec.order) == (output_dim, order)
+    assert spec.x_name == "t"
+    t, outputs = np.linspace(0.0, 1.0, 3), np.ones((3, output_dim))
+    x, u = spec.reconstruct(t, outputs)
+    assert x is t and u is outputs
+
+
+def test_replace_works_the_order_out_again():
+    first = FormulationSpec(interval=(0.0, 1.0), residual=lambda t, outs: [outs[0][1]],
+                            ics=((0, 0, 1.0),))
+    third = dataclasses.replace(first, residual=lambda t, outs: [outs[0][3] - t * outs[0][0]])
+    assert (first.order, third.order) == (1, 3)
+    assert dataclasses.replace(third, ics=((0, 0, 1.0), (1, 0, 2.0))).output_dim == 2
+
+
+@pytest.mark.parametrize("residual, ics, rows", [
+    (lambda t, outs: [outs[0][1] - outs[1][0]], ((0, 0, 1.0),), 1),
+    (lambda t, outs: [outs[0][JET_ORDER + 1]], ((0, 0, 1.0),), 1),
+    (lambda t, outs: [outs[0][1]], (), 0),
+], ids=["row-without-ic", "past-jet-order", "no-ics"])
+def test_residual_reading_past_the_leaves_raises_at_construction(residual, ics, rows):
+    with pytest.raises(ValueError, match=f"reads past the {rows} output rows"):
+        FormulationSpec(interval=(0.0, 1.0), residual=residual, ics=ics)
 
 
 def test_vanilla_reconstruct_is_identity():
