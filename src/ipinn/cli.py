@@ -8,7 +8,6 @@ import traceback
 from collections import Counter
 from pathlib import Path
 
-from .autodiff import DomainError
 from .harness import (RunReport, format_summary, load_report, run_cell,
                       emit_error_series, summarize, write_summary_csv)
 from .problems import FORMULATIONS, REGISTRY, get_problem
@@ -68,13 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[*FORMULATIONS, "both"])
     run_p.add_argument("--seeds", type=parse_seeds, default="0..4",
                        help="e.g. '0..4' or '0,2,7' (default: 0..4)")
-    run_p.add_argument("--epochs", type=int, default=3000)
-    run_p.add_argument("--collocation", type=int, default=200,
+    run_p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    run_p.add_argument("--collocation", type=int, default=TrainConfig.n_collocation,
                        help="number of collocation points")
     run_p.add_argument("--alpha", type=float, default=None,
                        help="initial-condition loss weight; defaults to each "
                             "problem's benchmark value")
-    run_p.add_argument("--lr", type=float, default=1e-3, help="Adam step size")
+    run_p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                       help="Adam step size")
     run_p.add_argument("--jobs", type=positive_int, default=1,
                        help="cells to train in parallel")
     run_p.add_argument("--out", required=True, help="output directory")
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
                 "series": _cmd_series}
     try:
         return handlers[args.command](args)
-    except (ValueError, DomainError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -63,8 +63,9 @@ class RunReport:
     @classmethod
     def from_json(cls, data: dict) -> "RunReport":
         """The report of a `to_json` dict, which is a `write_report` file parsed
-        as JSON; data that is not a dict, a missing key, or a field of the wrong
-        type or shape raises ValueError."""
+        as JSON; data that is not a dict, a missing key, a field of the wrong
+        type or shape, or a problem or formulation outside `REGISTRY` or
+        `FORMULATIONS` raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"a report is a JSON object, not a {type(data).__name__}")
         missing = [f.name for f in fields(cls) if f.name not in data]
@@ -72,6 +73,10 @@ class RunReport:
             raise ValueError(f"the report lacks the keys {missing}")
         report = cls(**{f.name: _field_from_json(f.type, f.name, data[f.name])
                         for f in fields(cls)})
+        for name, known in (("problem", REGISTRY), ("formulation", FORMULATIONS)):
+            if getattr(report, name) not in known:
+                raise ValueError(f"{name} does not fit: it must be one of {list(known)}, "
+                                 f"got {getattr(report, name)!r}")
         if report.loss_history.size and report.loss_history.shape[1:] != (3,):
             raise ValueError("loss_history does not fit: it must be rows of 3 losses, "
                              f"got shape {report.loss_history.shape}")
@@ -145,12 +150,13 @@ def build_report(problem: ProblemSpec, config: TrainConfig, params: ParamSet,
     `stop`: status "diverged" with the stop message if training stopped,
     else "failed-eval" with the fault if `evaluate_params` failed, else "ok"."""
     metadata = {"x_name": problem.formulation(config.formulation).x_name}
-    if problem.name == "schwarz":
+    grid, sq, fault = evaluate_params(problem, config.formulation, params)
+    mask = summary_mask(problem.name, grid)
+    if not mask.all():
         metadata["mse_summary_mask"] = (
             "mse_summary excludes grid points within "
             f"{SCHWARZ_MASK_HALF_WIDTH} of the asymptote at pi/2; "
             "mse averages the full grid")
-    grid, sq, fault = evaluate_params(problem, config.formulation, params)
     if stop is not None:
         status, message = "diverged", stop
     elif fault:
@@ -166,7 +172,7 @@ def build_report(problem: ProblemSpec, config: TrainConfig, params: ParamSet,
         grid=grid,
         squared_error=sq,
         mse=float(np.mean(sq)),
-        mse_summary=float(np.mean(sq[summary_mask(problem.name, grid)])),
+        mse_summary=float(np.mean(sq[mask])),
         status=status,
         message=message,
         metadata=metadata,
@@ -275,12 +281,8 @@ class SummaryRow:
     n_failed: int
 
 
-def _cell_order(problem: str, formulation: str) -> tuple[int, str, int]:
-    names = list(REGISTRY)
-    problem_rank = names.index(problem) if problem in names else len(names)
-    kind_rank = (FORMULATIONS.index(formulation) if formulation in FORMULATIONS
-                 else len(FORMULATIONS))
-    return (problem_rank, problem, kind_rank)
+def _cell_order(problem: str, formulation: str) -> tuple[int, int]:
+    return list(REGISTRY).index(problem), FORMULATIONS.index(formulation)
 
 
 def collect_reports(report_dir) -> list[RunReport]:

@@ -54,25 +54,25 @@ def _kmul_t(ybar: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tanh_table(x: np.ndarray, count: int, out):
-    """The first `count` (2..5) derivatives f, f', ... of tanh at x, row by row.
+def _tanh_table(x: np.ndarray, out):
+    """The first len(out) (1..5) derivatives f, f', ... of tanh at x, row by row.
 
     The value is computed by exp in the overflow-safe half-domain form; the
     derivative chain is generated from the value itself through 1 - tanh^2.
-    Row k of `out` (a sequence of at least `count` arrays of x.shape; the
-    rows need not be one array) receives f^(k).
+    Row k of `out` (a sequence of arrays of x.shape; the rows need not be
+    one array) receives f^(k), and no row past the last is computed.
     """
-    f = out[:count]
     s = np.exp(-2.0 * np.abs(x))
-    t = np.divide(np.copysign(1.0 - s, x), 1.0 + s, out=f[0])
-    tt = t * t
-    p = np.subtract(1.0, tt, out=f[1])
-    if count > 2:
-        np.multiply(-2.0 * t, p, out=f[2])
-    if count > 3:
-        np.multiply(p, 6.0 * tt - 2.0, out=f[3])
-    if count > 4:
-        np.multiply(p, 16.0 * t - 24.0 * tt * t, out=f[4])
+    t = np.divide(np.copysign(1.0 - s, x), 1.0 + s, out=out[0])
+    if len(out) > 1:
+        tt = t * t
+        p = np.subtract(1.0, tt, out=out[1])
+    if len(out) > 2:
+        np.multiply(-2.0 * t, p, out=out[2])
+    if len(out) > 3:
+        np.multiply(p, 6.0 * tt - 2.0, out=out[3])
+    if len(out) > 4:
+        np.multiply(p, 16.0 * t - 24.0 * tt * t, out=out[4])
     return out
 
 
@@ -214,17 +214,18 @@ class MlpJets:
 
     Of each hidden layer the pass keeps only what the reverse pass reads:
     the activation jet `act[i]` and `dcomp[i]`, the tanh derivative composed
-    with the pre-activation jet.  The pre-activation jet (`pre`) and the
-    tanh rows above f1 (`higher`) are shared by all layers; the tanh table
-    writes f0 into `act[i][0]` and f1 into `dcomp[i][0]`, and the reverse
-    pass reuses `pre` for an activation's adjoint.  So every jet is
-    allocated once per pass, and the kernels' (width, batch) intermediates
-    are only the temporaries of their expressions.  `value_bar` is a buffer
-    of the output shape for the caller to gather its adjoint in, and `grad`
-    the `ParamSet` that receives the gradient.  Without `with_grad` there
-    is none of these and no `dcomp`, f1 goes to `higher[0]`, and every
-    hidden layer writes its activation into the same buffer: such a pass
-    evaluates the network but cannot differentiate it.
+    with the pre-activation jet.  The pre-activation jet (`pre`) and
+    `higher`, `order` rows of the tanh table, are shared by all layers; the
+    table writes f0 into `act[i][0]`, f1 into `dcomp[i][0]` and f2..fK into
+    `higher`, and the reverse pass reuses `pre` for an activation's adjoint.
+    So every jet is allocated once per pass, and the kernels' (width, batch)
+    intermediates are only the temporaries of their expressions.  `value_bar`
+    is a buffer of the output shape for the caller to gather its adjoint in,
+    and `grad` the `ParamSet` that receives the gradient.
+    Without `with_grad` the pass lacks its reverse half (`dcomp`,
+    `value_bar`, `g_hidden`, `grad`), all hidden layers share one `act`
+    buffer, and the table fills f0 and f1..f(K-1), the rows `_kcompose`
+    reads: such a pass evaluates the network but cannot differentiate it.
     """
 
     def __init__(self, layout: MlpLayout, x_values, order: int, with_grad: bool = True):
@@ -243,11 +244,11 @@ class MlpJets:
         jet = (n, width, batch)
         self.pre = np.empty(jet)
         self.value = np.empty((n, layout.output_dim, batch))
-        # table_rows[i]: where hidden layer i's tanh rows f0..fK go
+        self.higher = np.empty((order, width, batch))
+        # table_rows[i]: where hidden layer i's tanh rows go
         if with_grad:
             self.act = [np.empty(jet) for _ in range(depth)]
             self.dcomp = [np.empty(jet) for _ in range(depth)]
-            self.higher = np.empty((n - 1, width, batch))
             self.table_rows = [[a[0], d[0], *self.higher]
                                for a, d in zip(self.act, self.dcomp)]
             # g_hidden: the adjoint of a hidden pre-activation
@@ -256,7 +257,6 @@ class MlpJets:
             self.grad = ParamSet.from_flat(layout, np.zeros(layout.flat_size()))
         else:
             self.act = [np.empty(jet)] * depth
-            self.higher = np.empty(jet)
             self.table_rows = [[a[0], *self.higher] for a in self.act]
         self.params = None
 
@@ -277,7 +277,7 @@ class MlpJets:
             z[0] += b[:, None]
             if i < last:
                 rows = self.table_rows[i]
-                _tanh_table(z[0], len(z) + 1, rows)
+                _tanh_table(z[0], rows)
                 h = _kcompose(rows, z, self.act[i])
                 if self.with_grad:
                     _kcompose(rows[1:], z, self.dcomp[i])

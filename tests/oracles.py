@@ -87,7 +87,7 @@ def tanh_mlp_jets(weights, biases, t0: float) -> list[tuple[float, ...]]:
 
 
 def tanh_table_by_sign(x: np.ndarray, count: int) -> np.ndarray:
-    """The first `count` (2..5) derivatives of tanh at x, in the sign(x) * (1 - s) form.
+    """The first `count` (1..5) derivatives of tanh at x, in the sign(x) * (1 - s) form.
 
     The half-domain form the package's tanh table used before it switched
     to copysign, step for step: s = exp(-2|x|), t = sign(x) * (1 - s) /

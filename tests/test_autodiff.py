@@ -33,7 +33,7 @@ _TANH_ARGS = [v for a in (0.0, 1e-300, 0.5, 20.0, 400.0, math.inf)
               for v in (a, -a)] + [math.nan]
 
 
-@pytest.mark.parametrize("count", [2, 3, 4, 5])
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
 def test_tanh_table_is_bitwise_the_sign_form(count):
     """copysign(1 - s, x) gives the bits of sign(x) * (1 - s), but at x = -0.0.
 
@@ -43,7 +43,7 @@ def test_tanh_table_is_bitwise_the_sign_form(count):
     """
     x = np.array(_TANH_ARGS)
     got = np.empty((count, x.size))
-    _tanh_table(x, count, got)
+    _tanh_table(x, got)
     want = oracles.tanh_table_by_sign(x, count)
     negative_zero = (x == 0.0) & np.signbit(x)
     assert np.array_equal(got[:, ~negative_zero].view(np.uint64),

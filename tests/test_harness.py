@@ -20,7 +20,7 @@ import pytest
 import ipinn
 from ipinn import harness, reference
 from ipinn.autodiff import DomainError
-from ipinn.cli import main, parse_seeds
+from ipinn.cli import build_parser, main, parse_seeds
 from ipinn.harness import (
     EVAL_GRID_POINTS,
     PLOT_ERROR_CAP,
@@ -281,6 +281,18 @@ def test_summary_mask_excludes_asymptote_window_for_schwarz():
     assert not mask[inside].any()
     assert mask[~inside].all()
     assert summary_mask("logistic", x).all()
+
+
+def test_mask_note_follows_the_mask():
+    """The metadata says what mse_summary leaves out exactly when it leaves
+    out a grid point: on Schwarz, and not on logistic."""
+    schwarz = _schwarz_invariant_report([1.0, 0.0, 0.0, 1.0])
+    assert "pi/2" in schwarz.metadata["mse_summary_mask"]
+    params = init_mlp(MlpLayout(), 0)
+    logistic = build_report(get_problem("logistic"), TrainConfig(epochs=0), params,
+                            np.zeros((0, 3)), wall_time=0.0)
+    assert logistic.mse_summary == logistic.mse
+    assert "mse_summary_mask" not in logistic.metadata
 
 
 def test_error_series_roundtrips_at_full_precision(tmp_path):
@@ -598,12 +610,14 @@ def _without(data: dict, key: str) -> dict:
     (lambda d: json.dumps({**d, "loss_history": [1.0, 2.0, 3.0]}), "does not fit"),
     (lambda d: json.dumps({**d, "loss_history": [[1.0, 2.0, 3.0], [1.0]]}),
      "loss_history does not fit"),
+    (lambda d: json.dumps({**d, "problem": "pendulum"}), "problem does not fit"),
+    (lambda d: json.dumps({**d, "formulation": "hybrid"}), "formulation does not fit"),
 ], ids=["truncated", "json-list", "missing-key", "non-integer-seed", "fractional-seed",
         "boolean-seed", "numeric-string-seed", "negative-seed",
         "config-not-an-object", "ragged-loss-history", "integer-problem", "null-status",
         "integer-message", "boolean-mse", "numeric-string-mse", "config-as-pairs",
         "metadata-as-list", "grid-one-point-short", "flat-loss-history",
-        "uneven-loss-history-rows"])
+        "uneven-loss-history-rows", "unregistered-problem", "unknown-formulation"])
 def test_load_report_names_file_and_fault(tmp_path, capsys, corrupt, fault):
     path = tmp_path / "runs" / "cell" / "report.json"
     path.parent.mkdir(parents=True)
@@ -626,6 +640,13 @@ def test_from_json_names_the_missing_keys():
     data = _fake_report("logistic", "invariant", 0, 1e-3).to_json()
     with pytest.raises(ValueError, match=r"lacks the keys \['wall_time'\]$"):
         RunReport.from_json(_without(data, "wall_time"))
+
+
+def test_cli_run_defaults_are_the_train_config_defaults():
+    args = build_parser().parse_args(["run", "--out", "runs"])
+    config = TrainConfig()
+    assert (args.epochs, args.collocation, args.lr) == (
+        config.epochs, config.n_collocation, config.learning_rate)
 
 
 def test_cli_benchmark_alpha_defaults_per_problem(tmp_path):
