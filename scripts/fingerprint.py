@@ -56,20 +56,80 @@ with six digests:
   where the first update overflows, so the non-finite paths of the loss, of
   the update and of the evaluation of a diverged network are compared too.
 
-Run it from the root of a source tree, once per tree, and diff the outputs:
+Run it on this tree, or compare this tree with another source tree:
 
-    python3 scripts/fingerprint.py > a.txt
+    python3 scripts/fingerprint.py                 # print the lines
+    python3 scripts/fingerprint.py --against TREE  # print `same`, or the diff
+
+`--against` runs this script in two fresh processes, one importing this
+tree's `src` and one importing TREE's `src` (`--src DIR` picks the package
+directory to fingerprint).  It prints `same` and exits 0 when every line
+matches, else the differing lines as a unified diff and exits 1.  A tree the
+script cannot import or run is an error naming the tree and the fault (exit 2).
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import json
+import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _args() -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description="SHA-256 fingerprints of the "
+                                     "reference and training numbers")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--against", metavar="TREE", type=Path,
+                      help="compare with the source tree TREE")
+    mode.add_argument("--src", metavar="DIR", type=Path, default=ROOT / "src",
+                      help="the directory holding the ipinn package (default: this tree's)")
+    return parser.parse_args()
+
+
+def _run_on(tree: Path) -> list[str]:
+    """This script's lines on `tree`'s src, from a fresh process; RuntimeError
+    naming the tree and the fault if the script cannot import or run there."""
+    src = tree / "src"
+    if not (src / "ipinn" / "__init__.py").is_file():
+        raise RuntimeError(f"{tree}: no ipinn package in {src}")
+    done = subprocess.run([sys.executable, __file__, "--src", str(src)],
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        fault = (done.stderr.strip().splitlines() or [f"exit {done.returncode}"])[-1]
+        raise RuntimeError(f"{tree}: the fingerprint cannot run on this tree: {fault}")
+    return done.stdout.splitlines()
+
+
+def compare(tree: Path) -> int:
+    """Print `same` (0) or the lines that differ from TREE's (1); a tree the
+    script cannot run on is an error (2)."""
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            theirs, ours = pool.map(_run_on, (tree.resolve(), ROOT))
+    except RuntimeError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    if theirs == ours:
+        print("same")
+        return 0
+    print("\n".join(difflib.unified_diff(theirs, ours, str(tree), str(ROOT),
+                                         n=0, lineterm="")))
+    return 1
+
+
+if __name__ == "__main__":
+    args = _args()
+    if args.against is not None:
+        sys.exit(compare(args.against))
+    sys.path.insert(0, str(args.src))
 
 import numpy as np  # noqa: E402
 

@@ -64,8 +64,8 @@ class RunReport:
     def from_json(cls, data: dict) -> "RunReport":
         """The report of a `to_json` dict, which is a `write_report` file parsed
         as JSON; data that is not a dict, a missing key, a field of the wrong
-        type or shape, or a problem or formulation outside `REGISTRY` or
-        `FORMULATIONS` raises ValueError."""
+        type or shape, a problem or formulation outside `REGISTRY` or
+        `FORMULATIONS`, or a status other than the three raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"a report is a JSON object, not a {type(data).__name__}")
         missing = [f.name for f in fields(cls) if f.name not in data]
@@ -73,7 +73,8 @@ class RunReport:
             raise ValueError(f"the report lacks the keys {missing}")
         report = cls(**{f.name: _field_from_json(f.type, f.name, data[f.name])
                         for f in fields(cls)})
-        for name, known in (("problem", REGISTRY), ("formulation", FORMULATIONS)):
+        for name, known in (("problem", REGISTRY), ("formulation", FORMULATIONS),
+                            ("status", ("ok", "diverged", "failed-eval"))):
             if getattr(report, name) not in known:
                 raise ValueError(f"{name} does not fit: it must be one of {list(known)}, "
                                  f"got {getattr(report, name)!r}")
@@ -225,15 +226,14 @@ def _strict_json(value):
 
 
 def write_report(report: RunReport, path) -> None:
-    """Write `report.to_json()`, which is standard JSON, indented by 2.
+    """Write `report.to_json()`, which is standard JSON, indented by 2, in one piece.
 
     Its non-finite floats are the strings "NaN", "Infinity" and "-Infinity",
     which `float`, and so `load_report`, read back as the same values.
     The file is replaced atomically, like every artifact a run writes.
     """
     with atomic_write(path) as fh:
-        json.dump(report.to_json(), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(report.to_json(), indent=2, allow_nan=False) + "\n")
 
 
 def load_report(path) -> RunReport:
@@ -256,17 +256,16 @@ def load_report(path) -> RunReport:
 def emit_error_series(report: RunReport, path, cap: float | None = None) -> None:
     """Two-column CSV of the squared-error series, 17 significant digits.
 
-    cap clips the error column (the plot variant); raw values otherwise.
+    cap clips the error column (the plot variant); raw values otherwise.  The
+    rows are written as one string, with the header's CRLF line ends.
     """
     err = report.squared_error
     if cap is not None:
         err = np.minimum(err, cap)
-    xs = ["%.17g" % x for x in np.asarray(report.grid).tolist()]
-    es = ["%.17g" % e for e in np.asarray(err).tolist()]
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([report.metadata.get("x_name", "t"), "squared_error"])
-        writer.writerows(zip(xs, es))
+        csv.writer(fh).writerow([report.metadata.get("x_name", "t"), "squared_error"])
+        fh.write("".join("%.17g,%.17g\r\n" % row for row in
+                         zip(np.asarray(report.grid).tolist(), np.asarray(err).tolist())))
 
 
 @dataclass

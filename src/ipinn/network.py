@@ -132,26 +132,28 @@ class MlpLayout:
 
 
 class ParamSet:
-    """Layer parameters stored in one flat vector.
+    """Layer parameters stored in one flat vector, which is what a set is made from.
 
-    `flat` holds every layer's weights (row-major) then bias, layer after
-    layer; `weights` and `biases` are views into it, so writing into a view
-    writes the vector.  None of the three can be rebound.  The constructor,
-    `to_flat` and `from_flat` copy.
+    `ParamSet(layout, flat)` copies a vector of `layout.flat_size()` floats:
+    every layer's weights (row-major) then bias, layer after layer.  `weights`
+    and `biases` are per-layer views into that copy, so writing into a view
+    writes the vector.  None of the three can be rebound.  `to_flat` copies.
     """
 
-    def __init__(self, layout: MlpLayout, weights, biases):
-        expected = layout.layer_shapes()
-        if len(weights) != len(expected) or len(biases) != len(expected):
-            raise ValueError("wrong number of layers for layout")
+    def __init__(self, layout: MlpLayout, flat):
+        flat = np.array(flat, dtype=float)
+        if flat.shape != (layout.flat_size(),):
+            raise ValueError(f"flat vector of shape {flat.shape} does not fit layout "
+                             f"({layout.flat_size()} values expected)")
         self.layout = layout
-        self._flat = np.empty(layout.flat_size())
-        self._weights, self._biases = _layer_views(layout, self._flat)
-        for view, given in zip(self._weights + self._biases, [*weights, *biases]):
-            given = np.asarray(given, dtype=float)
-            if given.shape != view.shape:
-                raise ValueError(f"layer shape mismatch: {given.shape} vs {view.shape}")
-            view[...] = given
+        self._flat = flat
+        weights, biases, pos = [], [], 0
+        for (out_d, in_d), _ in layout.layer_shapes():
+            weights.append(flat[pos:pos + out_d * in_d].reshape(out_d, in_d))
+            pos += out_d * in_d
+            biases.append(flat[pos:pos + out_d])
+            pos += out_d
+        self._weights, self._biases = tuple(weights), tuple(biases)
 
     # read-only, so that rebinding cannot part a view from the vector
     flat = property(lambda self: self._flat)
@@ -163,35 +165,19 @@ class ParamSet:
 
     @classmethod
     def from_flat(cls, layout: MlpLayout, flat) -> "ParamSet":
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (layout.flat_size(),):
-            raise ValueError(f"flat vector of length {flat.shape} does not fit layout "
-                             f"({layout.flat_size()} expected)")
-        return cls(layout, *_layer_views(layout, flat))
-
-
-def _layer_views(layout: MlpLayout, flat: np.ndarray):
-    """Per-layer weight and bias views into a flat parameter-shaped vector."""
-    weights, biases = [], []
-    pos = 0
-    for wsh, bsh in layout.layer_shapes():
-        n = wsh[0] * wsh[1]
-        weights.append(flat[pos:pos + n].reshape(wsh))
-        pos += n
-        biases.append(flat[pos:pos + bsh[0]])
-        pos += bsh[0]
-    return tuple(weights), tuple(biases)
+        """The constructor under the name that scripts call it by."""
+        return cls(layout, flat)
 
 
 def init_mlp(layout: MlpLayout, seed: int) -> ParamSet:
-    """Glorot-uniform weights, zero biases; bit-identical for identical seeds."""
+    """Glorot-uniform weights and zero biases: each layer's weights are drawn
+    into its view of a zero flat vector.  Bit-identical for identical seeds."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for (out_d, in_d), (b_d,) in layout.layer_shapes():
-        bound = np.sqrt(6.0 / (in_d + out_d))
-        weights.append(rng.uniform(-bound, bound, size=(out_d, in_d)))
-        biases.append(np.zeros(b_d))
-    return ParamSet(layout, weights, biases)
+    params = ParamSet(layout, np.zeros(layout.flat_size()))
+    for w in params.weights:
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 class MlpJets:
@@ -254,7 +240,7 @@ class MlpJets:
             # g_hidden: the adjoint of a hidden pre-activation
             self.value_bar = np.empty(self.value.shape)
             self.g_hidden = np.empty(jet)
-            self.grad = ParamSet.from_flat(layout, np.zeros(layout.flat_size()))
+            self.grad = ParamSet(layout, np.zeros(layout.flat_size()))
         else:
             self.act = [np.empty(jet)] * depth
             self.table_rows = [[a[0], *self.higher] for a in self.act]
@@ -374,4 +360,4 @@ def load_weights(path) -> tuple[ParamSet, int | None]:
     if len(body) != 8 * size:
         raise ValueError(f"{path}: body holds {len(body)} bytes; the layout needs "
                          f"{size} float64 values ({8 * size} bytes)")
-    return ParamSet.from_flat(layout, np.frombuffer(body, dtype="<f8")), seed
+    return ParamSet(layout, np.frombuffer(body, dtype="<f8")), seed

@@ -23,8 +23,7 @@ from ipinn.training import _gather_adjoints, _output_leaves
 def test_tanh_jet_at_zero():
     """The jet kernel on the one-neuron network u = tanh(t), at t = 0."""
     layout = MlpLayout(hidden_layers=1, hidden_width=1)
-    params = ParamSet(layout, [np.ones((1, 1)), np.ones((1, 1))],
-                      [np.zeros(1), np.zeros(1)])
+    params = ParamSet(layout, [1.0, 0.0, 1.0, 0.0])  # w0, b0, w1, b1
     got = MlpJets(layout, [0.0], JET_ORDER).forward(params)[:, 0, 0]
     assert got.tolist() == [0.0, 1.0, 0.0, -2.0]
 
@@ -166,7 +165,7 @@ def test_affine_gradient_is_exact_for_polynomial_loss():
     layout = MlpLayout(hidden_layers=0, output_dim=1)
     t = np.array([-1.0, 0.5, 2.0])
     w0, b0 = 0.7, -0.3
-    params = ParamSet(layout, [np.array([[w0]])], [np.array([b0])])
+    params = ParamSet(layout, [w0, b0])
 
     graph = AdjointGraph()
     net = MlpJets(layout, t, 0)

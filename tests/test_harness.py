@@ -612,12 +612,14 @@ def _without(data: dict, key: str) -> dict:
      "loss_history does not fit"),
     (lambda d: json.dumps({**d, "problem": "pendulum"}), "problem does not fit"),
     (lambda d: json.dumps({**d, "formulation": "hybrid"}), "formulation does not fit"),
+    (lambda d: json.dumps({**d, "status": "okay"}), "status does not fit"),
 ], ids=["truncated", "json-list", "missing-key", "non-integer-seed", "fractional-seed",
         "boolean-seed", "numeric-string-seed", "negative-seed",
         "config-not-an-object", "ragged-loss-history", "integer-problem", "null-status",
         "integer-message", "boolean-mse", "numeric-string-mse", "config-as-pairs",
         "metadata-as-list", "grid-one-point-short", "flat-loss-history",
-        "uneven-loss-history-rows", "unregistered-problem", "unknown-formulation"])
+        "uneven-loss-history-rows", "unregistered-problem", "unknown-formulation",
+        "unknown-status"])
 def test_load_report_names_file_and_fault(tmp_path, capsys, corrupt, fault):
     path = tmp_path / "runs" / "cell" / "report.json"
     path.parent.mkdir(parents=True)

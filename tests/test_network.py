@@ -56,14 +56,18 @@ def test_init_is_deterministic_per_seed():
 
 
 def test_init_bounds_and_zero_biases():
-    layout = MlpLayout(hidden_layers=2, hidden_width=7, output_dim=3)
-    params = init_mlp(layout, seed=0)
-    for (out_d, in_d), w in zip((s[0] for s in layout.layer_shapes()),
-                                params.weights):
-        bound = np.sqrt(6.0 / (in_d + out_d))
-        assert np.abs(w).max() <= bound
-    for b in params.biases:
-        assert np.array_equal(b, np.zeros_like(b))
+    """init_mlp's vector is, layer by layer, the seed's Glorot draws and then
+    zero biases, for the default layout and a small one."""
+    small = MlpLayout(hidden_layers=2, hidden_width=7, output_dim=3)
+    for layout, seed in ((MlpLayout(), 0), (small, 5)):
+        rng = np.random.default_rng(seed)
+        expected = []
+        for (out_d, in_d), (b_d,) in layout.layer_shapes():
+            bound = np.sqrt(6.0 / (in_d + out_d))
+            w = rng.uniform(-bound, bound, size=(out_d, in_d))
+            assert np.abs(w).max() <= bound
+            expected += [w.ravel(), np.zeros(b_d)]
+        assert init_mlp(layout, seed).flat.tobytes() == np.concatenate(expected).tobytes()
 
 
 def test_flat_roundtrip():
@@ -340,9 +344,8 @@ def test_paramset_is_one_flat_vector():
 
 
 def test_paramset_validates_shapes():
-    layout = MlpLayout(hidden_layers=1, hidden_width=3)
-    with pytest.raises(ValueError):
-        ParamSet(layout, [np.zeros((3, 1))], [np.zeros(3)])
-    with pytest.raises(ValueError):
-        ParamSet(layout, [np.zeros((3, 2)), np.zeros((1, 3))],
-                 [np.zeros(3), np.zeros(1)])
+    """The one constructor takes a flat vector of exactly flat_size() floats."""
+    layout = MlpLayout(hidden_layers=1, hidden_width=3)  # 3 + 3 + 3 + 1 values
+    for flat in (np.zeros(9), np.zeros(11), np.zeros((2, 5)), [np.zeros(10)]):
+        with pytest.raises(ValueError, match=r"does not fit layout \(10 values expected\)"):
+            ParamSet(layout, flat)

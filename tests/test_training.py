@@ -115,13 +115,11 @@ def test_config_validation():
 def _constant_net(output_dim: int, values) -> ParamSet:
     """An affine-only network computing w t + b per row."""
     layout = MlpLayout(hidden_layers=0, output_dim=output_dim)
-    w = np.zeros((output_dim, 1))
-    return ParamSet(layout, [w], [np.asarray(values, dtype=float)])
+    return ParamSet(layout, np.concatenate([np.zeros(output_dim), values]))
 
 
 def _linear_net(w: float, b: float) -> ParamSet:
-    layout = MlpLayout(hidden_layers=0, output_dim=1)
-    return ParamSet(layout, [np.array([[w]])], [np.array([b])])
+    return ParamSet(MlpLayout(hidden_layers=0, output_dim=1), [w, b])
 
 
 def test_zero_network_logistic_vanilla_loss():
