@@ -1,9 +1,9 @@
 """Print SHA-256 fingerprints of the reference and training numbers, to compare
 two trees bit for bit.
 
-The first line, `reference`, holds one digest per oscillator RK4 trajectory:
-the times and then the states of `oscillator_reference()`, and of
-`_oscillator_rk4(n)` for n = 1, 4095 and 4097 steps.
+The first line, `reference`, holds the digest of the oscillator's exact
+solution on the evaluation grid: `exact_eval("oscillator", t)` at 500
+equally spaced times on [0, 10].
 
 The second line, `tape`, holds one digest per (problem, formulation) pair,
 in `REGISTRY` order: the op names and `needs_grad` flags of the nodes that
@@ -49,12 +49,12 @@ with six digests:
   `error_series_plot.csv` that `run_cell` writes for that cell, then its
   `report.json` without the `wall_time` key, as `json.dumps(...,
   sort_keys=True)` of the parsed file;
-- `diverge`: the loss history and final weights of a 6-epoch `train` at 50
+- `diverge`: the stop message that `train` returns (`None` when it ran every
+  epoch), the loss history and the final weights of a 6-epoch `train` at 50
   points with learning rate 1e80, where some pairs blow up in the loss, and
-  the status and message that `build_report` gives that result when passed
-  the `stop` that `train` returned, and then the same of the run at 1e308,
-  where the first update overflows, so the non-finite paths of the loss, of
-  the update and of the evaluation of a diverged network are compared too.
+  then the same of the run at 1e308, where the first update overflows, so the
+  non-finite paths of the loss and of the update are compared too.  The
+  report built from such a run is the `reports` line's `diverged` digest.
 
 Run it on this tree, or compare this tree with another source tree:
 
@@ -133,13 +133,12 @@ if __name__ == "__main__":
 
 import numpy as np  # noqa: E402
 
-from ipinn import (REGISTRY, MlpLayout, TrainConfig, get_problem, init_mlp,  # noqa: E402
-                   invariant_loss, load_weights, loss_and_grad, run_cell,
-                   sample_collocation, train, vanilla_loss)
+from ipinn import (REGISTRY, MlpLayout, TrainConfig, exact_eval, get_problem,  # noqa: E402
+                   init_mlp, invariant_loss, load_weights, loss_and_grad,
+                   run_cell, sample_collocation, train, vanilla_loss)
 from ipinn.autodiff import AdjointGraph  # noqa: E402
 from ipinn.harness import build_report, write_report  # noqa: E402
 from ipinn.network import JET_ORDER, MlpJets, ParamSet  # noqa: E402
-from ipinn.reference import _oscillator_rk4, oscillator_reference  # noqa: E402
 from ipinn.training import _output_leaves  # noqa: E402
 
 SEEDS = (0, 1, 2)
@@ -148,7 +147,7 @@ EPOCHS = 150
 ARTIFACTS = ("weights.bin", "error_series.csv", "error_series_plot.csv")
 DIVERGE = dict(epochs=6, n_collocation=50)
 DIVERGE_RATES = (1e80, 1e308)
-RK4_STEPS = (1, 4095, 4097)
+REFERENCE_GRID = (0.0, 10.0, 500)
 TAPE_POINTS = 50
 JET_LAYOUT = MlpLayout(hidden_layers=3, hidden_width=5, output_dim=2)
 JET_SCALES = (1.0, 50.0, 1e3)
@@ -203,23 +202,16 @@ def diverge_digest(problem, kind: str, seed: int) -> str:
         config = TrainConfig(seed=seed, formulation=kind, alpha_ic=problem.alpha_ic,
                              learning_rate=learning_rate, **DIVERGE)
         params, history, stop = train(problem, config)
-        report = build_report(problem, config, params, history, 0.0, stop)
-        digest.update(f"{report.status}\n{report.message}\n".encode("utf-8"))
+        digest.update(f"{stop}\n".encode("utf-8"))
         digest.update(history.tobytes())
         digest.update(params.to_flat().tobytes())
     return digest.hexdigest()
 
 
 def reference_line() -> str:
-    """The `reference` line: a digest of each trajectory's times and states."""
-    trajectories = {"oscillator_reference": oscillator_reference()}
-    trajectories.update((f"rk4_{n}", _oscillator_rk4(n)) for n in RK4_STEPS)
-    digests = []
-    for key, traj in trajectories.items():
-        digest = hashlib.sha256(traj.times.tobytes())
-        digest.update(traj.states.tobytes())
-        digests.append(f"{key}={digest.hexdigest()}")
-    return "reference " + " ".join(digests)
+    """The `reference` line: a digest of the oscillator's exact solution."""
+    values = exact_eval("oscillator", np.linspace(*REFERENCE_GRID))
+    return f"reference oscillator={hashlib.sha256(values.tobytes()).hexdigest()}"
 
 
 def tape_line() -> str:

@@ -20,7 +20,7 @@ from .network import (MlpJets, MlpLayout, ParamSet, init_mlp, load_weights,
                       mlp_values, save_weights)
 from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, ProblemSpec,
                        get_problem, sl2_moving_frame)
-from .reference import Trajectory, erf, exact_eval
+from .reference import erf, exact_eval
 from .training import (AdamState, LossBreakdown, TrainConfig, adam_step,
                        invariant_loss, loss_and_grad, sample_collocation,
                        train, vanilla_loss)
@@ -35,7 +35,7 @@ __all__ = [
     "save_weights",
     "REGISTRY", "FormulationSpec", "GroupElementSL2", "ProblemSpec",
     "get_problem", "sl2_moving_frame",
-    "Trajectory", "erf", "exact_eval",
+    "erf", "exact_eval",
     "AdamState", "LossBreakdown", "TrainConfig", "adam_step",
     "invariant_loss", "loss_and_grad", "sample_collocation", "train",
     "vanilla_loss",

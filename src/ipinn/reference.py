@@ -1,17 +1,12 @@
-"""Reference machinery: the oscillator's RK4 trajectory, the error function,
-exact solutions.
+"""Reference machinery: the error function and the exact solutions.
 
-The driven-oscillator reference is classical fixed-step RK4, computed on
-Python floats by `_oscillator_rk4`; the tests check it bit for bit against a
-generic array integrator applied to the same right-hand side.
+The driven oscillator's exact solution is two quadratures, which
+`oscillator_reference` sums by fixed-panel Gauss-Legendre.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from array import array
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -22,18 +17,11 @@ from .autodiff import DomainError
 OSCILLATOR_FORCING_EXPONENT = 0.99
 OSCILLATOR_INTERVAL = (0.0, 10.0)
 OSCILLATOR_INITIAL_STATE = (1.0, 1.0)  # (u, u_t) at t = 0
-OSCILLATOR_REFERENCE_STEPS = 100_000
+GAUSS_NODES = 32  # per panel of the oscillator reference's quadrature
+GAUSS_PANELS = 500
 EXPONENTIAL_SHIFT = math.exp(-5.0)
 SYSTEM_GAUSS_SCALE = 1.0 / (math.sqrt(2.0 / math.pi) * math.exp(-0.5))
 SYSTEM_DRIFT = 1.0 - SYSTEM_GAUSS_SCALE * math.erf(1.0 / math.sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Times and states of a fixed-step integration, endpoints included."""
-
-    times: np.ndarray
-    states: np.ndarray
 
 
 _erf_scalar = np.frompyfunc(math.erf, 1, 1)
@@ -48,55 +36,38 @@ def erf(x):
     return out
 
 
-def _oscillator_rk4(n_steps: int) -> Trajectory:
-    """Classical RK4 for u'' + u = sin(t^a) from `OSCILLATOR_INITIAL_STATE`
-    on `OSCILLATOR_INTERVAL` with `n_steps` fixed steps.
+def oscillator_reference(t: np.ndarray) -> np.ndarray:
+    """Exact state (u, u_t) of u'' + u = sin(t^a) from `OSCILLATOR_INITIAL_STATE`,
+    one row per time of the 1-D t, by variation of parameters:
+    u = u0 cos t + v0 sin t + sin t C - cos t S, where C, S = int_0^t (cos s,
+    sin s) sin(s^a) ds are the invariant formulation's own unknowns.
 
-    Each step does the float operations of a generic RK4 on the state vector
-    (u, u'), in its order, on Python floats instead of 2-element arrays, so
-    the result is the same bit for bit.  The forcing uses float `**` and
-    `math.sin` (libm): numpy's vectorized power and sine round differently
-    at some points.  The times are read through a memoryview and the states
-    appended to one `array("d")` buffer, so no Python object per step
-    outlives its step.  Both arrays are read-only, so no caller can change
-    the cached `oscillator_reference()` for the rest of the process.
+    C and S sum `GAUSS_NODES`-point Gauss-Legendre over the `GAUSS_PANELS`
+    fixed panels below t and one partial panel up to t, so a time's value does
+    not depend on the other times asked.  Times are clipped into the interval
+    (s^a is nan for s < 0); a nan time sorts into the last panel and gives nan.
     """
     lo, hi = OSCILLATOR_INTERVAL
-    a = OSCILLATOR_FORCING_EXPONENT
-    sin = math.sin
-    times = np.linspace(lo, hi, n_steps + 1)
-    h = (hi - lo) / n_steps
-    hh = 0.5 * h
-    h6 = h / 6.0
-    y0, y1 = OSCILLATOR_INITIAL_STATE
-    states = array("d", (y0, y1))
-    for t in memoryview(times)[:-1]:
-        k1a = y1
-        k1b = -y0 + sin(t ** a)
-        s = sin((t + hh) ** a)
-        k2a = y1 + hh * k1b
-        k2b = -(y0 + hh * k1a) + s
-        k3a = y1 + hh * k2b
-        k3b = -(y0 + hh * k2a) + s
-        k4a = y1 + h * k3b
-        k4b = -(y0 + h * k3a) + sin((t + h) ** a)
-        y0 = y0 + h6 * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        y1 = y1 + h6 * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-        states.append(y0)
-        states.append(y1)
-    states = np.frombuffer(states).reshape(-1, 2)
-    times.flags.writeable = False
-    states.flags.writeable = False
-    return Trajectory(times, states)
+    u0, v0 = OSCILLATOR_INITIAL_STATE
+    t = np.clip(np.asarray(t, dtype=float), lo, hi)
+    # numpy loads np.polynomial on first use, so `import ipinn` does not pay for it
+    nodes, weights = np.polynomial.legendre.leggauss(GAUSS_NODES)
 
+    def quadrature(a, b):
+        """(C, S) over [a, b] for each pair of panel ends."""
+        half = 0.5 * (b - a)[:, None]
+        s = 0.5 * (a + b)[:, None] + half * nodes
+        f = half * weights * np.sin(s ** OSCILLATOR_FORCING_EXPONENT)
+        return (np.cos(s) * f).sum(axis=1), (np.sin(s) * f).sum(axis=1)
 
-@functools.lru_cache(maxsize=1)
-def oscillator_reference() -> Trajectory:
-    """Dense RK4 trajectory used as the reference for the driven oscillator.
-
-    `_oscillator_rk4` with `OSCILLATOR_REFERENCE_STEPS` steps.
-    """
-    return _oscillator_rk4(OSCILLATOR_REFERENCE_STEPS)
+    edges = np.linspace(lo, hi, GAUSS_PANELS + 1)
+    to_edge = np.zeros((2, GAUSS_PANELS))  # (C, S) at each panel's left edge
+    np.cumsum(quadrature(edges[:-2], edges[1:-1]), axis=1, out=to_edge[:, 1:])
+    panel = np.minimum(np.searchsorted(edges, t, side="right") - 1, GAUSS_PANELS - 1)
+    big_c, big_s = to_edge[:, panel] + quadrature(edges[panel], t)
+    cos, sin = np.cos(t), np.sin(t)
+    return np.stack([u0 * cos + v0 * sin + sin * big_c - cos * big_s,
+                     -u0 * sin + v0 * cos + cos * big_c + sin * big_s], axis=-1)
 
 
 def _exact_schwarz(t: np.ndarray) -> np.ndarray:
@@ -113,8 +84,7 @@ def _exact_oscillator(t: np.ndarray) -> np.ndarray:
     lo, hi = OSCILLATOR_INTERVAL
     if np.any(t < lo - 1e-9) or np.any(t > hi + 1e-9):
         raise DomainError("oscillator reference covers [0, 10] only")
-    traj = oscillator_reference()
-    return np.interp(t, traj.times, traj.states[:, 0])[:, None]
+    return oscillator_reference(t)[:, :1]
 
 
 def _exact_exponential(t: np.ndarray) -> np.ndarray:
@@ -144,7 +114,7 @@ _EXACT: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 
 def exact_eval(problem_name: str, t):
-    """Exact (or dense-reference) solution components at the given times.
+    """Exact solution components at the given times.
 
     Array input yields shape (n, n_components); scalar input yields a float
     for single-component problems and a (n_components,) array otherwise.

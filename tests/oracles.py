@@ -11,10 +11,11 @@ that train.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from ipinn.reference import OSCILLATOR_FORCING_EXPONENT, Trajectory
+from ipinn.reference import OSCILLATOR_FORCING_EXPONENT
 
 FD_STEP = 0.01
 
@@ -211,6 +212,13 @@ def exponential_solution_jets(t: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the generic fixed-step integrator
 # ---------------------------------------------------------------------------
+
+
+class Trajectory(NamedTuple):
+    """Times and states of a fixed-step integration, endpoints included."""
+
+    times: np.ndarray
+    states: np.ndarray
 
 
 def rk4_solve(f, y0, interval, n_steps: int) -> Trajectory:

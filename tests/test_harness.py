@@ -705,6 +705,33 @@ def test_import_leaves_the_worker_pool_unloaded():
     assert out.split() == ["False", "False"]
 
 
+# what perfbench's gradient check does in its own process, then the oscillator
+# reference at the grid, the interval's ends and beyond them, and a nan time
+_QUIET_PROCESS = """
+import numpy as np, ipinn
+for name in ipinn.REGISTRY:
+    problem = ipinn.get_problem(name)
+    for kind in ("invariant", "vanilla"):
+        spec = problem.formulation(kind)
+        layout = ipinn.MlpLayout(output_dim=spec.output_dim)
+        flat = ipinn.init_mlp(layout, 0).flat
+        points = ipinn.sample_collocation(spec.interval, 50, 0)
+        ipinn.loss_and_grad(ipinn.ParamSet.from_flat(layout, flat), spec, points,
+                            problem.alpha_ic)
+        loss = ipinn.invariant_loss if kind == "invariant" else ipinn.vanilla_loss
+        loss(ipinn.ParamSet.from_flat(layout, flat), problem, points, problem.alpha_ic)
+ipinn.exact_eval("oscillator", np.linspace(0.0, 10.0, 500))
+ipinn.exact_eval("oscillator", np.array([-5e-10, 0.0, 10.0, 10.0 + 5e-10, np.nan]))
+"""
+
+
+def test_library_calls_print_nothing():
+    """Importing ipinn, its losses and gradients and the oscillator reference
+    write nothing to stdout or stderr, at import, at call time or at exit."""
+    done = _python(["-c", _QUIET_PROCESS], check=False)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
 def test_parallel_run_matches_serial_run(tmp_path):
     """ipinn run --jobs 2 and --jobs 1 write the same canonical reports."""
     args = ["-m", "ipinn", "run", "--problem", "logistic", "--formulation", "both",

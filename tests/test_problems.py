@@ -415,7 +415,7 @@ def test_intervals_and_initial_conditions():
 EXACT_INITIAL_JETS = {
     "schwarz": lambda: [oracles.tan_jets(np.array(0.0))],
     "logistic": lambda: [oracles.logistic_jets(np.array(0.0))],
-    "oscillator": lambda: [reference.oscillator_reference().states[0]],
+    "oscillator": lambda: [reference.oscillator_reference(np.zeros(1))[0]],
     "exponential": lambda: [oracles.exponential_solution_jets(np.array(0.0))],
     "system": lambda: get_problem("system").exact(np.array([0.0])).T,
 }

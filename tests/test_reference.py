@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +16,6 @@ from ipinn.reference import (
     EXPONENTIAL_SHIFT,
     OSCILLATOR_FORCING_EXPONENT,
     OSCILLATOR_INTERVAL,
-    OSCILLATOR_REFERENCE_STEPS,
-    _oscillator_rk4,
     erf,
     exact_eval,
     oscillator_reference,
@@ -56,50 +53,46 @@ def test_rk4_input_validation():
 
 
 # ---------------------------------------------------------------------------
-# oscillator reference: the float RK4 against the generic integrator
+# oscillator reference: the quadrature of the variation-of-parameters solution
 # ---------------------------------------------------------------------------
 
-
-def _generic_oscillator(n_steps: int):
-    return rk4_solve(oscillator_rhs, [1.0, 1.0], OSCILLATOR_INTERVAL, n_steps)
+GRID = np.linspace(0.0, 10.0, 500)
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 4095, 4096, 4097, 12293])
-def test_float_oscillator_rk4_is_bitwise_generic_rk4(n_steps):
-    got = _oscillator_rk4(n_steps)
-    want = _generic_oscillator(n_steps)
-    assert got.states.shape == (n_steps + 1, 2)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.states, want.states)
+def test_oscillator_reference_is_a_value_per_time():
+    """A time's value does not depend on which other times are asked."""
+    grid = exact_eval("oscillator", GRID)[:, 0]
+    for i in (0, 1, 137, 250, 498, 499):
+        assert np.array_equal(exact_eval("oscillator", GRID[i]), grid[i])
+    perm = np.random.default_rng(0).permutation(GRID.size)
+    assert np.array_equal(oscillator_reference(GRID[perm]), oscillator_reference(GRID)[perm])
 
 
-def test_oscillator_reference_is_bitwise_generic_rk4():
-    got = oscillator_reference()
-    want = _generic_oscillator(OSCILLATOR_REFERENCE_STEPS)
-    assert np.array_equal(got.times, want.times)
-    assert np.array_equal(got.states, want.states)
+def test_oscillator_reference_edge_times():
+    ends = exact_eval("oscillator", np.array([0.0, 10.0]))
+    assert np.array_equal(exact_eval("oscillator", np.array([-5e-10, 10.0 + 5e-10])), ends)
+    assert math.isnan(exact_eval("oscillator", math.nan))
+    assert exact_eval("oscillator", np.array([])).shape == (0, 1)
 
 
-def test_cached_oscillator_reference_is_read_only():
-    """A caller cannot write into the one cached trajectory."""
-    traj = oscillator_reference()
-    with pytest.raises(ValueError):
-        traj.states[:, 0] *= 2
-    with pytest.raises(ValueError):
-        traj.times[0] = 1.0
-    assert exact_eval("oscillator", 0.0) == 1.0
+def test_oscillator_reference_matches_dop853():
+    """Against scipy's DOP853 at rtol = atol = 1e-13, on the grid and at t = 10 alone."""
+    sol = scipy.integrate.solve_ivp(oscillator_rhs, OSCILLATOR_INTERVAL, [1.0, 1.0],
+                                    method="DOP853", t_eval=GRID, rtol=1e-13, atol=1e-13)
+    assert sol.success
+    assert np.abs(oscillator_reference(GRID) - sol.y.T).max() < 1e-10
+    assert np.abs(oscillator_reference(np.array([10.0]))[0] - sol.y[:, -1]).max() < 1e-10
 
 
-def test_float_oscillator_rk4_memory_peak():
-    # the output arrays take 2.4 MB; one Python object per step would add
-    # about 11 MB more
-    tracemalloc.start()
-    try:
-        _oscillator_rk4(OSCILLATOR_REFERENCE_STEPS)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+def test_oscillator_reference_satisfies_its_equation():
+    """u_t is the derivative of u, and u'' + u = sin(t^a) with u'' from u_t,
+    by central differences away from t = 0, where sin(t^a) is not smooth."""
+    a = OSCILLATOR_FORCING_EXPONENT
+    for t0 in (0.5, 2.0, 4.7, 7.3, 9.5):
+        u, u1, _, _ = oracles.fd_derivatives(lambda s: oscillator_reference([s])[0, 0], t0)
+        v, v1, _, _ = oracles.fd_derivatives(lambda s: oscillator_reference([s])[0, 1], t0)
+        assert abs(u1 - v) < 1e-8
+        assert abs(v1 + u - math.sin(t0 ** a)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
