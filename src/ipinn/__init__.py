@@ -15,11 +15,11 @@ import os
 # this when it loads, so it must be set before anything below imports numpy.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .autodiff import AdjointGraph, DomainError
+from .autodiff import AdjointGraph
 from .network import (MlpJets, MlpLayout, ParamSet, init_mlp, load_weights,
                       mlp_values, save_weights)
-from .problems import (REGISTRY, FormulationSpec, GroupElementSL2, ProblemSpec,
-                       get_problem, sl2_moving_frame)
+from .problems import (REGISTRY, DomainError, FormulationSpec, GroupElementSL2,
+                       ProblemSpec, get_problem, sl2_moving_frame)
 from .reference import erf, exact_eval
 from .training import (AdamState, LossBreakdown, TrainConfig, adam_step,
                        invariant_loss, loss_and_grad, sample_collocation,

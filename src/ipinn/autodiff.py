@@ -1,4 +1,4 @@
-"""A reverse-mode tape over plain arrays, and the domain error of the residuals.
+"""A reverse-mode tape over plain arrays.
 
 The tape (`AdjointGraph`) records plain arithmetic on ndarrays of shape
 (batch,) or ().  Residuals read network output coefficients as plain leaves
@@ -23,10 +23,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-
-
-class DomainError(ValueError):
-    """A residual, reference or group action was evaluated outside its domain."""
 
 
 class Node:

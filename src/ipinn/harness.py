@@ -12,9 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .autodiff import DomainError
 from .network import ParamSet, mlp_values, save_weights
-from .problems import FORMULATIONS, REGISTRY, ProblemSpec, get_problem
+from .problems import FORMULATIONS, REGISTRY, DomainError, ProblemSpec, get_problem
 from .training import TrainConfig, train
 
 EVAL_GRID_POINTS = 500

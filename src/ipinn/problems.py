@@ -1,6 +1,7 @@
 """Benchmark problems: the SL(2) moving frame, residual builders, reconstructions.
 
-Each problem carries two trainable formulations, named in `FORMULATIONS`.
+Each problem is stated in one `*_spec` function: its exact solution and two
+trainable formulations, named in `FORMULATIONS`.
 The vanilla one puts the original equation residual on the network outputs.
 The invariant one trains the invariantized equation together with the
 first-order reconstruction system for the left moving frame, and maps frame
@@ -8,7 +9,7 @@ trajectories back to the original unknowns through `reconstruct`.  A
 formulation states only its residual, its ICs and its map back; its output
 count and derivative order are worked out from them.  Each problem names its
 initial state once; its invariant ICs are that state's frame, the inverse of
-`reconstruct`.
+`reconstruct`; its exact solution reads that same state.
 """
 
 from __future__ import annotations
@@ -20,10 +21,15 @@ from typing import Callable
 import numpy as np
 
 from . import reference
-from .autodiff import AdjointGraph, DomainError, Node
+from .autodiff import AdjointGraph, Node
 from .network import JET_ORDER
 
 FORMULATIONS = ("invariant", "vanilla")
+
+
+class DomainError(ValueError):
+    """A residual, exact solution or group action was evaluated outside its domain."""
+
 
 # ---------------------------------------------------------------------------
 # SL(2, R) acting on the dependent variable by Mobius maps
@@ -131,18 +137,17 @@ class FormulationSpec:
 class ProblemSpec:
     """A benchmark equation with its two trainable formulations.
 
-    alpha_ic is the initial-condition weight the benchmark protocol uses for
-    this problem's cells; it stays overridable per run.
+    exact(t) is the solution at the 1-D array t, one column per component; it
+    raises DomainError where that is undefined.  alpha_ic is the initial-condition
+    weight the benchmark protocol uses for this problem's cells; it stays
+    overridable per run.
     """
 
     name: str
     vanilla: FormulationSpec
     invariant: FormulationSpec
+    exact: Callable[[np.ndarray], np.ndarray]
     alpha_ic: float = 1.0
-
-    def exact(self, t: np.ndarray) -> np.ndarray:
-        """The exact solution at t, one column per component."""
-        return reference.exact_eval(self.name, t)
 
     def formulation(self, kind: str) -> FormulationSpec:
         if kind not in FORMULATIONS:
@@ -175,6 +180,11 @@ def schwarz_spec() -> ProblemSpec:
     def reconstruct(x, outputs):
         return x, (outputs[:, 1] / outputs[:, 3])[:, None]
 
+    def exact(t):
+        if np.any(np.abs(t - 0.5 * np.pi) < 1e-9):
+            raise DomainError("solution is unbounded at pi/2")
+        return np.tan(t)[:, None]
+
     # The invariant ICs are the left frame (a, b, c, d) at the initial jet
     # (u, u_t, u_tt)(0); "+ 0.0" turns the frame's -0.0 entries into 0.0.
     u0, ut0, utt0 = 0.0, 1.0, 0.0
@@ -188,6 +198,7 @@ def schwarz_spec() -> ProblemSpec:
                                 ics=((0, 0, u0), (0, 1, ut0), (0, 2, utt0))),
         invariant=FormulationSpec(interval=interval, residual=invariant_residual,
                                   ics=frame_ics, reconstruct=reconstruct),
+        exact=exact,
     )
 
 
@@ -211,6 +222,10 @@ def logistic_spec() -> ProblemSpec:
 
     interval = (0.0, math.pi)
     t0, u0 = interval[0], 0.5
+
+    def exact(t):
+        return (1.0 / (1.0 + (1.0 - u0) / u0 * np.exp(t0 - t)))[:, None]
+
     return ProblemSpec(
         name="logistic",
         vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
@@ -218,6 +233,7 @@ def logistic_spec() -> ProblemSpec:
         invariant=FormulationSpec(interval=interval, residual=invariant_residual,
                                   ics=((0, 0, (1.0 / u0 - 1.0) * math.exp(t0)),),
                                   reconstruct=reconstruct),
+        exact=exact,
     )
 
 
@@ -228,7 +244,7 @@ def oscillator_spec() -> ProblemSpec:
     unknowns are the slowly varying coefficients of sin t and cos t, driven
     directly by the forcing.  Both sets of ICs read
     `reference.OSCILLATOR_INITIAL_STATE`, the invariant ones through the frame
-    at t = 0.
+    at t = 0, and so does the exact solution, `reference.oscillator_reference`.
     """
     a = reference.OSCILLATOR_FORCING_EXPONENT
 
@@ -252,6 +268,12 @@ def oscillator_spec() -> ProblemSpec:
     interval = reference.OSCILLATOR_INTERVAL
     t0 = interval[0]
     u0, ut0 = reference.OSCILLATOR_INITIAL_STATE
+
+    def exact(t):
+        if np.any(t < interval[0] - 1e-9) or np.any(t > interval[1] + 1e-9):
+            raise DomainError("oscillator reference covers [0, 10] only")
+        return reference.oscillator_reference(t)[:, :1]
+
     return ProblemSpec(
         name="oscillator",
         vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
@@ -260,6 +282,7 @@ def oscillator_spec() -> ProblemSpec:
                                   ics=((0, 0, u0 * math.sin(t0) + ut0 * math.cos(t0)),
                                        (1, 0, u0 * math.cos(t0) - ut0 * math.sin(t0))),
                                   reconstruct=reconstruct),
+        exact=exact,
     )
 
 
@@ -274,7 +297,9 @@ def exponential_spec() -> ProblemSpec:
     the interval end t_end maps to H = log(1 + t_end e^{-eps(0)}).
     """
     interval = (0.0, 2.0)
-    u0, ut0 = -5.0 * reference.EXPONENTIAL_SHIFT, -5.0
+    ut0 = -5.0
+    shift = math.exp(ut0)  # the solution (t + shift) log(t + shift) - t has u_t(0) = ut0
+    u0 = ut0 * shift
     eps0, inv0 = ut0, u0 * math.exp(-ut0)
     h_final = math.log(1.0 + interval[1] * math.exp(-eps0))
 
@@ -294,6 +319,12 @@ def exponential_spec() -> ProblemSpec:
         u = growth * (outputs[:, 0] + outputs[:, 1] * spread)
         return t, u[:, None]
 
+    def exact(t):
+        base = t + shift
+        if np.any(base <= 0.0):
+            raise DomainError("logarithm argument must stay positive")
+        return (base * np.log(base) - t)[:, None]
+
     return ProblemSpec(
         name="exponential",
         vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
@@ -301,6 +332,7 @@ def exponential_spec() -> ProblemSpec:
         invariant=FormulationSpec(interval=(0.0, h_final), residual=invariant_residual,
                                   ics=((0, 0, inv0), (1, 0, eps0)),
                                   reconstruct=reconstruct, x_name="H"),
+        exact=exact,
     )
 
 
@@ -334,6 +366,17 @@ def system_spec() -> ProblemSpec:
 
     interval = (0.0, 2.0)
     t0, u0, v0 = interval[0], 1.0, 1.0
+    # the exact solution's weights, fitted to u(0) and v(0)
+    c = u0 / (math.sqrt(2.0 / math.pi) * math.exp(-0.5))
+    k = v0 - c * math.erf(1.0 / math.sqrt(2.0))
+
+    def exact(t):
+        bump = np.sqrt(2.0 / np.pi) * np.exp(-0.5 * (t + 1.0) ** 2)
+        ramp = reference.erf((t + 1.0) / np.sqrt(2.0))
+        u = c * bump + c * t * ramp + k * t
+        v = c * ramp + k
+        return np.stack([u, v], axis=-1)
+
     return ProblemSpec(
         name="system",
         vanilla=FormulationSpec(interval=interval, residual=vanilla_residual,
@@ -341,6 +384,7 @@ def system_spec() -> ProblemSpec:
         invariant=FormulationSpec(interval=interval, residual=invariant_residual,
                                   ics=((0, 0, u0 - t0 * v0), (1, 0, v0)),
                                   reconstruct=reconstruct),
+        exact=exact,
         alpha_ic=10.0,
     )
 

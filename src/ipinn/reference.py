@@ -1,4 +1,5 @@
-"""Reference machinery: the error function and the exact solutions.
+"""Reference machinery: the error function, the oscillator's quadrature, and
+`exact_eval`, which reaches the exact solution a problem's `*_spec` states.
 
 The driven oscillator's exact solution is two quadratures, which
 `oscillator_reference` sums by fixed-panel Gauss-Legendre.
@@ -7,21 +8,15 @@ The driven oscillator's exact solution is two quadratures, which
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 import numpy as np
 
-from .autodiff import DomainError
-
-# constants shared with the problem definitions (single source of truth)
+# constants shared with the oscillator's problem definition (single source of truth)
 OSCILLATOR_FORCING_EXPONENT = 0.99
 OSCILLATOR_INTERVAL = (0.0, 10.0)
 OSCILLATOR_INITIAL_STATE = (1.0, 1.0)  # (u, u_t) at t = 0
 GAUSS_NODES = 32  # per panel of the oscillator reference's quadrature
 GAUSS_PANELS = 500
-EXPONENTIAL_SHIFT = math.exp(-5.0)
-SYSTEM_GAUSS_SCALE = 1.0 / (math.sqrt(2.0 / math.pi) * math.exp(-0.5))
-SYSTEM_DRIFT = 1.0 - SYSTEM_GAUSS_SCALE * math.erf(1.0 / math.sqrt(2.0))
 
 
 _erf_scalar = np.frompyfunc(math.erf, 1, 1)
@@ -70,60 +65,21 @@ def oscillator_reference(t: np.ndarray) -> np.ndarray:
                      -u0 * sin + v0 * cos + cos * big_c + sin * big_s], axis=-1)
 
 
-def _exact_schwarz(t: np.ndarray) -> np.ndarray:
-    if np.any(np.abs(t - 0.5 * np.pi) < 1e-9):
-        raise DomainError("solution is unbounded at pi/2")
-    return np.tan(t)[:, None]
-
-
-def _exact_logistic(t: np.ndarray) -> np.ndarray:
-    return (1.0 / (1.0 + np.exp(-t)))[:, None]
-
-
-def _exact_oscillator(t: np.ndarray) -> np.ndarray:
-    lo, hi = OSCILLATOR_INTERVAL
-    if np.any(t < lo - 1e-9) or np.any(t > hi + 1e-9):
-        raise DomainError("oscillator reference covers [0, 10] only")
-    return oscillator_reference(t)[:, :1]
-
-
-def _exact_exponential(t: np.ndarray) -> np.ndarray:
-    base = t + EXPONENTIAL_SHIFT
-    if np.any(base <= 0.0):
-        raise DomainError("logarithm argument must stay positive")
-    return (base * np.log(base) - t)[:, None]
-
-
-def _exact_system(t: np.ndarray) -> np.ndarray:
-    c = SYSTEM_GAUSS_SCALE
-    k = SYSTEM_DRIFT
-    bump = np.sqrt(2.0 / np.pi) * np.exp(-0.5 * (t + 1.0) ** 2)
-    ramp = erf((t + 1.0) / np.sqrt(2.0))
-    u = c * bump + c * t * ramp + k * t
-    v = c * ramp + k
-    return np.stack([np.asarray(u), np.asarray(v)], axis=-1)
-
-
-_EXACT: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "schwarz": _exact_schwarz,
-    "logistic": _exact_logistic,
-    "oscillator": _exact_oscillator,
-    "exponential": _exact_exponential,
-    "system": _exact_system,
-}
-
-
 def exact_eval(problem_name: str, t):
-    """Exact solution components at the given times.
+    """`get_problem(problem_name).exact` at a scalar or 1-D array t.
 
     Array input yields shape (n, n_components); scalar input yields a float
     for single-component problems and a (n_components,) array otherwise.
+    Input of two or more dimensions raises ValueError.
     """
-    if problem_name not in _EXACT:
-        raise ValueError(f"unknown problem {problem_name!r}")
+    from .problems import get_problem  # problems imports this module
+
+    problem = get_problem(problem_name)
     arr = np.asarray(t, dtype=float)
-    scalar = arr.ndim == 0
-    out = _EXACT[problem_name](np.atleast_1d(arr))
-    if scalar:
+    if arr.ndim > 1:
+        raise ValueError(f"exact_eval takes a scalar or a 1-D array of times, "
+                         f"not shape {arr.shape}")
+    out = problem.exact(np.atleast_1d(arr))
+    if arr.ndim == 0:
         return float(out[0, 0]) if out.shape[1] == 1 else out[0]
     return out

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AdjointGraph, DomainError, Node
+from .autodiff import AdjointGraph, Node
 from .network import MlpJets, MlpLayout, ParamSet, init_mlp
-from .problems import FORMULATIONS, FormulationSpec, ProblemSpec
+from .problems import FORMULATIONS, DomainError, FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999

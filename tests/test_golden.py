@@ -8,6 +8,10 @@ moves at least one of these numbers; a pure refactor moves none.
 Regenerate the file (and say why in CHANGES.md) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+A recorded cell whose status matches and whose numbers pass `_close` is kept
+as it is, so only the cells that moved are rewritten, and regenerating on an
+unchanged tree leaves the file byte-identical.
 """
 
 from __future__ import annotations
@@ -72,8 +76,18 @@ def test_cell_matches_golden_fingerprint(golden, problem, formulation):
         assert _close(got[key], want[key]), (key, got[key], want[key])
 
 
+def _matches(got: dict, want: dict) -> bool:
+    return got["status"] == want["status"] and all(
+        _close(got[key], want[key]) for key in ("mse", "mse_summary", "final_loss"))
+
+
 if __name__ == "__main__":
-    cells = {f"{p}-{f}": fingerprint(p, f) for p, f in PAIRS}
+    recorded = json.loads(GOLDEN_PATH.read_text())["cells"] if GOLDEN_PATH.exists() else {}
+    cells = {}
+    for p, f in PAIRS:
+        name, got = f"{p}-{f}", fingerprint(p, f)
+        want = recorded.get(name)
+        cells[name] = want if want and _matches(got, want) else got
     with open(GOLDEN_PATH, "w") as fh:
         json.dump({"config": {"epochs": GOLDEN_EPOCHS,
                               "n_collocation": GOLDEN_COLLOCATION,

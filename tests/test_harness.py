@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 import ipinn
-from ipinn import harness, reference
-from ipinn.autodiff import DomainError
+from ipinn import harness, problems
 from ipinn.cli import build_parser, main, parse_seeds
 from ipinn.harness import (
     EVAL_GRID_POINTS,
@@ -39,7 +38,7 @@ from ipinn.harness import (
     format_summary,
 )
 from ipinn.network import MlpLayout, init_mlp, save_weights
-from ipinn.problems import get_problem
+from ipinn.problems import REGISTRY, DomainError, get_problem
 from ipinn.training import TrainConfig
 
 TINY = TrainConfig(epochs=2, n_collocation=10, seed=0)
@@ -229,7 +228,7 @@ def test_exact_solution_domain_error_is_a_failed_evaluation(monkeypatch):
     def undefined(t):
         raise DomainError("solution is undefined there")
 
-    monkeypatch.setitem(reference._EXACT, "schwarz", undefined)
+    monkeypatch.setitem(problems.REGISTRY, "schwarz", replace(REGISTRY["schwarz"], exact=undefined))
     report = _schwarz_invariant_report([1.0, 0.5, 0.0, 1.0])
     assert report.status == "failed-eval"
     assert report.message == "evaluation failed: solution is undefined there"
@@ -706,7 +705,8 @@ def test_import_leaves_the_worker_pool_unloaded():
 
 
 # what perfbench's gradient check does in its own process, then the oscillator
-# reference at the grid, the interval's ends and beyond them, and a nan time
+# reference at the grid, the interval's ends and beyond them, and a nan time,
+# and each problem's exact solution by name
 _QUIET_PROCESS = """
 import numpy as np, ipinn
 for name in ipinn.REGISTRY:
@@ -722,6 +722,8 @@ for name in ipinn.REGISTRY:
         loss(ipinn.ParamSet.from_flat(layout, flat), problem, points, problem.alpha_ic)
 ipinn.exact_eval("oscillator", np.linspace(0.0, 10.0, 500))
 ipinn.exact_eval("oscillator", np.array([-5e-10, 0.0, 10.0, 10.0 + 5e-10, np.nan]))
+for name in ipinn.REGISTRY:
+    ipinn.exact_eval(name, np.linspace(0.0, 1.0, 50))
 """
 
 

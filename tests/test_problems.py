@@ -12,10 +12,10 @@ import scipy.special
 import checks
 import oracles
 from ipinn import reference
-from ipinn.autodiff import AdjointGraph, DomainError
+from ipinn.autodiff import AdjointGraph
 from ipinn.network import JET_ORDER, MlpJets, MlpLayout, init_mlp
-from ipinn.problems import (REGISTRY, FormulationSpec, GroupElementSL2, get_problem,
-                            sl2_moving_frame)
+from ipinn.problems import (REGISTRY, DomainError, FormulationSpec, GroupElementSL2,
+                            get_problem, sl2_moving_frame)
 from ipinn.training import _output_leaves
 from oracles import schwarzian, sl2_compose, sl2_matrix, sl2_prolong
 

@@ -11,9 +11,8 @@ import scipy.special
 
 import checks
 import oracles
-from ipinn.autodiff import DomainError
+from ipinn.problems import REGISTRY, DomainError, get_problem
 from ipinn.reference import (
-    EXPONENTIAL_SHIFT,
     OSCILLATOR_FORCING_EXPONENT,
     OSCILLATOR_INTERVAL,
     erf,
@@ -142,7 +141,7 @@ def test_exact_logistic_satisfies_its_equation():
 def test_exact_exponential_value_and_quadrature():
     got = exact_eval("exponential", 2.0)
     assert abs(got - (-0.602285965657908)) < 1e-12
-    c1 = EXPONENTIAL_SHIFT
+    c1 = math.exp(-5.0)  # u_t = log(t + c1) and u_t(0) = -5
     quad, _ = scipy.integrate.quad(lambda s: math.log(s + c1), 0.0, 2.0)
     assert abs(got - (quad + c1 * math.log(c1))) < 1e-7
 
@@ -197,3 +196,12 @@ def test_exact_eval_shapes_and_unknown_name():
     assert single.shape == (2,)
     with pytest.raises(ValueError):
         exact_eval("pendulum", 0.0)
+    grid = np.linspace(0.0, 1.0, 7)
+    for name in REGISTRY:
+        assert np.array_equal(exact_eval(name, grid), get_problem(name).exact(grid))
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_exact_eval_rejects_arrays_of_two_or_more_dimensions(name):
+    with pytest.raises(ValueError, match=r"not shape \(2, 3\)"):
+        exact_eval(name, np.full((2, 3), 0.5))

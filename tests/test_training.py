@@ -13,10 +13,9 @@ import pytest
 
 import oracles
 from ipinn import harness, training
-from ipinn.autodiff import DomainError
 from ipinn.harness import run_cell
 from ipinn.network import MlpJets, MlpLayout, ParamSet, init_mlp
-from ipinn.problems import REGISTRY, get_problem
+from ipinn.problems import REGISTRY, DomainError, get_problem
 from ipinn.training import (
     ADAM_EPSILON,
     AdamState,
