@@ -58,14 +58,29 @@ with six digests:
 
 Run it on this tree, or compare this tree with another source tree:
 
-    python3 scripts/fingerprint.py                 # print the lines
-    python3 scripts/fingerprint.py --against TREE  # print `same`, or the diff
+    python3 scripts/fingerprint.py                        # print the lines
+    python3 scripts/fingerprint.py --against TREE         # print `same`, or the diff
+    python3 scripts/fingerprint.py --against TREE --time  # the same, then the timing
 
 `--against` runs this script in two fresh processes, one importing this
 tree's `src` and one importing TREE's `src` (`--src DIR` picks the package
 directory to fingerprint).  It prints `same` and exits 0 when every line
 matches, else the differing lines as a unified diff and exits 1.  A tree the
 script cannot import or run is an error naming the tree and the fault (exit 2).
+
+`--time` then times an epoch on both trees.  It runs `TIME_PROCS` fresh
+processes per tree, one at a time, alternating between the trees.  Each
+imports `ipinn` from its tree's `src` and runs `train` `TIME_REPEATS` times
+on each `TIME_PAIRS` pair (orders 1, 2 and 3), with seed 0, `TIME_EPOCHS`
+epochs and `TIME_POINTS` points, keeping the fastest.  A run's ms per epoch
+is its wall time over the epochs it ran.  For each pair it prints min /
+median / max ms per epoch on TREE and on this tree, then the ratio of the
+medians (this tree over TREE) with the range of the ratios of the
+`TIME_PROCS` process pairs.  The exit status stays the comparison's: a
+timing that cannot run is reported on stderr and fails nothing.  Without
+`--against`, `--time` prints one process's JSON line of
+[problem, formulation, order, ms per epoch] per pair, the line each timing
+process prints.
 """
 
 from __future__ import annotations
@@ -74,13 +89,21 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIME_PAIRS = (("logistic", "invariant"), ("oscillator", "vanilla"), ("schwarz", "vanilla"))
+TIME_PROCS = 6
+TIME_REPEATS = 3
+TIME_EPOCHS = 400
+TIME_POINTS = 200
 
 
 def _args() -> argparse.Namespace:
@@ -91,16 +114,20 @@ def _args() -> argparse.Namespace:
                       help="compare with the source tree TREE")
     mode.add_argument("--src", metavar="DIR", type=Path, default=ROOT / "src",
                       help="the directory holding the ipinn package (default: this tree's)")
+    parser.add_argument("--time", action="store_true",
+                        help="with --against, then time an epoch on both trees; "
+                        "alone, print one process's ms per epoch as JSON")
     return parser.parse_args()
 
 
-def _run_on(tree: Path) -> list[str]:
-    """This script's lines on `tree`'s src, from a fresh process; RuntimeError
-    naming the tree and the fault if the script cannot import or run there."""
+def _run_on(tree: Path, *options: str) -> list[str]:
+    """This script's lines on `tree`'s src with `options`, from a fresh
+    process; RuntimeError naming the tree and the fault if the script cannot
+    import or run there."""
     src = tree / "src"
     if not (src / "ipinn" / "__init__.py").is_file():
         raise RuntimeError(f"{tree}: no ipinn package in {src}")
-    done = subprocess.run([sys.executable, __file__, "--src", str(src)],
+    done = subprocess.run([sys.executable, __file__, "--src", str(src), *options],
                           capture_output=True, text=True)
     if done.returncode != 0:
         fault = (done.stderr.strip().splitlines() or [f"exit {done.returncode}"])[-1]
@@ -125,14 +152,46 @@ def compare(tree: Path) -> int:
     return 1
 
 
+def _spread(values: list[float]) -> str:
+    return " / ".join(f"{v:.2f}" for v in (min(values), statistics.median(values), max(values)))
+
+
+def time_trees(tree: Path) -> None:
+    """Print the `--time` table of TREE against this tree, or on stderr why a
+    timing process could not run."""
+    trees = (tree.resolve(), ROOT)
+    runs = ([], [])  # per tree, one `time_line` per process
+    try:
+        for proc in range(TIME_PROCS):
+            for side in ((0, 1) if proc % 2 == 0 else (1, 0)):
+                runs[side].append(json.loads(_run_on(trees[side], "--time")[-1]))
+    except (RuntimeError, ValueError, IndexError) as err:
+        print(f"error: the timing cannot run: {err}", file=sys.stderr)
+        return
+    print(f"ms per epoch, min / median / max over {TIME_PROCS} processes per tree "
+          f"(train, seed 0, {TIME_EPOCHS} epochs, {TIME_POINTS} points, fastest of "
+          f"{TIME_REPEATS}); ratio of medians, this tree over TREE, and its range "
+          "over the process pairs")
+    print(f"{'pair':<30} {'TREE':<20} {'this tree':<20} ratio")
+    for k, (name, kind, order, _) in enumerate(runs[1][0]):
+        theirs, ours = ([run[k][3] for run in side] for side in runs)
+        ratios = [b / a for a, b in zip(theirs, ours)]
+        print(f"{f'{name} {kind} (order {order})':<30} {_spread(theirs):<20} "
+              f"{_spread(ours):<20} {statistics.median(ours) / statistics.median(theirs):.3f} "
+              f"({min(ratios):.3f} to {max(ratios):.3f})")
+
+
 if __name__ == "__main__":
     args = _args()
     if args.against is not None:
-        sys.exit(compare(args.against))
+        status = compare(args.against)
+        if args.time:
+            time_trees(args.against)
+        sys.exit(status)
     sys.path.insert(0, str(args.src))
 
-import numpy as np  # noqa: E402
-
+# ipinn before numpy: importing ipinn pins BLAS to one thread, which numpy
+# reads as it loads, so the lines and timings come from the CLI's setting
 from ipinn import (REGISTRY, MlpLayout, TrainConfig, exact_eval, get_problem,  # noqa: E402
                    init_mlp, invariant_loss, load_weights, loss_and_grad,
                    run_cell, sample_collocation, train, vanilla_loss)
@@ -140,6 +199,8 @@ from ipinn.autodiff import AdjointGraph  # noqa: E402
 from ipinn.harness import build_report, write_report  # noqa: E402
 from ipinn.network import JET_ORDER, MlpJets, ParamSet  # noqa: E402
 from ipinn.training import _output_leaves  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 SEEDS = (0, 1, 2)
 POINTS = (200, 50)
@@ -304,6 +365,23 @@ def reports_line() -> str:
     return "reports " + " ".join(digests)
 
 
+def time_line() -> str:
+    """The `--time` line: JSON [problem, formulation, order, ms per epoch] per
+    `TIME_PAIRS` pair, the fastest of `TIME_REPEATS` `train` runs."""
+    rows = []
+    for name, kind in TIME_PAIRS:
+        problem = get_problem(name)
+        config = TrainConfig(epochs=TIME_EPOCHS, n_collocation=TIME_POINTS, seed=0,
+                             formulation=kind, alpha_ic=problem.alpha_ic)
+        fastest = math.inf
+        for _ in range(TIME_REPEATS):
+            start = time.perf_counter()
+            _, history, _ = train(problem, config)
+            fastest = min(fastest, 1e3 * (time.perf_counter() - start) / len(history))
+        rows.append([name, kind, problem.formulation(kind).order, fastest])
+    return json.dumps(rows)
+
+
 def main() -> None:
     print(reference_line(), flush=True)
     print(tape_line(), flush=True)
@@ -323,4 +401,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    if args.time:
+        print(time_line())
+    else:
+        main()

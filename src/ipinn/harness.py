@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -111,9 +112,10 @@ def _field_from_json(kind: str, name: str, value):
 
 
 def summary_mask(problem_name: str, x: np.ndarray) -> np.ndarray:
-    """Grid points that enter mse_summary."""
+    """Grid points that enter mse_summary, of any x that np.asarray reads as floats."""
+    x = np.asarray(x, dtype=float)
     if problem_name != "schwarz":
-        return np.ones(np.asarray(x).shape, dtype=bool)
+        return np.ones(x.shape, dtype=bool)
     center = math.pi / 2.0
     w = SCHWARZ_MASK_HALF_WIDTH
     return ~((x > center - w) & (x < center + w))
@@ -279,16 +281,13 @@ class SummaryRow:
     n_failed: int
 
 
-def _cell_order(problem: str, formulation: str) -> tuple[int, int]:
-    return list(REGISTRY).index(problem), FORMULATIONS.index(formulation)
-
-
 def collect_reports(report_dir) -> list[RunReport]:
     """Every `*/report.json` under `report_dir`, one per (problem,
     formulation, seed), and one config but for the seed per (problem,
     formulation): a second report of a cell, or a report trained with
     another config than an earlier one of its pair, raises ValueError naming
-    both files."""
+    both files.  The reports come back sorted by problem in `REGISTRY` order,
+    then formulation in `FORMULATIONS` order, then seed."""
     root = Path(report_dir)
     reports, seen, configs = [], {}, {}
     for path in sorted(root.glob("*/report.json")):
@@ -309,24 +308,23 @@ def collect_reports(report_dir) -> list[RunReport]:
         reports.append(report)
     if not reports:
         raise ValueError(f"found 0 reports under {root}")
-    return reports
+    return sorted(reports, key=lambda r: (list(REGISTRY).index(r.problem),
+                                          FORMULATIONS.index(r.formulation), r.seed))
 
 
 def summarize(report_dir) -> list[SummaryRow]:
-    """Population mean and std of mse per cell, in registry order.
+    """Population mean and std of mse per (problem, formulation) pair, one
+    row per pair in the order `collect_reports` returns the cells: registry
+    order, invariant before vanilla, with each row's seeds ascending.
 
-    Invariant rows precede vanilla rows for the same problem.  Failed cells
-    stay in the statistics (their mse is typically inf) and are counted.
-    The cells of one row must share their config but for the seed; see
-    `collect_reports`.
+    Failed cells stay in the statistics (their mse is typically inf) and are
+    counted.  The cells of one row must share their config but for the seed;
+    see `collect_reports`.
     """
-    reports = collect_reports(report_dir)
-    groups: dict[tuple[str, str], list[RunReport]] = {}
-    for r in reports:
-        groups.setdefault((r.problem, r.formulation), []).append(r)
     rows = []
-    for (problem, formulation) in sorted(groups, key=lambda k: _cell_order(*k)):
-        cell = sorted(groups[(problem, formulation)], key=lambda r: r.seed)
+    for (problem, formulation), run in itertools.groupby(
+            collect_reports(report_dir), key=lambda r: (r.problem, r.formulation)):
+        cell = list(run)
         mses = np.array([r.mse for r in cell])
         summaries = np.array([r.mse_summary for r in cell])
         # infinite mse from failed cells makes the std nan; that is data

@@ -100,8 +100,9 @@ class MlpLayout:
     """Shape of a scalar-input multilayer perceptron.
 
     hidden_layers counts the tanh layers; the output layer is linear.  The
-    input is the scalar t, so input_dim is always 1.  Negative hidden_layers,
-    or a hidden_width or output_dim below 1, raises ValueError.
+    input is the scalar t, so input_dim is always 1.  A size that is not an
+    int (a bool is not), negative hidden_layers, or a hidden_width or
+    output_dim below 1 raises ValueError.
     """
 
     input_dim: int = 1
@@ -110,13 +111,15 @@ class MlpLayout:
     output_dim: int = 1
 
     def __post_init__(self):
+        for name in ("input_dim", "hidden_layers", "hidden_width", "output_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
         if self.input_dim != 1:
-            raise ValueError(f"input_dim must be 1 (a scalar input), "
-                             f"got {self.input_dim!r}")
+            raise ValueError(f"input_dim must be 1 (a scalar input), got {self.input_dim!r}")
         for name, least in (("hidden_layers", 0), ("hidden_width", 1), ("output_dim", 1)):
             if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, "
-                                 f"got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
     def dims(self) -> list[int]:
         return ([self.input_dim]

@@ -242,22 +242,17 @@ def oscillator_spec() -> ProblemSpec:
 
     The phase-rotation frame absorbs the homogeneous dynamics; the trained
     unknowns are the slowly varying coefficients of sin t and cos t, driven
-    directly by the forcing.  Both sets of ICs read
+    directly by the forcing, `reference.oscillator_forcing`.  Both sets of ICs read
     `reference.OSCILLATOR_INITIAL_STATE`, the invariant ones through the frame
     at t = 0, and so does the exact solution, `reference.oscillator_reference`.
     """
-    a = reference.OSCILLATOR_FORCING_EXPONENT
-
-    def forcing(t):
-        return np.sin(np.asarray(t, dtype=float) ** a)
-
     def vanilla_residual(t, outs):
         u = outs[0]
-        return [u[2] + u[0] - forcing(t)]
+        return [u[2] + u[0] - reference.oscillator_forcing(t)]
 
     def invariant_residual(t, outs):
         al, be = outs
-        f = forcing(t)
+        f = reference.oscillator_forcing(t)
         return [al[1] - f * np.cos(t),
                 be[1] + f * np.sin(t)]
 

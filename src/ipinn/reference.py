@@ -23,19 +23,21 @@ _erf_scalar = np.frompyfunc(math.erf, 1, 1)
 
 
 def erf(x):
-    """Error function, elementwise; delegates to the libm implementation."""
-    arr = np.asarray(x, dtype=float)
-    out = np.asarray(_erf_scalar(arr), dtype=float)
-    if arr.ndim == 0:
-        return float(out)
-    return out
+    """Error function, elementwise, as a float array of x's shape (0-d for a scalar), by libm."""
+    return np.asarray(_erf_scalar(np.asarray(x, dtype=float)), dtype=float)
+
+
+def oscillator_forcing(t):
+    """sin(t^a), a = `OSCILLATOR_FORCING_EXPONENT`: the oscillator's forcing,
+    which both its residuals and its exact solution's quadrature read."""
+    return np.sin(np.asarray(t, dtype=float) ** OSCILLATOR_FORCING_EXPONENT)
 
 
 def oscillator_reference(t: np.ndarray) -> np.ndarray:
-    """Exact state (u, u_t) of u'' + u = sin(t^a) from `OSCILLATOR_INITIAL_STATE`,
-    one row per time of the 1-D t, by variation of parameters:
-    u = u0 cos t + v0 sin t + sin t C - cos t S, where C, S = int_0^t (cos s,
-    sin s) sin(s^a) ds are the invariant formulation's own unknowns.
+    """Exact state (u, u_t) of u'' + u = f(t), f = `oscillator_forcing`, from
+    `OSCILLATOR_INITIAL_STATE`, one row per time of the 1-D t, by variation of
+    parameters: u = u0 cos t + v0 sin t + sin t C - cos t S, where C, S =
+    int_0^t (cos s, sin s) f(s) ds are the invariant formulation's own unknowns.
 
     C and S sum `GAUSS_NODES`-point Gauss-Legendre over the `GAUSS_PANELS`
     fixed panels below t and one partial panel up to t, so a time's value does
@@ -52,7 +54,7 @@ def oscillator_reference(t: np.ndarray) -> np.ndarray:
         """(C, S) over [a, b] for each pair of panel ends."""
         half = 0.5 * (b - a)[:, None]
         s = 0.5 * (a + b)[:, None] + half * nodes
-        f = half * weights * np.sin(s ** OSCILLATOR_FORCING_EXPONENT)
+        f = half * weights * oscillator_forcing(s)
         return (np.cos(s) * f).sum(axis=1), (np.sin(s) * f).sum(axis=1)
 
     edges = np.linspace(lo, hi, GAUSS_PANELS + 1)

@@ -280,6 +280,9 @@ def test_summary_mask_excludes_asymptote_window_for_schwarz():
     assert not mask[inside].any()
     assert mask[~inside].all()
     assert summary_mask("logistic", x).all()
+    # a list is read as floats on either branch
+    assert summary_mask("schwarz", [1.0, math.pi / 2.0]).tolist() == [True, False]
+    assert summary_mask("logistic", [1.0, 2.0]).tolist() == [True, True]
 
 
 def test_mask_note_follows_the_mask():
@@ -444,6 +447,21 @@ def test_collect_reports_roundtrip(tmp_path):
     _write_report(tmp_path, _fake_report("logistic", "invariant", 1, 2.0))
     reports = collect_reports(tmp_path)
     assert {r.seed for r in reports} == {0, 1}
+
+
+def test_reports_and_rows_come_in_registry_formulation_and_seed_order(tmp_path):
+    """Cell directories sort exponential first and seed 10 before seed 2;
+    the reports and the summary rows do not."""
+    out = tmp_path / "runs"
+    assert main(["run", "--problem", "all", "--formulation", "both", "--seeds", "2,10",
+                 "--epochs", "1", "--collocation", "5", "--out", str(out)]) == 0
+    pairs = [(problem, formulation)
+             for problem in ("schwarz", "logistic", "oscillator", "exponential", "system")
+             for formulation in ("invariant", "vanilla")]
+    assert [(r.problem, r.formulation, r.seed) for r in collect_reports(out)] == [
+        (problem, formulation, seed) for problem, formulation in pairs for seed in (2, 10)]
+    assert [(r.problem, r.formulation, r.seeds) for r in summarize(out)] == [
+        (problem, formulation, [2, 10]) for problem, formulation in pairs]
 
 
 def test_summarize_rejects_two_reports_of_one_cell(tmp_path, capsys):

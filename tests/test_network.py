@@ -40,6 +40,9 @@ def test_layout_dims():
     (dict(hidden_width=0), "hidden_width must be at least 1"),
     (dict(hidden_layers=0, hidden_width=0), "hidden_width must be at least 1"),
     (dict(output_dim=0), "output_dim must be at least 1"),
+    (dict(hidden_layers=True), "hidden_layers must be an int, got bool"),
+    (dict(hidden_width=2.5), "hidden_width must be an int, got float"),
+    (dict(output_dim=1.0), "output_dim must be an int, got float"),
 ])
 def test_layout_refuses_sizes_that_build_no_usable_network(sizes, fault):
     with pytest.raises(ValueError, match=fault):
