@@ -98,18 +98,15 @@ def _cell_line(report: RunReport) -> str:
 
 
 def _cmd_run(args) -> int:
-    problems = list(REGISTRY) if args.problem == "all" else [args.problem]
-    for name in problems:
-        get_problem(name)
+    problems = list(REGISTRY.values()) if args.problem == "all" else [get_problem(args.problem)]
     formulations = FORMULATIONS if args.formulation == "both" else [args.formulation]
     cells = [
-        (name, form,
+        (problem.name, form,
          TrainConfig(epochs=args.epochs, learning_rate=args.lr,
-                     alpha_ic=(get_problem(name).alpha_ic
-                               if args.alpha is None else args.alpha),
+                     alpha_ic=problem.alpha_ic if args.alpha is None else args.alpha,
                      n_collocation=args.collocation,
                      seed=seed, formulation=form))
-        for name in problems
+        for problem in problems
         for form in formulations
         for seed in args.seeds
     ]

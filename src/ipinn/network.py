@@ -95,14 +95,23 @@ def _kcompose(f, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def require_int(name: str, value, least: int) -> None:
+    """Raise a ValueError naming the field `name` unless `value` is an int (a
+    bool is not) of at least `least`: the rule for each int a file stores."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MlpLayout:
     """Shape of a scalar-input multilayer perceptron.
 
     hidden_layers counts the tanh layers; the output layer is linear.  The
-    input is the scalar t, so input_dim is always 1.  A size that is not an
-    int (a bool is not), negative hidden_layers, or a hidden_width or
-    output_dim below 1 raises ValueError.
+    input is the scalar t, so input_dim is always 1.  Each size must pass
+    `require_int`, hidden_layers with least 0 and the others with least 1;
+    a size that fails, or an input_dim other than 1, raises its ValueError.
     """
 
     input_dim: int = 1
@@ -111,15 +120,11 @@ class MlpLayout:
     output_dim: int = 1
 
     def __post_init__(self):
-        for name in ("input_dim", "hidden_layers", "hidden_width", "output_dim"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {type(value).__name__} {value!r}")
+        for name, least in (("input_dim", 1), ("hidden_layers", 0),
+                            ("hidden_width", 1), ("output_dim", 1)):
+            require_int(name, getattr(self, name), least)
         if self.input_dim != 1:
             raise ValueError(f"input_dim must be 1 (a scalar input), got {self.input_dim!r}")
-        for name, least in (("hidden_layers", 0), ("hidden_width", 1), ("output_dim", 1)):
-            if getattr(self, name) < least:
-                raise ValueError(f"{name} must be at least {least}, got {getattr(self, name)!r}")
 
     def dims(self) -> list[int]:
         return ([self.input_dim]
@@ -308,21 +313,16 @@ def mlp_values(params: ParamSet, x_values) -> np.ndarray:
     return MlpJets(params.layout, x_values, 0, with_grad=False).forward(params)[0]
 
 
-def _check_seed(seed, where: str = "") -> None:
-    if seed is not None and not (type(seed) is int and seed >= 0):
-        raise ValueError(f"{where}the seed must be null or a non-negative integer, "
-                         f"got {seed!r}")
-
-
 def save_weights(path, params: ParamSet, seed: int | None = None) -> None:
     """JSON header line (layout and seed) then the flat vector, little-endian f8.
 
     The header holds the `MlpLayout` fields under "layout", keys sorted, which
-    `load_weights` checks against the same fields.  A seed that `load_weights`
-    would refuse raises ValueError and writes nothing.  The file is replaced
-    atomically: a failed write leaves any earlier file.
+    `load_weights` checks against the same fields.  A seed other than None
+    must pass `require_int` with least 0, as there, or nothing is written.
+    The file is replaced atomically: a failed write leaves any earlier file.
     """
-    _check_seed(seed)
+    if seed is not None:
+        require_int("seed", seed, 0)
     header = {"layout": asdict(params.layout), "seed": seed}
     with atomic_write(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -334,7 +334,7 @@ def load_weights(path) -> tuple[ParamSet, int | None]:
     """Parameters and seed from a file written by `save_weights`.
 
     A file whose header or length does not fit raises ValueError naming the
-    file and the fault.
+    file and the fault: for a size or seed, `MlpLayout`'s or `require_int`'s.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -351,14 +351,13 @@ def load_weights(path) -> tuple[ParamSet, int | None]:
     keys = {f.name for f in fields(MlpLayout)}
     if not isinstance(sizes, dict) or set(sizes) != keys:
         raise ValueError(f"{path}: the layout needs exactly the keys {sorted(keys)}")
-    if not all(type(v) is int and v >= 0 for v in sizes.values()):
-        raise ValueError(f"{path}: layout sizes must be non-negative integers")
+    seed = header["seed"]
     try:
         layout = MlpLayout(**sizes)
+        if seed is not None:
+            require_int("seed", seed, 0)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    seed = header["seed"]
-    _check_seed(seed, f"{path}: ")
     size = layout.flat_size()
     if len(body) != 8 * size:
         raise ValueError(f"{path}: body holds {len(body)} bytes; the layout needs "

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import AdjointGraph, Node
-from .network import MlpJets, MlpLayout, ParamSet, init_mlp
+from .network import MlpJets, MlpLayout, ParamSet, init_mlp, require_int
 from .problems import FORMULATIONS, DomainError, FormulationSpec, ProblemSpec
 
 ADAM_BETA1 = 0.9
@@ -45,6 +45,9 @@ class TrainConfig:
     interval, which is also where `run_cell` evaluates the trained network.
     The equation term of the loss is a sum over those points.  A run report
     stores the config as `dataclasses.asdict`, its keys in field order.
+    epochs, n_collocation and seed must pass `network.require_int` with least
+    0, 2 and 0; learning_rate (> 0) and alpha_ic (>= 0) must be finite ints or
+    floats, not bools.  Any other value raises ValueError.
     """
 
     epochs: int = 3000
@@ -55,17 +58,9 @@ class TrainConfig:
     formulation: str = FORMULATIONS[0]
 
     def __post_init__(self):
-        for name in ("epochs", "n_collocation", "seed"):  # the report stores them as JSON ints
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {type(value).__name__} "
-                                 f"{value!r}")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
-        if self.n_collocation < 2:
-            raise ValueError("need at least the two endpoint collocation points")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        # the report stores these as JSON ints; two points are the interval's ends
+        for name, least in (("epochs", 0), ("n_collocation", 2), ("seed", 0)):
+            require_int(name, getattr(self, name), least)
         for name in ("learning_rate", "alpha_ic"):  # and these as JSON numbers
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -587,16 +587,19 @@ def test_cli_rejects_a_bad_learning_rate_or_weight(tmp_path, capsys, option, val
     assert not out.exists()
 
 
-@pytest.mark.parametrize("seeds", [["--seeds", "-1"], ["--seeds", "0,-2"],
-                                   ["--seeds=-3..-1"]], ids=["-1", "0,-2", "-3..-1"])
-def test_cli_rejects_a_negative_seed(tmp_path, capsys, seeds):
-    """A negative seed stops the run with one error line, before any cell trains."""
+@pytest.mark.parametrize("seeds, refused", [(["--seeds", "-1"], -1),
+                                            (["--seeds", "0,-2"], -2),
+                                            (["--seeds=-3..-1"], -3)],
+                         ids=["-1", "0,-2", "-3..-1"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, seeds, refused):
+    """A negative seed stops the run with one error line naming the first such
+    seed, before any cell trains."""
     out = tmp_path / "runs"
     code = main(["run", "--problem", "logistic", *seeds, "--epochs", "1",
                  "--out", str(out)])
     assert code == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: seed must be non-negative\n"
+    assert captured.err == f"error: seed must be at least 0, got {refused}\n"
     assert captured.out == ""
     assert not out.exists()
 
@@ -724,7 +727,7 @@ def test_import_leaves_the_worker_pool_unloaded():
 
 # what perfbench's gradient check does in its own process, then the oscillator
 # reference at the grid, the interval's ends and beyond them, and a nan time,
-# and each problem's exact solution by name
+# and each problem's exact solution by name, the logistic one far before its start
 _QUIET_PROCESS = """
 import numpy as np, ipinn
 for name in ipinn.REGISTRY:
@@ -742,6 +745,7 @@ ipinn.exact_eval("oscillator", np.linspace(0.0, 10.0, 500))
 ipinn.exact_eval("oscillator", np.array([-5e-10, 0.0, 10.0, 10.0 + 5e-10, np.nan]))
 for name in ipinn.REGISTRY:
     ipinn.exact_eval(name, np.linspace(0.0, 1.0, 50))
+ipinn.exact_eval("logistic", -1000.0)
 """
 
 

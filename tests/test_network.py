@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -275,7 +276,9 @@ def test_weight_header_bytes(tmp_path):
 def test_save_weights_refuses_a_seed_it_could_not_load(tmp_path, seed):
     params = init_mlp(MlpLayout(hidden_layers=1, hidden_width=3), seed=0)
     path = tmp_path / "weights.bin"
-    with pytest.raises(ValueError, match="seed must be null or a non-negative integer"):
+    fault = (f"at least 0, got {seed!r}" if type(seed) is int
+             else f"an int, got {type(seed).__name__} {seed!r}")
+    with pytest.raises(ValueError, match=re.escape(f"seed must be {fault}")):
         save_weights(path, params, seed=seed)
     assert not path.exists()
     save_weights(path, params, seed=0)
@@ -310,17 +313,24 @@ def _encode(header):
     (lambda h, b: _encode({"seed": 0}) + b, "'layout' and 'seed'"),
     (lambda h, b: _encode(_with_layout(h, output_dim=None)) + b, "layout needs"),
     (lambda h, b: _encode(_with_layout(h, depth=3)) + b, "layout needs"),
-    (lambda h, b: _encode(_with_layout(h, hidden_width="3")) + b, "non-negative"),
+    (lambda h, b: _encode(_with_layout(h, hidden_width="3")) + b,
+     "hidden_width must be an int, got str '3'"),
+    (lambda h, b: _encode(_with_layout(h, hidden_layers=-1)) + b,
+     "hidden_layers must be at least 0, got -1"),
+    (lambda h, b: _encode(_with_layout(h, hidden_layers=True)) + b,
+     "hidden_layers must be an int, got bool True"),
+    (lambda h, b: _encode(_with_layout(h, hidden_layers=2.5)) + b,
+     "hidden_layers must be an int, got float 2.5"),
     (lambda h, b: _encode(_with_layout(h, input_dim=2)) + b, "input_dim must be 1"),
     (lambda h, b: _encode(_with_layout(h, hidden_width=0)) + b, "hidden_width must be at least 1"),
     (lambda h, b: _encode(_with_layout(h, output_dim=0)) + b, "output_dim must be at least 1"),
-    (lambda h, b: _encode({**h, "seed": "abc"}) + b, "seed must be null"),
-    (lambda h, b: _encode({**h, "seed": -1}) + b, "seed must be null"),
+    (lambda h, b: _encode({**h, "seed": "abc"}) + b, "seed must be an int, got str 'abc'"),
+    (lambda h, b: _encode({**h, "seed": -1}) + b, "seed must be at least 0, got -1"),
     (lambda h, b: b"", "empty weights file"),
 ], ids=["truncated-body", "one-value-short", "one-value-extra", "no-header-line",
         "no-layout", "missing-layout-key", "unknown-layout-key", "non-integer-size",
-        "two-inputs", "zero-width", "no-outputs", "string-seed", "negative-seed",
-        "empty-file"])
+        "negative-depth", "boolean-depth", "fractional-depth", "two-inputs", "zero-width",
+        "no-outputs", "string-seed", "negative-seed", "empty-file"])
 def test_load_weights_names_file_and_fault(tmp_path, corrupt, fault):
     path, header, body = _weight_file_parts(tmp_path)
     path.write_bytes(corrupt(header, body))

@@ -32,6 +32,8 @@ def test_group_element_validates_determinant():
         GroupElementSL2(1.0, 0.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         GroupElementSL2(1.0, 0.0, 0.0, 1.0 + 1e-6)
+    with pytest.raises(ValueError):
+        GroupElementSL2(1.0, 0.0, 0.0, 1.0 + 2e-9)
 
 
 def test_group_inverse_and_compose():
@@ -149,6 +151,14 @@ def test_frame_is_equivariant():
 def test_frame_of_cross_section_point_is_identity():
     rho = sl2_moving_frame(0.0, 1.0, 0.0)
     assert np.array_equal(sl2_matrix(rho), np.eye(2))
+
+
+def test_frame_of_a_large_jet_is_unimodular_to_its_rounding():
+    """The frame's det cancels terms of size |ad| + |bc|, 1.8e8 here, so it
+    misses 1 by 1.5e-8 in rounding alone; the frame is still made."""
+    jet = (34891.09815421624, 0.30785347808057273, 490.0170295483863)
+    moved = sl2_prolong(sl2_moving_frame(*jet), (*jet, 0.0))
+    assert abs(moved[1] - 1.0) < 1e-6
 
 
 def _schwarz_frame(t, jets):

@@ -76,9 +76,9 @@ def test_collocation_input_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="epochs must be at least 0, got -1"):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n_collocation must be at least 2, got 1"):
         TrainConfig(n_collocation=1)
     with pytest.raises(ValueError):
         TrainConfig(alpha_ic=-0.5)
@@ -91,7 +91,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(formulation="hybrid")
     for seed in (-1, -2**40):
-        with pytest.raises(ValueError, match="seed must be non-negative"):
+        with pytest.raises(ValueError, match=f"seed must be at least 0, got {seed}"):
             TrainConfig(seed=seed)
     for name, value in (("epochs", 2.5), ("epochs", 3.0), ("epochs", "3"),
                         ("n_collocation", 200.0), ("n_collocation", True),
